@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import INTERFACE, Mesh
+from .mesh import Mesh
 from .spaces import Space
 
 __all__ = [
@@ -35,82 +35,101 @@ EDGE_WEIGHTS = 0.5 * np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
 def p1_basis(x, y):
-    """P1 values and reference gradients at one point."""
-    n = np.array([1.0 - x - y, x, y])
+    """P1 values (..., 3) and reference gradients (..., 3, 2) at points x, y
+    of any (common) shape."""
+    n = np.stack(np.broadcast_arrays(1.0 - x - y, x, y), axis=-1)
     dn = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    return n, dn
+    return n, np.broadcast_to(dn, n.shape + (2,))
 
 
 def p2_basis(x, y):
-    """P2 values and reference gradients; node order v0 v1 v2 m12 m20 m01."""
+    """P2 values (..., 6) and reference gradients (..., 6, 2) at points x, y
+    of any (common) shape; node order v0 v1 v2 m12 m20 m01."""
     l0, l1, l2 = 1.0 - x - y, x, y
-    n = np.array([l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
-                  4 * l1 * l2, 4 * l0 * l2, 4 * l0 * l1])
+    n = np.stack([l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
+                  4 * l1 * l2, 4 * l0 * l2, 4 * l0 * l1], axis=-1)
     d0 = np.array([-1.0, -1.0])
     d1 = np.array([1.0, 0.0])
     d2 = np.array([0.0, 1.0])
-    dn = np.vstack([
+    l0, l1, l2 = (np.asarray(lk)[..., None] for lk in (l0, l1, l2))
+    dn = np.stack([
         (4 * l0 - 1) * d0, (4 * l1 - 1) * d1, (4 * l2 - 1) * d2,
         4 * (l2 * d1 + l1 * d2), 4 * (l2 * d0 + l0 * d2), 4 * (l1 * d0 + l0 * d1),
-    ])
+    ], axis=-2)
     return n, dn
 
 
-def p2_edge_basis(s):
-    """1D P2 values on [0,1]; node order: endpoint0, endpoint1, midpoint."""
-    return np.array([(1 - s) * (1 - 2 * s), s * (2 * s - 1), 4 * s * (1 - s)])
+def edge_basis(degree, s):
+    """1D P1/P2 values (..., 2 or 3) on [0,1]; node order: endpoint0,
+    endpoint1[, midpoint]."""
+    if degree == 1:
+        return np.stack([1 - s, s], axis=-1)
+    return np.stack([(1 - s) * (1 - 2 * s), s * (2 * s - 1), 4 * s * (1 - s)], axis=-1)
 
 
-def _basis(degree):
-    return p1_basis if degree == 1 else p2_basis
-
-
-def _cell_geometry(mesh: Mesh, cell_id: int):
-    v = mesh.vertices[mesh.cells[cell_id]]
-    jac = np.array([[v[1, 0] - v[0, 0], v[2, 0] - v[0, 0]],
-                    [v[1, 1] - v[0, 1], v[2, 1] - v[0, 1]]])
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
-    return det, inv
+def _geometry(mesh: Mesh, cells: np.ndarray):
+    """Jacobian determinants (c,) and inverse Jacobians (c, 2, 2), C-ordered,
+    of the affine maps of the given mesh cells."""
+    v = mesh.vertices[mesh.cells[cells]]
+    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]  # the Jacobian's columns
+    det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+    adj = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1)
+    return det, adj.reshape(-1, 2, 2) / det[:, None, None]
 
 
 def _tabulate(space: Space):
-    """Basis values and reference gradients at the triangle quadrature points."""
-    basis = _basis(space.degree)
-    vals, grads = [], []
-    for x, y in TRI_POINTS:
-        n, dn = basis(x, y)
-        vals.append(n)
-        grads.append(dn)
-    return np.array(vals), np.array(grads)  # (nq, nl), (nq, nl, 2)
+    """Basis values (nq, nl) and reference gradients (nq, nl, 2) at the
+    triangle quadrature points."""
+    basis = p1_basis if space.degree == 1 else p2_basis
+    return basis(TRI_POINTS[:, 0], TRI_POINTS[:, 1])
 
 
-def _scatter(shape, entries):
-    rows, cols, vals = entries
-    mat = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
+def _quadrature(space: Space):
+    """Basis values (nq, nl), physical gradients (c, nq, nl, 2) and weights
+    (c, nq) on every cell of the space."""
+    vals, grads = _tabulate(space)
+    det, inv = _geometry(space.mesh, space.cells)
+    # A batched matmul runs the BLAS product a per-cell `grads @ inv` ran, so
+    # the gradients keep their bits; einsum rounds these 2-term sums differently.
+    return vals, grads @ inv[:, None], np.abs(det)[:, None] * TRI_WEIGHTS
+
+
+def _scatter(shape, row_dofs, col_dofs, blocks):
+    """Sum (c, i, j) local blocks into a CSR matrix at rows row_dofs[c, i]
+    and columns col_dofs[c, j]; entries go in cell-major order."""
+    rows = np.broadcast_to(row_dofs[:, :, None], blocks.shape)
+    cols = np.broadcast_to(col_dofs[:, None, :], blocks.shape)
+    mat = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
                         shape=shape).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
     return mat
 
 
-def _assemble_cellwise(space: Space, local_block):
-    """Generic symmetric cell loop; local_block(grads_phys, vals, w) returns
-    the local block already expanded to vector dofs."""
-    vals, grads = _tabulate(space)
-    rows, cols, data = [], [], []
-    for k, cell_id in enumerate(space.cells):
-        det, inv = _cell_geometry(space.mesh, cell_id)
-        gphys = grads @ inv  # (nq, nl, 2)
-        w = TRI_WEIGHTS * abs(det)
-        block = local_block(gphys, vals, w)
-        block = 0.5 * (block + block.T)  # all forms here are symmetric; make it exact
-        dofs = space.expand(space.cell_nodes[k])
-        rows.append(np.repeat(dofs, dofs.size))
-        cols.append(np.tile(dofs, dofs.size))
-        data.append(block.ravel())
-    return _scatter((space.ndof, space.ndof), (rows, cols, data))
+def _on_diagonal(m, ncomp):
+    """(c, nl, nl) scalar blocks -> (c, ncomp, ncomp, nl, nl) component blocks
+    acting on each component alone."""
+    out = np.zeros((m.shape[0], ncomp, ncomp) + m.shape[1:])
+    for c in range(ncomp):
+        out[:, c, c] = m
+    return out
+
+
+def _interleave(blocks):
+    """(c, ncomp, ncomp, nl, nl) component blocks -> (c, ncomp*nl, ncomp*nl)
+    with vector dofs interleaved like Space.expand."""
+    c, n, _, nl, _ = blocks.shape
+    return blocks.transpose(0, 3, 1, 4, 2).reshape(c, n * nl, n * nl)
+
+
+def _assemble_cellwise(space: Space, local_blocks):
+    """Generic symmetric assembly over all cells; local_blocks(gphys, vals, w)
+    returns the (c, ncomp, ncomp, nl, nl) component blocks of every cell."""
+    vals, gphys, w = _quadrature(space)
+    blocks = _interleave(local_blocks(gphys, vals, w))
+    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))  # all forms here are symmetric; make it exact
+    dofs = space.expand(space.cell_nodes)
+    return _scatter((space.ndof, space.ndof), dofs, dofs, blocks)
 
 
 def assemble_vector_mass(space: Space, density: float) -> sp.csr_matrix:
@@ -120,15 +139,10 @@ def assemble_vector_mass(space: Space, density: float) -> sp.csr_matrix:
     if space.ncomp != 2:
         raise ValueError("vector mass requires a vector-valued space")
 
-    def block(gphys, vals, w):
-        m = np.einsum("q,qi,qj->ij", w, vals, vals)
-        nl = m.shape[0]
-        out = np.zeros((2 * nl, 2 * nl))
-        out[0::2, 0::2] = m
-        out[1::2, 1::2] = m
-        return density * out
+    def blocks(gphys, vals, w):
+        return density * _on_diagonal(np.einsum("cq,qi,qj->cij", w, vals, vals), 2)
 
-    return _assemble_cellwise(space, block)
+    return _assemble_cellwise(space, blocks)
 
 
 def assemble_symgrad(space: Space, coeff: float) -> sp.csr_matrix:
@@ -139,17 +153,16 @@ def assemble_symgrad(space: Space, coeff: float) -> sp.csr_matrix:
     if coeff <= 0:
         raise ValueError("coefficient must be positive")
 
-    def block(gphys, vals, w):
-        lap = np.einsum("q,qid,qjd->ij", w, gphys, gphys)
-        nl = lap.shape[0]
-        out = np.zeros((2 * nl, 2 * nl))
+    def blocks(gphys, vals, w):
+        lap = np.einsum("cq,cqid,cqjd->cij", w, gphys, gphys)
+        out = np.empty((lap.shape[0], 2, 2) + lap.shape[1:])
         for a in range(2):
             for b in range(2):
-                cross = np.einsum("q,qi,qj->ij", w, gphys[:, :, b], gphys[:, :, a])
-                out[a::2, b::2] = cross + (lap if a == b else 0.0)
+                cross = np.einsum("cq,cqi,cqj->cij", w, gphys[..., b], gphys[..., a])
+                out[:, a, b] = cross + (lap if a == b else 0.0)
         return coeff * out
 
-    return _assemble_cellwise(space, block)
+    return _assemble_cellwise(space, blocks)
 
 
 def assemble_divdiv(space: Space, coeff: float) -> sp.csr_matrix:
@@ -157,16 +170,10 @@ def assemble_divdiv(space: Space, coeff: float) -> sp.csr_matrix:
     if space.ncomp != 2:
         raise ValueError("div-div form requires a vector space")
 
-    def block(gphys, vals, w):
-        nl = gphys.shape[1]
-        out = np.zeros((2 * nl, 2 * nl))
-        for a in range(2):
-            for b in range(2):
-                out[a::2, b::2] = np.einsum(
-                    "q,qi,qj->ij", w, gphys[:, :, a], gphys[:, :, b])
-        return coeff * out
+    def blocks(gphys, vals, w):
+        return coeff * np.einsum("cq,cqia,cqjb->cabij", w, gphys, gphys)
 
-    return _assemble_cellwise(space, block)
+    return _assemble_cellwise(space, blocks)
 
 
 def assemble_elasticity(space: Space, l1: float, l2: float) -> sp.csr_matrix:
@@ -189,70 +196,27 @@ def assemble_divergence(vel: Space, pres: Space) -> sp.csr_matrix:
         raise ValueError("expected a vector velocity and scalar pressure space")
     if vel.domain != pres.domain or not np.array_equal(vel.cells, pres.cells):
         raise ValueError("velocity and pressure spaces live on different subdomains")
-    vvals, vgrads = _tabulate(vel)
+    _, gphys, w = _quadrature(vel)
     pvals, _ = _tabulate(pres)
-    rows, cols, data = [], [], []
-    for k, cell_id in enumerate(vel.cells):
-        det, inv = _cell_geometry(vel.mesh, cell_id)
-        gphys = vgrads @ inv
-        w = TRI_WEIGHTS * abs(det)
-        nlv = gphys.shape[1]
-        block = np.zeros((pvals.shape[1], 2 * nlv))
-        for b in range(2):
-            block[:, b::2] = np.einsum("q,qi,qj->ij", w, pvals, gphys[:, :, b])
-        vdofs = vel.expand(vel.cell_nodes[k])
-        pdofs = pres.cell_nodes[k]
-        rows.append(np.repeat(pdofs, vdofs.size))
-        cols.append(np.tile(vdofs, pdofs.size))
-        data.append(block.ravel())
-    return _scatter((pres.ndof, vel.ndof), (rows, cols, data))
-
-
-def _interface_edges(space: Space):
-    """Interface facets of the space as (node0, node1, midpoint, length),
-    ordered by x like the canonical interface numbering."""
-    mesh = space.mesh
-    # vertex -> space node lookup via rounded coordinates
-    coord_map = {tuple(np.round(space.node_coords[n], 12)): n
-                 for n in range(space.num_nodes)}
-    edges = []
-    for v0, v1 in mesh.facets_of(INTERFACE):
-        p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
-        if p1[0] < p0[0]:
-            p0, p1 = p1, p0
-        mid = 0.5 * (p0 + p1)
-        n0 = coord_map[tuple(np.round(p0, 12))]
-        n1 = coord_map[tuple(np.round(p1, 12))]
-        nm = coord_map[tuple(np.round(mid, 12))] if space.degree == 2 else None
-        edges.append((n0, n1, nm, float(np.linalg.norm(p1 - p0))))
-    edges.sort(key=lambda e: space.node_coords[e[0], 0])
-    return edges
+    blocks = np.einsum("cq,qi,cqjb->cijb", w, pvals, gphys)
+    blocks = blocks.reshape(blocks.shape[:2] + (-1,))
+    return _scatter((pres.ndof, vel.ndof), pres.cell_nodes,
+                    vel.expand(vel.cell_nodes), blocks)
 
 
 def assemble_interface_mass(space: Space) -> sp.csr_matrix:
     """Interface mass: integral over the interface of phi_i . phi_j."""
-    if space.interface_nodes.size == 0 and INTERFACE not in space.boundary_nodes:
+    facets = space.interface_facets
+    if facets.size == 0:
         raise ValueError("space has no interface facets")
-    rows, cols, data = [], [], []
-    for n0, n1, nm, length in _interface_edges(space):
-        loc = [n0, n1] + ([nm] if nm is not None else [])
-        nl = len(loc)
-        m = np.zeros((nl, nl))
-        for s, w in zip(EDGE_POINTS, EDGE_WEIGHTS):
-            if space.degree == 2:
-                vals = np.array([(1 - s) * (1 - 2 * s), s * (2 * s - 1),
-                                 4 * s * (1 - s)])
-            else:
-                vals = np.array([1 - s, s])
-            m += w * length * np.outer(vals, vals)
-        dofs = space.expand(np.asarray(loc))
-        block = np.zeros((space.ncomp * nl, space.ncomp * nl))
-        for c in range(space.ncomp):
-            block[c::space.ncomp, c::space.ncomp] = m
-        rows.append(np.repeat(dofs, dofs.size))
-        cols.append(np.tile(dofs, dofs.size))
-        data.append(block.ravel())
-    return _scatter((space.ndof, space.ndof), (rows, cols, data))
+    ends = space.node_coords[facets[:, :2]]
+    length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    m = np.zeros((facets.shape[0],) + 2 * facets.shape[1:])
+    for vals, w in zip(edge_basis(space.degree, EDGE_POINTS), EDGE_WEIGHTS):
+        m += (w * length)[:, None, None] * np.outer(vals, vals)
+    dofs = space.expand(facets)
+    return _scatter((space.ndof, space.ndof), dofs, dofs,
+                    _interleave(_on_diagonal(m, space.ncomp)))
 
 
 def apply_dirichlet(A: sp.spmatrix, b: np.ndarray, dofs, values=None):

@@ -11,8 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (EDGE_POINTS, EDGE_WEIGHTS, Factorization,
-                       apply_dirichlet, p2_basis, p2_edge_basis,
-                       _cell_geometry)
+                       apply_dirichlet, edge_basis, p2_basis, _geometry)
 from .splitting import Discretization, InterfaceData, PhysicalParams, SplitState
 
 
@@ -50,7 +49,8 @@ def solid_extension(disc: Discretization, trace: np.ndarray) -> np.ndarray:
 def pointwise_traction_load(disc: Discretization, u: np.ndarray, pressure,
                             mu: float) -> np.ndarray:
     """Interface quadrature of (2 mu eps(u) - p I) n against the interface
-    test functions; pressure is a callable of (x, y).
+    test functions; pressure is a callable of (x, y), evaluated on arrays of
+    points.
 
     This is the pointwise (non-variational) traction, used to seed the n = 0
     interface data from analytic initial pressure and as a low-order oracle
@@ -58,49 +58,36 @@ def pointwise_traction_load(disc: Discretization, u: np.ndarray, pressure,
     """
     d = disc
     space = d.V_f
-    mesh = space.mesh
-    # fluid cell adjacent to each interface facet, via shared vertex pair
-    cell_lookup = {}
-    for k, cid in enumerate(space.cells):
-        cell = mesh.cells[cid]
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            cell_lookup[(min(cell[a], cell[b]), max(cell[a], cell[b]))] = k
+    facets = space.interface_facets  # (f, 3): endpoint0, endpoint1, midpoint
+    # the fluid cell of each interface facet: the one holding its midpoint
+    owner = np.empty(space.num_nodes, dtype=np.int64)
+    owner[space.cell_nodes[:, 3:]] = np.arange(space.cells.size)[:, None]
+    cell = owner[facets[:, 2]]
+    _, inv = _geometry(space.mesh, space.cells[cell])
+    origin = space.node_coords[space.cell_nodes[cell, 0]]
+    p0, p1 = space.node_coords[facets[:, 0]], space.node_coords[facets[:, 1]]
+    length = np.linalg.norm(p1 - p0, axis=1)
 
-    node_of = {tuple(np.round(space.node_coords[n], 12)): n
-               for n in range(space.num_nodes)}
-    load = np.zeros(space.ndof)
-    normal = np.array([0.0, 1.0])  # outward fluid normal on the flat interface
-    from .mesh import INTERFACE
-    for v0, v1 in mesh.facets_of(INTERFACE):
-        p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
-        if p1[0] < p0[0]:
-            p0, p1 = p1, p0
-        length = float(np.linalg.norm(p1 - p0))
-        n0 = node_of[tuple(np.round(p0, 12))]
-        n1 = node_of[tuple(np.round(p1, 12))]
-        nm = node_of[tuple(np.round(0.5 * (p0 + p1), 12))]
-        k = cell_lookup[(min(v0, v1), max(v0, v1))]
-        cid = space.cells[k]
-        det, inv = _cell_geometry(mesh, cid)
-        origin = mesh.vertices[mesh.cells[cid][0]]
-        nodes = space.cell_nodes[k]
-        for s, w in zip(EDGE_POINTS, EDGE_WEIGHTS):
-            xq = p0 + s * (p1 - p0)
-            ref = inv @ (xq - origin)
-            _, dn = p2_basis(ref[0], ref[1])
-            gphys = dn @ inv  # (6, 2)
-            grad = np.zeros((2, 2))
-            for j, node in enumerate(nodes):
-                grad[0] += u[2 * node] * gphys[j]
-                grad[1] += u[2 * node + 1] * gphys[j]
-            eps = 0.5 * (grad + grad.T)
-            sigma = 2.0 * mu * eps - pressure(xq[0], xq[1]) * np.eye(2)
-            tn = sigma @ normal
-            vals = p2_edge_basis(s)
-            for loc, node in zip(vals, (n0, n1, nm)):
-                load[2 * node] += w * length * loc * tn[0]
-                load[2 * node + 1] += w * length * loc * tn[1]
-    return load[d.ifd_f]
+    xq = p0[:, None] + EDGE_POINTS[:, None] * (p1 - p0)[:, None]  # (f, q, 2)
+    # batched matmuls, as in assembly: the same BLAS products, the same bits
+    ref = (inv[:, None] @ (xq - origin[:, None])[..., None])[..., 0]
+    _, dn = p2_basis(ref[..., 0], ref[..., 1])
+    gphys = dn @ inv[:, None]
+    coef = u.reshape(-1, 2)[space.cell_nodes[cell]]  # (f, 6, 2)
+    grad = np.zeros(xq.shape + (2,))
+    for j in range(6):
+        grad = grad + coef[:, None, j, :, None] * gphys[:, :, j, None, :]
+    eps = 0.5 * (grad + grad.swapaxes(-1, -2))
+    pres = np.broadcast_to(pressure(xq[..., 0], xq[..., 1]), xq.shape[:2])
+    sigma = 2.0 * mu * eps - pres[..., None, None] * np.eye(2)
+    tn = sigma[..., 1]  # sigma n with the outward fluid normal (0, 1) of the flat interface
+
+    wl = EDGE_WEIGHTS * length[:, None]
+    contrib = (wl[..., None] * edge_basis(2, EDGE_POINTS))[..., None] * tn[:, :, None]
+    load = np.zeros((space.num_nodes, 2))
+    # accumulate facet by facet, point by point, node by node
+    np.add.at(load, np.broadcast_to(facets[:, None], contrib.shape[:3]), contrib)
+    return load.ravel()[d.ifd_f]
 
 
 def pressure_pulse(disc: Discretization, params: PhysicalParams,

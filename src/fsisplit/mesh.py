@@ -90,41 +90,25 @@ def build_two_layer_mesh(geom: ChannelGeometry, nx: int, ny_f: int, ny_s: int) -
     xx, yy = np.meshgrid(xs, ys)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
+    # lower-left vertex of each grid quad, row by row
+    j, i = np.divmod(np.arange(ny * nx), nx)
+    v00 = j * (nx + 1) + i
+    v10, v01 = v00 + 1, v00 + nx + 1
+    v11 = v01 + 1
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    cell_domain = np.repeat(np.where(j < ny_f, FLUID, SOLID), 2)
 
-    cells = []
-    cell_domain = []
-    for j in range(ny):
-        dom = FLUID if j < ny_f else SOLID
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-            cell_domain.extend((dom, dom))
+    # per column: bottom, top and interface edges; then per row: left, right
+    starts = np.add.outer(np.arange(nx), np.array([0, ny, ny_f]) * (nx + 1))
+    sides = np.add.outer(np.arange(ny) * (nx + 1), np.array([0, nx]))
+    facets = np.vstack([np.stack([starts, starts + 1], axis=2).reshape(-1, 2),
+                        np.stack([sides, sides + nx + 1], axis=2).reshape(-1, 2)])
+    tags = ([SIGMA_F, SIGMA_S, INTERFACE] * nx
+            + [SIGMA_F if row < ny_f else SIGMA_S for row in range(ny) for _ in range(2)])
 
-    facets = []
-    tags = []
-    for i in range(nx):
-        facets.append((vid(i, 0), vid(i + 1, 0)))
-        tags.append(SIGMA_F)
-        facets.append((vid(i, ny), vid(i + 1, ny)))
-        tags.append(SIGMA_S)
-        facets.append((vid(i, ny_f), vid(i + 1, ny_f)))
-        tags.append(INTERFACE)
-    for j in range(ny):
-        side = SIGMA_F if j < ny_f else SIGMA_S
-        facets.append((vid(0, j), vid(0, j + 1)))
-        tags.append(side)
-        facets.append((vid(nx, j), vid(nx, j + 1)))
-        tags.append(side)
-
-    return Mesh(vertices=vertices,
-                cells=np.asarray(cells, dtype=np.int64),
-                cell_domain=np.asarray(cell_domain, dtype=np.int64),
-                facets=np.asarray(facets, dtype=np.int64),
-                facet_tags=tags)
+    return Mesh(vertices=vertices, cells=cells.astype(np.int64),
+                cell_domain=cell_domain.astype(np.int64),
+                facets=facets.astype(np.int64), facet_tags=tags)
 
 
 def interface_facets(mesh: Mesh):

@@ -1,9 +1,10 @@
 """Finite element spaces on one subdomain of a two-layer mesh.
 
 Supported elements: vector/scalar Lagrange P1 and P2 on triangles.  Nodes are
-numbered vertices-first, then edge midpoints (P2 only), both in ascending mesh
-order, which makes the numbering deterministic and the interface node ordering
-identical for the fluid and solid spaces.
+numbered vertices-first in ascending vertex id, then edge midpoints (P2 only)
+in the order each edge first appears over the mesh cells, which makes the
+numbering deterministic and the interface node ordering identical for the
+fluid and solid spaces.
 """
 
 from __future__ import annotations
@@ -21,15 +22,32 @@ SCALAR_P1 = "scalar_p1"
 _KINDS = {VECTOR_P2: (2, 2), VECTOR_P1: (1, 2), SCALAR_P1: (1, 1)}
 
 
+def _local_edges(cells: np.ndarray) -> np.ndarray:
+    """(n_cells, 3, 2) sorted vertex pairs of the local edges (0,1), (1,2), (2,0)."""
+    pairs = np.stack([cells, np.roll(cells, -1, axis=1)], axis=2)
+    return np.sort(pairs, axis=2)
+
+
+def _edge_keys(pairs: np.ndarray, num_vertices: int) -> np.ndarray:
+    """One integer per sorted vertex pair, ordered like the pairs."""
+    return pairs[..., 0] * num_vertices + pairs[..., 1]
+
+
 def mesh_edges(mesh: Mesh):
-    """Global edge numbering: sorted vertex pair -> edge id."""
-    edges = {}
-    for cell in mesh.cells:
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            key = (min(cell[a], cell[b]), max(cell[a], cell[b]))
-            if key not in edges:
-                edges[key] = len(edges)
-    return edges
+    """Global edge numbering, in order of first appearance over the cells'
+    local edges (0,1), (1,2), (2,0).
+
+    Returns the (n_edges, 2) sorted vertex pairs by edge id and the
+    (n_cells, 3) edge id of each local edge.
+    """
+    pairs = _local_edges(mesh.cells)
+    keys, first, inverse = np.unique(_edge_keys(pairs, mesh.num_vertices),
+                                     return_index=True, return_inverse=True)
+    by_id = np.argsort(first)
+    edge_id = np.empty_like(by_id)
+    edge_id[by_id] = np.arange(by_id.size)
+    return (pairs.reshape(-1, 2)[first[by_id]],
+            edge_id[inverse].reshape(mesh.cells.shape))
 
 
 @dataclass
@@ -49,6 +67,8 @@ class Space:
     cells: np.ndarray                # mesh cell ids of this subdomain
     boundary_nodes: dict             # tag -> sorted array of node ids
     interface_nodes: np.ndarray      # canonical order (by x), corners excluded
+    interface_facets: np.ndarray     # (n_if, 2 or 3) endpoint0, endpoint1
+                                     # [, midpoint] nodes, left to right
 
     @property
     def num_nodes(self) -> int:
@@ -59,9 +79,11 @@ class Space:
         return self.ncomp * self.num_nodes
 
     def expand(self, nodes) -> np.ndarray:
-        """Vector dofs of the given scalar nodes, components interleaved."""
+        """Vector dofs of the given scalar nodes, components interleaved;
+        nodes of shape (..., k) give dofs of shape (..., ncomp * k)."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        return (self.ncomp * nodes[:, None] + np.arange(self.ncomp)).ravel()
+        dofs = self.ncomp * nodes[..., None] + np.arange(self.ncomp)
+        return dofs.reshape(nodes.shape[:-1] + (-1,))
 
     @property
     def interface_dofs(self) -> np.ndarray:
@@ -79,57 +101,49 @@ def build_space(mesh: Mesh, domain: int, kind: str) -> Space:
     sub = mesh.cells_of(domain)
     cells = mesh.cells[sub]
     vids = np.unique(cells)
-    vmap = {int(v): i for i, v in enumerate(vids)}
-    coords = [mesh.vertices[vids]]
-
-    edge_ids = mesh_edges(mesh) if degree == 2 else {}
+    node_coords = mesh.vertices[vids]
+    cell_nodes = np.searchsorted(vids, cells)
+    # the subdomain's edges as sorted keys and, per key, the nodes an edge
+    # holds besides its two vertices: its midpoint for P2, none for P1
+    keys, inverse = np.unique(_edge_keys(_local_edges(cells), mesh.num_vertices),
+                              return_inverse=True)
+    key_nodes = np.empty((keys.size, 0), dtype=np.int64)
     if degree == 2:
-        sub_edges = set()
-        for cell in cells:
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                sub_edges.add((min(cell[a], cell[b]), max(cell[a], cell[b])))
-        sub_edges = sorted(sub_edges, key=lambda k: edge_ids[k])
-        emap = {k: len(vids) + i for i, k in enumerate(sub_edges)}
-        coords.append(np.array([0.5 * (mesh.vertices[a] + mesh.vertices[b])
-                                for a, b in sub_edges]).reshape(-1, 2))
-    node_coords = np.vstack(coords)
+        # midpoints in ascending global edge id, i.e. order of first appearance
+        edges, cell_edges = mesh_edges(mesh)
+        used, slot = np.unique(cell_edges[sub], return_inverse=True)
+        mid = vids.size + slot.reshape(cells.shape)
+        key_nodes = np.empty((keys.size, 1), dtype=np.int64)
+        key_nodes[inverse.ravel(), 0] = mid.ravel()
+        node_coords = np.vstack([node_coords, 0.5 * (mesh.vertices[edges[used, 0]]
+                                                     + mesh.vertices[edges[used, 1]])])
+        # local node order: v0 v1 v2 m12 m20 m01 (midpoint opposite each vertex)
+        cell_nodes = np.hstack([cell_nodes, mid[:, [1, 2, 0]]])
 
-    # local node order: v0 v1 v2 [m12 m20 m01] (midpoint opposite each vertex)
-    rows = []
-    for cell in cells:
-        loc = [vmap[int(v)] for v in cell]
-        if degree == 2:
-            for a, b in ((1, 2), (2, 0), (0, 1)):
-                key = (min(cell[a], cell[b]), max(cell[a], cell[b]))
-                loc.append(emap[key])
-        rows.append(loc)
-    cell_nodes = np.asarray(rows, dtype=np.int64)
-
-    sub_edge_set = set(emap) if degree == 2 else {
-        (min(c[a], c[b]), max(c[a], c[b]))
-        for c in cells for a, b in ((0, 1), (1, 2), (2, 0))}
+    # tagged facets that are edges of this subdomain, with their nodes
+    fkeys = _edge_keys(np.sort(mesh.facets, axis=1), mesh.num_vertices)
+    pos = np.minimum(np.searchsorted(keys, fkeys), keys.size - 1)
+    inside = keys[pos] == fkeys
+    fnodes = np.hstack([np.searchsorted(vids, mesh.facets), key_nodes[pos]])
+    tags = np.asarray(mesh.facet_tags)
     boundary_nodes = {}
     for tag in (SIGMA_F, SIGMA_S, INTERFACE):
-        nodes = set()
-        for v0, v1 in mesh.facets_of(tag):
-            key = (min(v0, v1), max(v0, v1))
-            if key not in sub_edge_set:
-                continue
-            if int(v0) in vmap:
-                nodes.add(vmap[int(v0)])
-                nodes.add(vmap[int(v1)])
-                if degree == 2:
-                    nodes.add(emap[key])
-        if nodes:
-            boundary_nodes[tag] = np.array(sorted(nodes), dtype=np.int64)
+        nodes = fnodes[inside & (tags == tag)]
+        if nodes.size:
+            boundary_nodes[tag] = np.unique(nodes)
 
-    dirichlet_tag = SIGMA_F if domain == 0 else SIGMA_S
-    dir_nodes = set(boundary_nodes.get(dirichlet_tag, np.empty(0, np.int64)).tolist())
-    iface = [n for n in boundary_nodes.get(INTERFACE, np.empty(0, np.int64)).tolist()
-             if n not in dir_nodes]
-    iface.sort(key=lambda n: node_coords[n, 0])
+    empty = np.empty(0, dtype=np.int64)
+    dir_nodes = boundary_nodes.get(SIGMA_F if domain == 0 else SIGMA_S, empty)
+    iface = boundary_nodes.get(INTERFACE, empty)
+    iface = iface[~np.isin(iface, dir_nodes)]
+    iface = iface[np.argsort(node_coords[iface, 0], kind="stable")]
+
+    facets = fnodes[inside & (tags == INTERFACE)]
+    flip = node_coords[facets[:, 1], 0] < node_coords[facets[:, 0], 0]
+    facets[flip, :2] = facets[flip, 1::-1]
+    facets = facets[np.argsort(node_coords[facets[:, 0], 0], kind="stable")]
 
     return Space(mesh=mesh, domain=domain, kind=kind, degree=degree, ncomp=ncomp,
                  node_coords=node_coords, cell_nodes=cell_nodes, cells=sub,
-                 boundary_nodes=boundary_nodes,
-                 interface_nodes=np.asarray(iface, dtype=np.int64))
+                 boundary_nodes=boundary_nodes, interface_nodes=iface,
+                 interface_facets=facets)

@@ -3,7 +3,8 @@
 Basis functions are reconstructed from monomial Vandermonde systems at the
 element nodes and integrated with a high-order Gauss rule mapped to the
 triangle by the Duffy transform, so nothing here shares code or quadrature
-with the package's assembly path.
+with the package's assembly path.  `reference_numbering` is the original
+dict-based node numbering of the spaces, kept to pin the array-built one.
 """
 
 import numpy as np
@@ -167,6 +168,83 @@ def dense_interface_mass(space):
                         A[space.ncomp * ni + c, space.ncomp * nj + c] += \
                             ws * length * vals[i] * vals[j]
     return A
+
+
+_LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
+
+
+def _sorted_pair(cell, a, b):
+    return (min(cell[a], cell[b]), max(cell[a], cell[b]))
+
+
+def reference_numbering(mesh, domain, degree):
+    """Node numbering of a space, built cell by cell with dicts and sets:
+    vertices first in ascending id, then edge midpoints in the order each
+    edge first appears over all mesh cells.
+
+    Returns (node_coords, cell_nodes, boundary_nodes, interface_nodes,
+    interface_facets), the last as (endpoint0, endpoint1[, midpoint]) node
+    rows found by rounded coordinates and ordered by x.
+    """
+    from fsisplit.mesh import INTERFACE, SIGMA_F, SIGMA_S
+
+    edge_ids = {}
+    for cell in mesh.cells:
+        for a, b in _LOCAL_EDGES:
+            edge_ids.setdefault(_sorted_pair(cell, a, b), len(edge_ids))
+
+    cells = mesh.cells[mesh.cells_of(domain)]
+    vids = np.unique(cells)
+    vmap = {int(v): i for i, v in enumerate(vids)}
+    sub_edges = {_sorted_pair(cell, a, b) for cell in cells for a, b in _LOCAL_EDGES}
+    emap = {}
+    coords = [mesh.vertices[vids]]
+    if degree == 2:
+        ordered = sorted(sub_edges, key=lambda k: edge_ids[k])
+        emap = {k: len(vids) + i for i, k in enumerate(ordered)}
+        coords.append(np.array([0.5 * (mesh.vertices[a] + mesh.vertices[b])
+                                for a, b in ordered]).reshape(-1, 2))
+    node_coords = np.vstack(coords)
+
+    rows = []
+    for cell in cells:
+        loc = [vmap[int(v)] for v in cell]
+        if degree == 2:
+            loc += [emap[_sorted_pair(cell, a, b)] for a, b in ((1, 2), (2, 0), (0, 1))]
+        rows.append(loc)
+    cell_nodes = np.asarray(rows, dtype=np.int64)
+
+    boundary_nodes = {}
+    for tag in (SIGMA_F, SIGMA_S, INTERFACE):
+        nodes = set()
+        for v0, v1 in mesh.facets_of(tag):
+            key = (min(v0, v1), max(v0, v1))
+            if key in sub_edges:
+                nodes |= {vmap[int(v0)], vmap[int(v1)]}
+                if degree == 2:
+                    nodes.add(emap[key])
+        if nodes:
+            boundary_nodes[tag] = np.array(sorted(nodes), dtype=np.int64)
+
+    dirichlet = set(boundary_nodes.get(SIGMA_F if domain == 0 else SIGMA_S,
+                                       np.empty(0, np.int64)).tolist())
+    iface = [n for n in boundary_nodes.get(INTERFACE, np.empty(0, np.int64)).tolist()
+             if n not in dirichlet]
+    iface.sort(key=lambda n: node_coords[n, 0])
+
+    node_of = {tuple(np.round(p, 12)): n for n, p in enumerate(node_coords)}
+    facets = []
+    for v0, v1 in mesh.facets_of(INTERFACE):
+        p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
+        if p1[0] < p0[0]:
+            p0, p1 = p1, p0
+        points = [p0, p1] + ([0.5 * (p0 + p1)] if degree == 2 else [])
+        facets.append([node_of[tuple(np.round(p, 12))] for p in points])
+    facets.sort(key=lambda f: node_coords[f[0], 0])
+
+    return (node_coords, cell_nodes, boundary_nodes,
+            np.asarray(iface, dtype=np.int64),
+            np.asarray(facets, dtype=np.int64).reshape(-1, degree + 1))
 
 
 def dense_reduced_solve(A, b, dofs):

@@ -154,6 +154,42 @@ def test_dn_compare_blowup_exits_0(tmp_path):
     assert max(float(r["energy_dn"]) for r in rows) >= 1e6 * e0
 
 
+def _fake_dn_energies(monkeypatch, values):
+    """Make the DN comparator report the given energies, one per step."""
+    from fsisplit.monolithic import DirichletNeumannExplicit
+
+    energies = iter(values)
+    monkeypatch.setattr(DirichletNeumannExplicit, "energy",
+                        lambda self, state: next(energies))
+
+
+def test_dn_compare_nan_energy_is_blowup(tmp_path, monkeypatch):
+    # Python's max skips a NaN that is not first: [1, nan] has max 1.0
+    _fake_dn_energies(monkeypatch, [1.0, float("nan")])
+    path = write_config(tmp_path / "d.cfg", mode="dn-compare",
+                        rho_s="1000.0", N="6")
+    assert main(["dn-compare", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+def test_dn_compare_zero_first_energy(tmp_path, monkeypatch, capsys):
+    _fake_dn_energies(monkeypatch, [0.0] * 6)
+    path = write_config(tmp_path / "d.cfg", mode="dn-compare",
+                        rho_s="1000.0", N="6")
+    assert main(["dn-compare", "--config", path,
+                 "--out", str(tmp_path / "o")]) in (0, 4)
+    assert "dn energy growth = inf" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["converge", "lambda-sweep"])
+def test_substeps_not_dividing_reference_refinement(tmp_path, command):
+    # m = 3 does not divide the 8 reference steps per finest window
+    path = write_config(tmp_path / "m3.cfg", mode=command, N="2", m="3",
+                        dt_levels="2", seed="0")
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) in (0, 4)
+
+
 def test_solver_failure_exits_3(tmp_path, monkeypatch):
     from fsisplit import cli
     from fsisplit.assembly import SingularSystemError

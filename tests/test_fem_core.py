@@ -142,14 +142,26 @@ def _canonical_perm(space):
     return space.expand(order)
 
 
+def _shuffled(mesh, seed=3):
+    """The same mesh with its cells in a random order."""
+    perm = np.random.default_rng(seed).permutation(mesh.num_cells)
+    return Mesh(vertices=mesh.vertices, cells=mesh.cells[perm],
+                cell_domain=mesh.cell_domain[perm], facets=mesh.facets,
+                facet_tags=mesh.facet_tags)
+
+
+def _reoriented(mesh, seed=4):
+    """The same mesh with its facets reversed and in a random order."""
+    perm = np.random.default_rng(seed).permutation(len(mesh.facet_tags))
+    return Mesh(vertices=mesh.vertices, cells=mesh.cells,
+                cell_domain=mesh.cell_domain, facets=mesh.facets[perm, ::-1],
+                facet_tags=[mesh.facet_tags[i] for i in perm])
+
+
 def test_assembly_invariant_under_cell_reordering():
     geom = ChannelGeometry(1.0, 1.0, 1.0)
     mesh = build_two_layer_mesh(geom, 2, 2, 2)
-    rng = np.random.default_rng(3)
-    perm = rng.permutation(mesh.num_cells)
-    shuffled = Mesh(vertices=mesh.vertices, cells=mesh.cells[perm],
-                    cell_domain=mesh.cell_domain[perm], facets=mesh.facets,
-                    facet_tags=mesh.facet_tags)
+    shuffled = _shuffled(mesh)
     for domain in (FLUID, SOLID):
         s1 = build_space(mesh, domain, VECTOR_P2)
         s2 = build_space(shuffled, domain, VECTOR_P2)
@@ -157,6 +169,32 @@ def test_assembly_invariant_under_cell_reordering():
         a2 = np.asarray(assemble_symgrad(s2, 1.0).todense())
         p1, p2 = _canonical_perm(s1), _canonical_perm(s2)
         assert np.abs(a1[np.ix_(p1, p1)] - a2[np.ix_(p2, p2)]).max() < 1e-14
+
+
+_NUMBERING_MESHES = {
+    **{f"n{n}": build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), n, n, n)
+       for n in (1, 2, 5)},
+    "shuffled": _shuffled(build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), 2, 2, 2)),
+    "reoriented": _reoriented(build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), 5, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", [VECTOR_P2, VECTOR_P1, SCALAR_P1])
+@pytest.mark.parametrize("domain", [FLUID, SOLID])
+@pytest.mark.parametrize("mesh_name", list(_NUMBERING_MESHES))
+def test_numbering_matches_reference(mesh_name, domain, kind):
+    """The array-built numbering is the cell-by-cell dict-built one, exactly."""
+    mesh = _NUMBERING_MESHES[mesh_name]
+    space = build_space(mesh, domain, kind)
+    coords, cell_nodes, boundary, iface, facets = oracles.reference_numbering(
+        mesh, domain, space.degree)
+    assert np.array_equal(space.node_coords, coords)
+    assert np.array_equal(space.cell_nodes, cell_nodes)
+    assert space.boundary_nodes.keys() == boundary.keys()
+    for tag, nodes in boundary.items():
+        assert np.array_equal(space.boundary_nodes[tag], nodes)
+    assert np.array_equal(space.interface_nodes, iface)
+    assert np.array_equal(space.interface_facets, facets)
 
 
 def test_assembly_rejections(tiny_disc):

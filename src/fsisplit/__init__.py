@@ -1,12 +1,12 @@
 """Robin-Robin loosely coupled splitting solver for a linear FSI model."""
 
-from .mesh import ChannelGeometry, Mesh, build_two_layer_mesh, interface_facets
+from .mesh import ChannelGeometry, Mesh, build_two_layer_mesh
 from .splitting import (Discretization, InterfaceData, PhysicalParams,
                         RobinRobinSolver, SplitState, TimeGrid,
                         initial_interface_data)
 
 __all__ = [
-    "ChannelGeometry", "Mesh", "build_two_layer_mesh", "interface_facets",
+    "ChannelGeometry", "Mesh", "build_two_layer_mesh",
     "Discretization", "InterfaceData", "PhysicalParams", "RobinRobinSolver",
     "SplitState", "TimeGrid", "initial_interface_data",
 ]

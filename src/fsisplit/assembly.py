@@ -16,7 +16,7 @@ from .spaces import Space
 __all__ = [
     "assemble_vector_mass", "assemble_symgrad", "assemble_divdiv",
     "assemble_elasticity", "assemble_divergence", "assemble_interface_mass",
-    "apply_dirichlet", "solve_sparse", "SingularSystemError",
+    "apply_dirichlet", "SingularSystemError",
 ]
 
 # Dunavant degree-4 rule, weights scaled to reference-triangle area 1/2.
@@ -266,7 +266,3 @@ class Factorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(b, dtype=float))
 
-
-def solve_sparse(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Direct sparse solve; deterministic for identical inputs."""
-    return Factorization(A).solve(b)

@@ -31,13 +31,13 @@ class EnergyLedger:
     def stability_residual(self, upto: int | None = None) -> float:
         """E_N + sum T_n + S_N - (E_0 + S_0) for N = upto (default: last)."""
         n = len(self.T) if upto is None else upto
-        if n == 0:
-            return 0.0
-        s_n = self.S[n - 1]
-        return self.E[n] + sum(self.T[:n]) + s_n - (self.E[0] + self.S0)
+        return float(self.residuals()[n - 1]) if n else 0.0
 
     def residuals(self) -> np.ndarray:
-        return np.array([self.stability_residual(n) for n in range(1, len(self.T) + 1)])
+        """stability_residual(n) for n = 1 .. N, from one running sum of T."""
+        n = len(self.T)
+        return (np.asarray(self.E[1:n + 1]) + np.cumsum(self.T)
+                + np.asarray(self.S[:n]) - (self.E[0] + self.S0))
 
 
 @dataclass
@@ -52,37 +52,23 @@ class ErrorReport:
         return self.E_final + self.T_sum + self.S_final
 
 
-@dataclass
-class ConvergenceReport:
-    dts: list
-    totals: list
-
-    def __post_init__(self):
-        if any(b >= a for a, b in zip(self.dts, self.dts[1:])):
-            raise ValueError("dt levels must be strictly decreasing")
-
-    def pairwise_ratios(self) -> list:
-        return [a / b for a, b in zip(self.totals, self.totals[1:])]
-
-
-def energy_E(disc: Discretization, params: PhysicalParams, u, etad, eta,
-             A_s=None) -> float:
+def energy_E(disc: Discretization, params: PhysicalParams, u, etad, eta) -> float:
     """rho_f/2 ||u||^2 + rho_s/2 ||etad||^2 + 1/2 ||eta||_S^2."""
-    if A_s is None:
-        A_s = disc.stiffness_solid(params.l1, params.l2)
+    A_s = disc.stiffness_solid(params.l1, params.l2)
     return float(0.5 * params.rho_f * u @ (disc.M_f @ u)
                  + 0.5 * params.rho_s * etad @ (disc.M_s @ etad)
                  + 0.5 * eta @ (A_s @ eta))
 
 
 def window_T(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
-             window: WindowRecord, K_f, iface_weight: float = 0.5) -> float:
+             window: WindowRecord, iface_weight: float = 0.5) -> float:
     """2 mu int ||eps(u)||^2 + (weight * lambda) int ||etad - u_avg_prev||^2
     over the window (rectangle rule over substeps).
 
     The interface weight is 1/2 for the stability ledger and 1/4 for the
     error quantities.
     """
+    K_f = disc.stiffness_fluid(params.mu)
     lam = params.lambda_robin
     ddt = grid.ddt
     total = 0.0
@@ -116,39 +102,28 @@ def initial_S0(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
 
 
 def build_ledger(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
-                 windows, state0, iface0, K_f=None, A_s=None) -> EnergyLedger:
+                 windows, state0, iface0) -> EnergyLedger:
     """Assemble the full stability ledger from a splitting trajectory."""
-    if K_f is None:
-        K_f = disc.stiffness_fluid(params.mu)
-    if A_s is None:
-        A_s = disc.stiffness_solid(params.l1, params.l2)
     ledger = EnergyLedger(
         S0=initial_S0(disc, params, grid, iface0.u_avg, iface0.traction_avg))
-    ledger.E.append(energy_E(disc, params, state0.u, state0.etad, state0.eta, A_s))
+    ledger.E.append(energy_E(disc, params, state0.u, state0.etad, state0.eta))
     for w in windows:
         last = w.samples[-1]
-        ledger.E.append(energy_E(disc, params, last.u, last.etad, last.eta, A_s))
-        ledger.T.append(window_T(disc, params, grid, w, K_f))
+        ledger.E.append(energy_E(disc, params, last.u, last.etad, last.eta))
+        ledger.T.append(window_T(disc, params, grid, w))
         ledger.S.append(window_S(disc, params, grid, w))
     return ledger
 
 
-def stability_residual(ledger: EnergyLedger) -> float:
-    return ledger.stability_residual()
-
-
 def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
-                windows, reference, state0, K_f=None, A_s=None) -> ErrorReport:
+                windows, reference, state0) -> ErrorReport:
     """Splitting-error quantities against a monolithic reference trajectory.
 
     Both trajectories must start from the same state (so the initial error
     and interface-error stock vanish) and the reference grid must contain
     every splitting substep time.
     """
-    if K_f is None:
-        K_f = disc.stiffness_fluid(params.mu)
-    if A_s is None:
-        A_s = disc.stiffness_solid(params.l1, params.l2)
+    K_f = disc.stiffness_fluid(params.mu)
     lam = params.lambda_robin
     ddt = grid.ddt
 
@@ -186,7 +161,7 @@ def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
         prev_eu_avg = np.mean(eu_traces, axis=0)
 
     eu, eetad, eeta = last_err
-    E_final = energy_E(disc, params, eu, eetad, eeta, A_s)
+    E_final = energy_E(disc, params, eu, eetad, eeta)
     return ErrorReport(E_final=E_final, T_sum=float(np.sum(T_windows)),
                        S_final=S_final, T_windows=T_windows)
 

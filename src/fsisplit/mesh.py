@@ -110,35 +110,3 @@ def build_two_layer_mesh(geom: ChannelGeometry, nx: int, ny_f: int, ny_s: int) -
                 cell_domain=cell_domain.astype(np.int64),
                 facets=facets.astype(np.int64), facet_tags=tags)
 
-
-def interface_facets(mesh: Mesh):
-    """Interface facets ordered by x, with outward fluid and solid unit normals.
-
-    Returns a list of (v0, v1, n_fluid, n_solid); the fluid lies below the
-    interface so n_fluid = -n_solid always holds.
-    """
-    out = []
-    for f in mesh.facets_of(INTERFACE):
-        p0, p1 = mesh.vertices[f[0]], mesh.vertices[f[1]]
-        if p1[0] < p0[0]:
-            f = f[::-1]
-            p0, p1 = p1, p0
-        t = (p1 - p0) / np.linalg.norm(p1 - p0)
-        n_fluid = np.array([-t[1], t[0]])
-        out.append((int(f[0]), int(f[1]), n_fluid, -n_fluid))
-    out.sort(key=lambda r: mesh.vertices[r[0]][0])
-    return out
-
-
-def dump_mesh(mesh: Mesh) -> str:
-    """Plain-text dump (vertices / cells / facets sections) for debugging."""
-    lines = ["vertices"]
-    for p in mesh.vertices:
-        lines.append(f"{p[0]!r} {p[1]!r}")
-    lines.append("cells")
-    for c, d in zip(mesh.cells, mesh.cell_domain):
-        lines.append(f"{c[0]} {c[1]} {c[2]} {d}")
-    lines.append("facets")
-    for f, t in zip(mesh.facets, mesh.facet_tags):
-        lines.append(f"{f[0]} {f[1]} {t}")
-    return "\n".join(lines) + "\n"

@@ -53,6 +53,17 @@ def _remap(mat: sp.spmatrix, row_map: np.ndarray, col_map: np.ndarray, shape):
                          shape=shape)
 
 
+def _fluid_flux(disc: Discretization, params: PhysicalParams, ddt: float,
+                u, u_old, p) -> np.ndarray:
+    """Variational fluid traction <sigma_f n, v> at the interface dofs,
+    recovered from the interior residual of the backward-Euler fluid
+    momentum equation.  Private, so that a trace of the public caller
+    times this work as its own."""
+    r = ((params.rho_f / ddt) * (disc.M_f @ (u - u_old))
+         + disc.stiffness_fluid(params.mu) @ u - disc.B.T @ p)
+    return r[disc.ifd_f]
+
+
 class MonolithicSolver:
     """Backward-Euler solver for the fully coupled system at step size ddt."""
 
@@ -70,23 +81,15 @@ class MonolithicSolver:
         self.solid_map = solid_map
         self.ncomb = nu + npr + extra.size
         self._nu, self._np = nu, npr
-        fluid_map = np.arange(nu)
-
-        self.K_f = d.stiffness_fluid(p.mu)
         self.A_s = d.stiffness_solid(p.l1, p.l2)
 
-        Af = (p.rho_f / ddt) * d.M_f + self.K_f
-        As = (p.rho_s / ddt) * d.M_s + ddt * self.A_s
         shape = (self.ncomb, self.ncomb)
-        pmap = nu + np.arange(npr)
-        A = (_remap(Af, fluid_map, fluid_map, shape)
-             + _remap(-d.B.T, fluid_map, pmap, shape)
-             + _remap(d.B, pmap, fluid_map, shape)
-             + _remap(As, solid_map, solid_map, shape)).tocsr()
+        fluid_map = np.arange(nu + npr)
+        A = (_remap(d.fluid_saddle(p, ddt), fluid_map, fluid_map, shape)
+             + _remap(d.solid_operator(p, ddt), solid_map, solid_map, shape)).tocsr()
 
         self.dirichlet = np.unique(np.concatenate([d.dir_f, solid_map[d.dir_s]]))
         A, _ = apply_dirichlet(A, np.zeros(self.ncomb), self.dirichlet)
-        self.A_coupled = A
         self._lu = Factorization(A)
 
     def step(self, state: CoupledState) -> CoupledState:
@@ -105,25 +108,8 @@ class MonolithicSolver:
         return CoupledState(t=state.t + self.ddt, u=u, p=pres, eta=eta, etad=etad)
 
     def fluid_flux(self, u_new, u_old, p_new) -> np.ndarray:
-        """Variational fluid traction <sigma_f n, v> at the interface dofs,
-        recovered from the interior residual of the fluid momentum equation."""
-        d = self.disc
-        r = (self.params.rho_f / self.ddt) * (d.M_f @ (u_new - u_old)) \
-            + self.K_f @ u_new - d.B.T @ p_new
-        return r[d.ifd_f]
-
-    def solid_flux(self, etad_new, etad_old, eta_new) -> np.ndarray:
-        """Variational solid traction <sigma_s n_s, w> at the interface dofs."""
-        d = self.disc
-        r = (self.params.rho_s / self.ddt) * (d.M_s @ (etad_new - etad_old)) \
-            + self.A_s @ eta_new
-        return r[d.ifd_s]
-
-    def energy(self, state: CoupledState) -> float:
-        d, p = self.disc, self.params
-        return float(0.5 * p.rho_f * state.u @ (d.M_f @ state.u)
-                     + 0.5 * p.rho_s * state.etad @ (d.M_s @ state.etad)
-                     + 0.5 * state.eta @ (self.A_s @ state.eta))
+        """Variational fluid traction at the interface dofs after one step."""
+        return _fluid_flux(self.disc, self.params, self.ddt, u_new, u_old, p_new)
 
 
 def run_reference(disc: Discretization, params: PhysicalParams,
@@ -170,21 +156,18 @@ class DirichletNeumannExplicit:
         self.dt = dt
         d, p = disc, params
 
-        self.K_f = d.stiffness_fluid(p.mu)
         self.A_s = d.stiffness_solid(p.l1, p.l2)
 
-        S = (p.rho_s / dt) * d.M_s + dt * self.A_s
-        S, _ = apply_dirichlet(S, np.zeros(d.V_s.ndof), d.dir_s)
+        S, _ = apply_dirichlet(d.solid_operator(p, dt), np.zeros(d.V_s.ndof),
+                               d.dir_s)
         self._solid_lu = Factorization(S)
 
         nu, npr = d.V_f.ndof, d.Q.ndof
         self._nu, self._np = nu, npr
-        Auu = (p.rho_f / dt) * d.M_f + self.K_f
-        F = sp.bmat([[Auu, -d.B.T], [d.B, None]], format="csr")
-        self._F_full = F
+        self._F_full = d.fluid_saddle(p, dt)
         self.constrained = np.unique(np.concatenate(
             [d.dir_f, d.ifd_f, np.array([nu], dtype=np.int64)]))
-        Fc, _ = apply_dirichlet(F, np.zeros(nu + npr), self.constrained)
+        Fc, _ = apply_dirichlet(self._F_full, np.zeros(nu + npr), self.constrained)
         self._fluid_lu = Factorization(Fc)
 
     def step(self, state: CoupledState, traction: np.ndarray):
@@ -209,13 +192,5 @@ class DirichletNeumannExplicit:
         u = x[:self._nu]
         pres = x[self._nu:]
 
-        new_traction = ((p.rho_f / dt) * (d.M_f @ (u - state.u))
-                        + self.K_f @ u - d.B.T @ pres)[d.ifd_f]
         new = CoupledState(t=state.t + dt, u=u, p=pres, eta=eta, etad=etad)
-        return new, new_traction
-
-    def energy(self, state: CoupledState) -> float:
-        d, p = self.disc, self.params
-        return float(0.5 * p.rho_f * state.u @ (d.M_f @ state.u)
-                     + 0.5 * p.rho_s * state.etad @ (d.M_s @ state.etad)
-                     + 0.5 * state.eta @ (self.A_s @ state.eta))
+        return new, _fluid_flux(d, p, dt, u, state.u, pres)

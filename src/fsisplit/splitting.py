@@ -10,7 +10,7 @@ standard fully discrete scheme where the averages collapse to endpoint values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +20,7 @@ from .assembly import (Factorization, apply_dirichlet, assemble_divergence,
                        assemble_elasticity, assemble_interface_mass,
                        assemble_symgrad, assemble_vector_mass)
 from .mesh import ChannelGeometry, build_two_layer_mesh
-from .spaces import SCALAR_P1, VECTOR_P2, Space, build_space
+from .spaces import SCALAR_P1, VECTOR_P2, build_space
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,43 @@ class Discretization:
         # canonical interface mass (small and dense); identical from either side
         self.M_c = self.M_if[self.ifd_f][:, self.ifd_f].toarray()
         self._M_c_inv = np.linalg.inv(self.M_c)
+        # stiffness matrices by coefficients; held per instance, not by a
+        # functools cache, so that a Discretization can be freed
+        self._stiffness = {}
 
     def stiffness_fluid(self, mu: float) -> sp.csr_matrix:
-        return assemble_symgrad(self.V_f, mu)
+        """Viscous stiffness 2 mu (eps(u), eps(v)), assembled once per mu.
+        The matrix is shared: callers must not modify it."""
+        key = ("fluid", mu)
+        if key not in self._stiffness:
+            self._stiffness[key] = assemble_symgrad(self.V_f, mu)
+        return self._stiffness[key]
 
     def stiffness_solid(self, l1: float, l2: float) -> sp.csr_matrix:
-        return assemble_elasticity(self.V_s, l1, l2)
+        """Elastic stiffness 2 l1 (eps, eps) + l2 (div, div), assembled once
+        per (l1, l2).  The matrix is shared: callers must not modify it."""
+        key = ("solid", l1, l2)
+        if key not in self._stiffness:
+            self._stiffness[key] = assemble_elasticity(self.V_s, l1, l2)
+        return self._stiffness[key]
+
+    def fluid_saddle(self, params: PhysicalParams, ddt: float,
+                     lam: float = 0.0) -> sp.csr_matrix:
+        """[[rho_f/ddt M + K (+ lam M_iface), -B^T], [B, 0]], without
+        Dirichlet rows."""
+        Auu = (params.rho_f / ddt) * self.M_f + self.stiffness_fluid(params.mu)
+        if lam:
+            Auu = Auu + lam * self.M_if
+        return sp.bmat([[Auu, -self.B.T], [self.B, None]], format="csr")
+
+    def solid_operator(self, params: PhysicalParams, ddt: float,
+                       lam: float = 0.0) -> sp.csr_matrix:
+        """rho_s/ddt M + ddt A (+ lam M_iface), without Dirichlet rows."""
+        S = ((params.rho_s / ddt) * self.M_s
+             + ddt * self.stiffness_solid(params.l1, params.l2))
+        if lam:
+            S = S + lam * self.M_is
+        return S
 
     def trace_norm_sq(self, trace: np.ndarray) -> float:
         """Squared interface L2 norm of a canonical trace vector."""
@@ -167,19 +198,15 @@ class RobinRobinSolver:
         ddt = grid.ddt
         lam = p.lambda_robin
 
-        self.K_f = d.stiffness_fluid(p.mu)
         self.A_s = d.stiffness_solid(p.l1, p.l2)
 
-        # solid substep operator: (rho_s/ddt) M + ddt A + lambda M_iface
-        S = (p.rho_s / ddt) * d.M_s + ddt * self.A_s + lam * d.M_is
-        S, _ = apply_dirichlet(S, np.zeros(d.V_s.ndof), d.dir_s)
+        S, _ = apply_dirichlet(d.solid_operator(p, ddt, lam),
+                               np.zeros(d.V_s.ndof), d.dir_s)
         self._solid_lu = Factorization(S)
 
-        # fluid saddle operator: [[rho_f/ddt M + K + lambda M_iface, -B^T], [B, 0]]
         nu, npr = d.V_f.ndof, d.Q.ndof
-        Auu = (p.rho_f / ddt) * d.M_f + self.K_f + lam * d.M_if
-        F = sp.bmat([[Auu, -d.B.T], [d.B, None]], format="csr")
-        F, _ = apply_dirichlet(F, np.zeros(nu + npr), d.dir_f)
+        F, _ = apply_dirichlet(d.fluid_saddle(p, ddt, lam), np.zeros(nu + npr),
+                               d.dir_f)
         self._fluid_lu = Factorization(F)
         self._nu, self._np = nu, npr
 

@@ -1,4 +1,5 @@
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -155,12 +156,11 @@ def test_dn_compare_blowup_exits_0(tmp_path):
 
 
 def _fake_dn_energies(monkeypatch, values):
-    """Make the DN comparator report the given energies, one per step."""
-    from fsisplit.monolithic import DirichletNeumannExplicit
+    """Make dn-compare see the given DN energies, one per step."""
+    from fsisplit import cli
 
     energies = iter(values)
-    monkeypatch.setattr(DirichletNeumannExplicit, "energy",
-                        lambda self, state: next(energies))
+    monkeypatch.setattr(cli, "energy_E", lambda *args: next(energies))
 
 
 def test_dn_compare_nan_energy_is_blowup(tmp_path, monkeypatch):
@@ -173,12 +173,23 @@ def test_dn_compare_nan_energy_is_blowup(tmp_path, monkeypatch):
 
 
 def test_dn_compare_zero_first_energy(tmp_path, monkeypatch, capsys):
+    # an energy history that never leaves zero did not blow up
     _fake_dn_energies(monkeypatch, [0.0] * 6)
     path = write_config(tmp_path / "d.cfg", mode="dn-compare",
                         rho_s="1000.0", N="6")
     assert main(["dn-compare", "--config", path,
-                 "--out", str(tmp_path / "o")]) in (0, 4)
-    assert "dn energy growth = inf" in capsys.readouterr().out
+                 "--out", str(tmp_path / "o")]) == 4
+    assert "dn energy growth = 0.000e+00" in capsys.readouterr().out
+
+
+def test_dn_compare_growth_from_first_nonzero_energy(tmp_path, monkeypatch, capsys):
+    # growth is measured from the first non-zero energy, not from a zero one
+    _fake_dn_energies(monkeypatch, [0.0, 1e-3, 2e-3, 2e-3, 2e-3, 2e-3])
+    path = write_config(tmp_path / "d.cfg", mode="dn-compare",
+                        rho_s="1000.0", N="6")
+    assert main(["dn-compare", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 4
+    assert "dn energy growth = 2.000e+00" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["converge", "lambda-sweep"])
@@ -188,6 +199,33 @@ def test_substeps_not_dividing_reference_refinement(tmp_path, command):
                         dt_levels="2", seed="0")
     assert main([command, "--config", path,
                  "--out", str(tmp_path / "o")]) in (0, 4)
+
+
+def test_lambda_sweep_assembles_each_stiffness_once(tmp_path, monkeypatch):
+    """Every solver and diagnostic of all Robin weights and dt levels shares
+    one fluid and two solid stiffness matrices: (l1, l2), and (1, 0) for the
+    solid extension of the initial data."""
+    from fsisplit import splitting
+
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(splitting, name)
+
+        def wrapper(space, *coeffs):
+            calls[(name,) + coeffs] += 1
+            return original(space, *coeffs)
+        return wrapper
+
+    for name in ("assemble_symgrad", "assemble_elasticity"):
+        monkeypatch.setattr(splitting, name, counting(name))
+    path = write_config(tmp_path / "l.cfg", mode="lambda-sweep", dt_levels="2",
+                        seed="0", mu="0.1", l1="1.0", l2="1.0")
+    assert main(["lambda-sweep", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert calls == {("assemble_symgrad", 0.1): 1,
+                     ("assemble_elasticity", 1.0, 1.0): 1,
+                     ("assemble_elasticity", 1.0, 0.0): 1}
 
 
 def test_solver_failure_exits_3(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from fsisplit.assembly import (Factorization, SingularSystemError,
                                apply_dirichlet, assemble_divdiv,
                                assemble_divergence, assemble_elasticity,
                                assemble_interface_mass, assemble_symgrad,
-                               assemble_vector_mass, solve_sparse)
+                               assemble_vector_mass)
 from fsisplit.mesh import (FLUID, SOLID, ChannelGeometry, Mesh,
                            build_two_layer_mesh)
 from fsisplit.spaces import SCALAR_P1, VECTOR_P1, VECTOR_P2, build_space
@@ -226,7 +226,7 @@ def test_apply_dirichlet_all_dofs(tiny_disc, rng):
     A = tiny_disc.M_f
     b = rng.standard_normal(A.shape[0])
     A2, b2 = apply_dirichlet(A, b, np.arange(A.shape[0]))
-    assert np.abs(solve_sparse(A2, b2)).max() == 0.0
+    assert np.abs(Factorization(A2).solve(b2)).max() == 0.0
 
 
 def test_apply_dirichlet_matches_reduced_dense(small_disc, rng):
@@ -235,7 +235,7 @@ def test_apply_dirichlet_matches_reduced_dense(small_disc, rng):
     dofs = small_disc.dir_f
     A2, b2 = apply_dirichlet(A, b, dofs)
     assert abs(A2 - A2.T).max() < 1e-14  # symmetric elimination
-    x = solve_sparse(A2, b2)
+    x = Factorization(A2).solve(b2)
     want = oracles.dense_reduced_solve(A, b, dofs)
     assert np.abs(x - want).max() < 1e-12
 
@@ -246,7 +246,7 @@ def test_apply_dirichlet_nonhomogeneous(small_disc, rng):
     dofs = small_disc.dir_f
     vals = rng.standard_normal(dofs.size)
     A2, b2 = apply_dirichlet(A, b, dofs, vals)
-    x = solve_sparse(A2, b2)
+    x = Factorization(A2).solve(b2)
     assert np.abs(x[dofs] - vals).max() < 1e-14
     # free part solves the lifted reduced system
     lift = np.zeros(A.shape[0])
@@ -257,16 +257,16 @@ def test_apply_dirichlet_nonhomogeneous(small_disc, rng):
 
 def test_solve_identity_and_diagonal():
     b = np.array([3.0, -1.0])
-    assert np.array_equal(solve_sparse(sp.identity(2, format="csr"), b), b)
+    assert np.array_equal(Factorization(sp.identity(2, format="csr")).solve(b), b)
     A = sp.csr_matrix(np.diag([2.0, 4.0]))
-    assert np.allclose(solve_sparse(A, np.array([2.0, 8.0])), [1.0, 2.0])
+    assert np.allclose(Factorization(A).solve(np.array([2.0, 8.0])), [1.0, 2.0])
 
 
 def test_solve_random_spd_vs_dense(rng):
     G = rng.standard_normal((50, 50))
     dense = G @ G.T + 50 * np.eye(50)
     b = rng.standard_normal(50)
-    x = solve_sparse(sp.csr_matrix(dense), b)
+    x = Factorization(sp.csr_matrix(dense)).solve(b)
     want = np.linalg.solve(dense, b)
     assert np.linalg.norm(x - want) < 1e-10 * np.linalg.norm(want)
     resid = np.linalg.norm(dense @ x - b)
@@ -278,12 +278,13 @@ def test_solve_random_spd_vs_dense(rng):
 def test_solve_deterministic(small_disc, rng):
     A = (small_disc.M_f + assemble_symgrad(small_disc.V_f, 1.0)).tocsr()
     b = rng.standard_normal(A.shape[0])
-    x1 = solve_sparse(A, b)
-    x2 = Factorization(A).solve(b)
-    assert np.array_equal(x1, x2)
+    lu = Factorization(A)
+    x1 = lu.solve(b)
+    assert np.array_equal(lu.solve(b), x1)
+    assert np.array_equal(Factorization(A).solve(b), x1)
 
 
 def test_singular_matrix_raises():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(SingularSystemError):
-        solve_sparse(A, np.ones(2))
+        Factorization(A)

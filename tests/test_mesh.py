@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsisplit.mesh import (FLUID, INTERFACE, SIGMA_F, SIGMA_S, SOLID,
-                           ChannelGeometry, build_two_layer_mesh, dump_mesh,
-                           interface_facets)
+                           ChannelGeometry, build_two_layer_mesh)
+from fsisplit.spaces import SCALAR_P1, build_space
 
 
 def test_smallest_mesh_counts():
@@ -34,15 +34,18 @@ def test_interface_length_sums_to_L():
 
 def test_interface_normals_and_count():
     mesh = build_two_layer_mesh(ChannelGeometry(2.0, 0.5, 0.5), 6, 2, 2)
-    facets = interface_facets(mesh)
-    assert len(facets) == 6
-    for _, _, n_f, n_s in facets:
-        assert np.allclose(n_f, [0.0, 1.0])
-        assert np.allclose(n_f + n_s, 0.0)
-        assert np.linalg.norm(n_f) == pytest.approx(1.0)
-    # ordered by x
-    xs = [mesh.vertices[f[0]][0] for f in facets]
-    assert xs == sorted(xs)
+    facets = mesh.facets_of(INTERFACE)
+    assert facets.shape[0] == 6
+    # a flat interface at y = H_f: unit normal (0, 1) out of the fluid below
+    ends = mesh.vertices[facets]
+    assert np.all(ends[..., 1] == 0.5)
+    tangent = ends[:, 1] - ends[:, 0]
+    assert np.allclose(np.abs(tangent[:, 0]), 2.0 / 6) and np.all(tangent[:, 1] == 0.0)
+    # both spaces list the facets left to right, each from left to right
+    for domain in (FLUID, SOLID):
+        space = build_space(mesh, domain, SCALAR_P1)
+        xs = space.node_coords[space.interface_facets, 0]
+        assert np.all(xs[:, 0] < xs[:, 1]) and np.all(np.diff(xs[:, 0]) > 0)
 
 
 def test_interface_matches_bitwise():
@@ -91,10 +94,3 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError):
         build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), 0, 1, 1)
 
-
-def test_dump_mesh_sections():
-    mesh = build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), 1, 1, 1)
-    text = dump_mesh(mesh)
-    lines = text.splitlines()
-    assert "vertices" in lines and "cells" in lines and "facets" in lines
-    assert len(lines) == 1 + mesh.num_vertices + 1 + mesh.num_cells + 1 + len(mesh.facet_tags)

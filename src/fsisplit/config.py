@@ -73,8 +73,8 @@ def parse_config(path) -> RunConfig:
 
     if parsed["mode"] not in MODES:
         raise ConfigError(f"key 'mode': must be one of {', '.join(MODES)}")
-    if parsed["dt_levels"] < 1:
-        raise ConfigError("key 'dt_levels': must be >= 1")
+    if parsed["dt_levels"] < 2:
+        raise ConfigError("key 'dt_levels': must be >= 2 to fit a rate")
     try:
         geometry = ChannelGeometry(parsed["L"], parsed["H_f"], parsed["H_s"])
     except ValueError as exc:

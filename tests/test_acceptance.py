@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 
 import oracles
-from fsisplit import (ChannelGeometry, Discretization, PhysicalParams,
-                      RobinRobinSolver, TimeGrid)
+from fsisplit import ChannelGeometry, Discretization, PhysicalParams, TimeGrid
 from fsisplit.assembly import (assemble_divdiv, assemble_divergence,
                                assemble_elasticity, assemble_interface_mass,
                                assemble_symgrad, assemble_vector_mass)
-from fsisplit.diagnostics import (build_ledger, consistency_terms, energy_E,
-                                  error_norms, fit_rate)
-from fsisplit.initial_data import random_state, smooth_coupled_mode
-from fsisplit.monolithic import (CoupledState, DirichletNeumannExplicit,
-                                 MonolithicSolver, run_reference)
-from fsisplit.splitting import initial_interface_data
+from fsisplit.diagnostics import consistency_terms, energy_E, fit_rate
+from fsisplit.experiments import (convergence, dirichlet_neumann, initial_state,
+                                  robin_robin)
+from fsisplit.initial_data import random_state
+from fsisplit.monolithic import CoupledState, MonolithicSolver
 
 STABILITY_TOL = 1e-8
 RATE_THRESHOLD = 0.4
@@ -41,24 +39,11 @@ def base_params():
 
 @pytest.fixture(scope="module")
 def convergence_study(disc16, base_params):
-    """Shared by criteria 2 and 3: reference plus 4 halved-dt splitting runs."""
+    """Shared by criteria 2 and 3: reference plus 4 halved-dt splitting runs
+    (N = 16 .. 128)."""
     T = 0.5
-    n_levels = [16, 32, 64, 128]
-    s0 = smooth_coupled_mode(disc16, base_params)
-    ref = run_reference(disc16, base_params,
-                        CoupledState(0.0, s0.u, s0.p, s0.eta, s0.etad),
-                        T, 8 * n_levels[-1])
-    dts, totals = [], []
-    for N in n_levels:
-        grid = TimeGrid(T, N, 1)
-        solver = RobinRobinSolver(disc16, base_params, grid)
-        s0 = smooth_coupled_mode(disc16, base_params)
-        s0.iface = initial_interface_data(disc16, s0.u, traction0=ref.flux[0])
-        _, windows = solver.run(s0)
-        rep = error_norms(disc16, base_params, grid, windows, ref, s0)
-        dts.append(grid.dt)
-        totals.append(rep.total)
-    return T, dts, totals, ref
+    dts, reports, _, ref = convergence(disc16, base_params, T, 16, 4, 1)
+    return T, dts, [r.total for r in reports], ref
 
 
 def test_criterion_1_energy_stability(disc16):
@@ -72,12 +57,9 @@ def test_criterion_1_energy_stability(disc16):
                 ratio = rng.uniform(0.5, 2.0)
                 params = PhysicalParams(rho_f=1.0, rho_s=ratio, mu=0.1,
                                         l1=1.0, l2=1.0, lambda_robin=lam)
-                grid = TimeGrid(0.5, 64, m)
-                solver = RobinRobinSolver(disc16, params, grid)
                 state0 = random_state(disc16, params, rng)
-                _, windows = solver.run(state0)
-                ledger = build_ledger(disc16, params, grid, windows, state0,
-                                      state0.iface)
+                ledger = robin_robin(disc16, params, TimeGrid(0.5, 64, m),
+                                     state0)
                 scale = ledger.E[0] + ledger.S0
                 worst = max(worst, float(ledger.residuals().max()) / scale)
                 runs += 1
@@ -169,26 +151,10 @@ def test_criterion_5_assembly_oracle():
 
 def test_criterion_6_added_mass_contrast(disc16, base_params):
     T, N = 0.5, 200
-    dt = T / N
-    state0 = random_state(disc16, base_params, np.random.default_rng(7))
-
-    dn = DirichletNeumannExplicit(disc16, base_params, dt)
-    st = CoupledState(0.0, state0.u, state0.p, state0.eta, state0.etad)
-    traction = state0.iface.traction_avg.copy()
-    e0 = energy_E(disc16, base_params, st.u, st.etad, st.eta)
-    growth = 1.0
-    for _ in range(N):
-        st, traction = dn.step(st, traction)
-        e = energy_E(disc16, base_params, st.u, st.etad, st.eta)
-        growth = max(growth, e / e0)
-        if not np.isfinite(e) or growth >= 1e9:
-            break
-
-    grid = TimeGrid(T, N, 1)
-    solver = RobinRobinSolver(disc16, base_params, grid)
-    _, windows = solver.run(state0)
-    ledger = build_ledger(disc16, base_params, grid, windows, state0,
-                          state0.iface)
+    state0 = initial_state(disc16, base_params, 7)
+    _, growth = dirichlet_neumann(disc16, base_params, T / N, N, state0,
+                                  state0.iface.traction_avg)
+    ledger = robin_robin(disc16, base_params, TimeGrid(T, N, 1), state0)
     scale = ledger.E[0] + ledger.S0
     resid = float(ledger.residuals().max()) / scale
     ok = growth >= 1e6 and resid <= STABILITY_TOL

@@ -56,6 +56,7 @@ def test_parse_tolerates_comments_and_blanks(tmp_path):
     ({"mode": "plot"}, "mode"),
     ({"dt_levels": "0"}, "dt_levels"),
     ({"L": "-2"}, "geometry"),
+    ({"dt_levels": "1"}, "dt_levels"),
 ])
 def test_parse_rejects_and_names_key(tmp_path, overrides, needle):
     path = write_config(tmp_path / "bad.cfg", **overrides)
@@ -157,10 +158,10 @@ def test_dn_compare_blowup_exits_0(tmp_path):
 
 def _fake_dn_energies(monkeypatch, values):
     """Make dn-compare see the given DN energies, one per step."""
-    from fsisplit import cli
+    from fsisplit import experiments
 
     energies = iter(values)
-    monkeypatch.setattr(cli, "energy_E", lambda *args: next(energies))
+    monkeypatch.setattr(experiments, "energy_E", lambda *args: next(energies))
 
 
 def test_dn_compare_nan_energy_is_blowup(tmp_path, monkeypatch):
@@ -190,6 +191,32 @@ def test_dn_compare_growth_from_first_nonzero_energy(tmp_path, monkeypatch, caps
     assert main(["dn-compare", "--config", path,
                  "--out", str(tmp_path / "o")]) == 4
     assert "dn energy growth = 2.000e+00" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["stability", "converge", "lambda-sweep"])
+def test_nan_result_fails_threshold(tmp_path, monkeypatch, command):
+    """A NaN residual or fitted rate fails the verdict (exit 4), although
+    every comparison with NaN is False."""
+    from fsisplit import experiments
+
+    robin_robin, convergence = experiments.robin_robin, experiments.convergence
+
+    def nan_energy(*args):
+        ledger = robin_robin(*args)
+        ledger.E[1] = float("nan")
+        return ledger
+
+    def nan_error(*args):
+        result = convergence(*args)
+        result[1][0].E_final = float("nan")
+        return result
+
+    monkeypatch.setattr(experiments, "robin_robin", nan_energy)
+    monkeypatch.setattr(experiments, "convergence", nan_error)
+    path = write_config(tmp_path / "n.cfg", mode=command, N="4", dt_levels="2",
+                        seed="0")
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == 4
 
 
 @pytest.mark.parametrize("command", ["converge", "lambda-sweep"])

@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fsisplit import (ChannelGeometry, Discretization, PhysicalParams,
-                      RobinRobinSolver, TimeGrid)
+from fsisplit import ChannelGeometry, Discretization, PhysicalParams, TimeGrid
 from fsisplit.diagnostics import (EnergyLedger, consistency_terms, energy_E,
                                   error_norms, fit_rate, initial_S0, window_S,
                                   window_T)
+from fsisplit.experiments import convergence
 from fsisplit.initial_data import smooth_coupled_mode
 from fsisplit.monolithic import CoupledState, ReferenceTrajectory, run_reference
 from fsisplit.splitting import (InterfaceData, SplitState, WindowRecord,
-                                WindowSample, initial_interface_data)
+                                WindowSample)
 
 
 def interpolate(space, f):
@@ -214,21 +214,8 @@ def test_error_norms_rejects_mismatched_start(run_disc, params, rng):
 def test_two_level_error_ratio(run_disc, params):
     """Halving dt shrinks the energy-norm error by a factor consistent with
     a rate between 1/2 and 1."""
-    T = 0.5
-    state0 = smooth_coupled_mode(run_disc, params)
-    ref = run_reference(run_disc, params,
-                        CoupledState(0.0, state0.u, state0.p, state0.eta,
-                                     state0.etad), T, 8 * 16)
-    totals = []
-    for N in (8, 16):
-        grid = TimeGrid(T, N, 1)
-        solver = RobinRobinSolver(run_disc, params, grid)
-        s0 = smooth_coupled_mode(run_disc, params)
-        s0.iface = initial_interface_data(run_disc, s0.u, traction0=ref.flux[0])
-        _, windows = solver.run(s0)
-        rep = error_norms(run_disc, params, grid, windows, ref, s0)
-        totals.append(rep.total)
-    ratio = np.sqrt(totals[0] / totals[1])
+    _, (coarse, fine), _, _ = convergence(run_disc, params, 0.5, 8, 2, 1)
+    ratio = np.sqrt(coarse.total / fine.total)
     assert 1.15 <= ratio <= 2.6
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from fsisplit import (InterfaceData, PhysicalParams, RobinRobinSolver,
                       SplitState, TimeGrid)
-from fsisplit.diagnostics import build_ledger
+from fsisplit.experiments import robin_robin
 from fsisplit.initial_data import random_state
 from fsisplit.splitting import WindowSample
 
@@ -41,13 +41,12 @@ def test_time_grid_validation():
 
 
 def test_zero_state_is_fixed_point(run_disc, params):
-    solver = RobinRobinSolver(run_disc, params, TimeGrid(0.1, 2))
-    state, windows = solver.run(zero_state(run_disc))
+    grid = TimeGrid(0.1, 2)
+    state, _ = RobinRobinSolver(run_disc, params, grid).run(zero_state(run_disc))
     for field in (state.u, state.p, state.eta, state.etad,
                   state.iface.u_avg, state.iface.traction_avg):
         assert np.abs(field).max() == 0.0
-    ledger = build_ledger(run_disc, params, solver.grid, windows,
-                          zero_state(run_disc), run_disc.zero_iface())
+    ledger = robin_robin(run_disc, params, grid, zero_state(run_disc))
     assert ledger.residuals().max() == 0.0
 
 
@@ -188,11 +187,8 @@ def test_window_averages():
 
 
 def test_per_window_stability_inequality(run_disc, params, rng):
-    grid = TimeGrid(0.3, 6, 2)
-    solver = RobinRobinSolver(run_disc, params, grid)
     state0 = random_state(run_disc, params, rng)
-    _, windows = solver.run(state0)
-    ledger = build_ledger(run_disc, params, grid, windows, state0, state0.iface)
+    ledger = robin_robin(run_disc, params, TimeGrid(0.3, 6, 2), state0)
     scale = ledger.E[0] + ledger.S0
     prev = scale
     for k in range(1, len(ledger.T) + 1):

@@ -92,8 +92,9 @@ def cmd_lambda_sweep(cfg: RunConfig, out_dir: str) -> None:
     failed = []
     for lam in LAMBDA_SWEEP:
         params = replace(cfg.params, lambda_robin=lam)
-        dts, reports, residuals, _ = experiments.convergence(
-            disc, params, cfg.t_final, cfg.num_windows, cfg.dt_levels, cfg.substeps)
+        # [:3] frees this lambda's reference before the next one is built
+        dts, reports, residuals = experiments.convergence(
+            disc, params, cfg.t_final, cfg.num_windows, cfg.dt_levels, cfg.substeps)[:3]
         slope = fit_rate(dts, [r.total for r in reports])
         for dt, rep, (resid, scale) in zip(dts, reports, residuals):
             rows.append((lam, dt, rep.total, resid, slope))

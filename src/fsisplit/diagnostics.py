@@ -45,7 +45,6 @@ class ErrorReport:
     E_final: float
     T_sum: float
     S_final: float
-    T_windows: list
 
     @property
     def total(self) -> float:
@@ -163,7 +162,7 @@ def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
     eu, eetad, eeta = last_err
     E_final = energy_E(disc, params, eu, eetad, eeta)
     return ErrorReport(E_final=E_final, T_sum=float(np.sum(T_windows)),
-                       S_final=S_final, T_windows=T_windows)
+                       S_final=S_final)
 
 
 def consistency_terms(disc: Discretization, reference, dt: float,

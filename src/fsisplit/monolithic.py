@@ -59,9 +59,9 @@ def _fluid_flux(disc: Discretization, params: PhysicalParams, ddt: float,
     recovered from the interior residual of the backward-Euler fluid
     momentum equation.  Private, so that a trace of the public caller
     times this work as its own."""
-    r = ((params.rho_f / ddt) * (disc.M_f @ (u - u_old))
-         + disc.stiffness_fluid(params.mu) @ u - disc.B.T @ p)
-    return r[disc.ifd_f]
+    M_rows, K_rows, Bt_rows = disc._interface_rows(params.mu)
+    return ((params.rho_f / ddt) * (M_rows @ (u - u_old))
+            + K_rows @ u - Bt_rows @ p)
 
 
 class MonolithicSolver:
@@ -97,12 +97,12 @@ class MonolithicSolver:
         d, p = self.disc, self.params
         rhs = np.zeros(self.ncomb)
         rhs[:self._nu] += (p.rho_f / self.ddt) * (d.M_f @ state.u)
-        np.add.at(rhs, self.solid_map,
-                  (p.rho_s / self.ddt) * (d.M_s @ state.etad) - self.A_s @ state.eta)
+        rhs[self.solid_map] += ((p.rho_s / self.ddt) * (d.M_s @ state.etad)
+                                - self.A_s @ state.eta)  # solid_map is injective
         rhs[self.dirichlet] = 0.0
         x = self._lu.solve(rhs)
-        u = x[:self._nu]
-        pres = x[self._nu:self._nu + self._np]
+        u = x[:self._nu].copy()  # copies: a stored step must not keep all of x
+        pres = x[self._nu:self._nu + self._np].copy()
         etad = x[self.solid_map]
         eta = state.eta + self.ddt * etad
         return CoupledState(t=state.t + self.ddt, u=u, p=pres, eta=eta, etad=etad)

@@ -136,25 +136,36 @@ class Discretization:
         # canonical interface mass (small and dense); identical from either side
         self.M_c = self.M_if[self.ifd_f][:, self.ifd_f].toarray()
         self._M_c_inv = np.linalg.inv(self.M_c)
-        # stiffness matrices by coefficients; held per instance, not by a
-        # functools cache, so that a Discretization can be freed
-        self._stiffness = {}
+        # matrices by coefficients; held per instance, not by a functools
+        # cache, so that a Discretization can be freed
+        self._memo = {}
 
     def stiffness_fluid(self, mu: float) -> sp.csr_matrix:
         """Viscous stiffness 2 mu (eps(u), eps(v)), assembled once per mu.
         The matrix is shared: callers must not modify it."""
         key = ("fluid", mu)
-        if key not in self._stiffness:
-            self._stiffness[key] = assemble_symgrad(self.V_f, mu)
-        return self._stiffness[key]
+        if key not in self._memo:
+            self._memo[key] = assemble_symgrad(self.V_f, mu)
+        return self._memo[key]
 
     def stiffness_solid(self, l1: float, l2: float) -> sp.csr_matrix:
         """Elastic stiffness 2 l1 (eps, eps) + l2 (div, div), assembled once
         per (l1, l2).  The matrix is shared: callers must not modify it."""
         key = ("solid", l1, l2)
-        if key not in self._stiffness:
-            self._stiffness[key] = assemble_elasticity(self.V_s, l1, l2)
-        return self._stiffness[key]
+        if key not in self._memo:
+            self._memo[key] = assemble_elasticity(self.V_s, l1, l2)
+        return self._memo[key]
+
+    def _interface_rows(self, mu: float):
+        """The interface rows ifd_f of M_f, of the fluid stiffness for mu and
+        of B^T, as CSR, built once per mu for the fluid interface flux.  Each
+        row of B^T sums in column order, as the full product B.T @ p does."""
+        key = ("interface rows", mu)
+        if key not in self._memo:
+            rows = self.ifd_f
+            self._memo[key] = (self.M_f[rows], self.stiffness_fluid(mu)[rows],
+                               self.B.T.tocsr()[rows])
+        return self._memo[key]
 
     def fluid_saddle(self, params: PhysicalParams, ddt: float,
                      lam: float = 0.0) -> sp.csr_matrix:
@@ -304,21 +315,9 @@ class RobinRobinSolver:
 
 
 def initial_interface_data(disc: Discretization, u0: np.ndarray,
-                           traction0: np.ndarray | None = None,
-                           pressure0=None, mu: float = 0.0) -> InterfaceData:
+                           traction0: np.ndarray) -> InterfaceData:
     """Interface data for the first window: the initial velocity trace plus
-    the initial fluid traction.
-
-    The traction is either supplied directly as a canonical load vector
-    (e.g. a monolithic-consistent variational flux) or assembled by interface
-    quadrature of (2 mu eps(u0) - p0 I) n with an analytic pressure callable.
-    Exactly one of the two must be provided: the scheme cannot start without
-    the initial stress.
-    """
-    if traction0 is None and pressure0 is None:
-        raise ValueError("initial pressure (or traction load) is required")
-    if traction0 is None:
-        from .initial_data import pointwise_traction_load
-        traction0 = pointwise_traction_load(disc, u0, pressure0, mu=mu)
+    the initial fluid traction as a canonical load vector (e.g. a
+    monolithic-consistent variational flux)."""
     return InterfaceData(u_avg=u0[disc.ifd_f].copy(),
                          traction_avg=np.asarray(traction0, dtype=float))

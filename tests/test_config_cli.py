@@ -255,6 +255,31 @@ def test_lambda_sweep_assembles_each_stiffness_once(tmp_path, monkeypatch):
                      ("assemble_elasticity", 1.0, 0.0): 1}
 
 
+def test_lambda_sweep_holds_one_reference(tmp_path, monkeypatch):
+    """Each Robin weight's monolithic reference is freed before the next
+    weight's study starts."""
+    import gc
+    import weakref
+
+    from fsisplit import experiments
+
+    convergence, refs = experiments.convergence, []
+
+    def tracking(*args):
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        result = convergence(*args)
+        refs.append(weakref.ref(result[3]))
+        return result
+
+    monkeypatch.setattr(experiments, "convergence", tracking)
+    path = write_config(tmp_path / "l.cfg", mode="lambda-sweep", dt_levels="2",
+                        seed="0")
+    assert main(["lambda-sweep", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(refs) == 3
+
+
 def test_solver_failure_exits_3(tmp_path, monkeypatch):
     from fsisplit import cli
     from fsisplit.assembly import SingularSystemError

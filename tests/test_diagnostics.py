@@ -219,6 +219,19 @@ def test_two_level_error_ratio(run_disc, params):
     assert 1.15 <= ratio <= 2.6
 
 
+def test_error_grows_at_most_like_final_time(params):
+    """The squared splitting error at time T is O(T dt): at fixed dt,
+    C(T) = total / (T dt) stays within twice its value at the shortest T."""
+    disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 8, 8, 8)
+    dt = 1.0 / 32
+    C = {}
+    for T in (0.125, 0.5, 2.0):
+        dts, reports, _, _ = convergence(disc, params, T, round(T / dt), 2, 1)
+        assert dts[0] == dt
+        C[T] = reports[0].total / (T * dt)
+    assert max(C.values()) <= 2 * C[0.125], C
+
+
 # -- consistency terms -------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from fsisplit.diagnostics import energy_E
 from fsisplit.experiments import dirichlet_neumann, initial_state
 from fsisplit.initial_data import random_state, smooth_coupled_mode
 from fsisplit.monolithic import (CoupledState, DirichletNeumannExplicit,
-                                 MonolithicSolver, run_reference)
+                                 MonolithicSolver, _fluid_flux, run_reference)
 
 
 def to_coupled(state):
@@ -109,10 +109,30 @@ def test_interface_flux_balance(run_disc, params, rng):
         state = new
 
 
+def test_fluid_flux_matches_full_residual_bitwise(rng):
+    """The flux from the memoised interface rows has the bits of the full
+    fluid momentum residual restricted to the interface, for two viscosities
+    on one Discretization."""
+    d = Discretization(ChannelGeometry(2.0, 0.7, 1.3), 5, 3, 4)
+    ddt = 0.013
+    for mu in (0.1, 0.37):
+        params = PhysicalParams(rho_f=1.3, rho_s=1.0, mu=mu, l1=1.0, l2=1.0,
+                                lambda_robin=1.0)
+        for _ in range(3):
+            u, u_old = rng.standard_normal((2, d.V_f.ndof))
+            p = rng.standard_normal(d.Q.ndof)
+            full = ((params.rho_f / ddt) * (d.M_f @ (u - u_old))
+                    + d.stiffness_fluid(mu) @ u - d.B.T @ p)[d.ifd_f]
+            got = _fluid_flux(d, params, ddt, u, u_old, p)
+            assert np.array_equal(got.view(np.int64), full.view(np.int64))
+
+
 def test_reference_trajectory_structure(run_disc, params):
     state0 = to_coupled(smooth_coupled_mode(run_disc, params))
     traj = run_reference(run_disc, params, state0, 0.1, 8)
     assert len(traj.u) == 9 and len(traj.flux) == 9
+    # each stored step owns its arrays, not a view of the solve vector
+    assert all(a.base is None for a in traj.u + traj.p)
     assert np.array_equal(traj.flux[0], traj.flux[1])
     assert traj.index_at(0.1) == 8
     with pytest.raises(ValueError):

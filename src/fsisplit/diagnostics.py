@@ -1,5 +1,8 @@
 """Energy-stability ledger, splitting-error quantities and rate fitting.
 
+Each ledger term (E, T, S) is a function of one state or one window; the
+splitting-error quantities are the same terms on the error trajectory.
+
 All time integrals use the rectangle rule at substep right endpoints, the
 quadrature matching the backward-Euler substepping: with that pairing the
 per-window stability inequality closes to solver precision.
@@ -12,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .splitting import Discretization, PhysicalParams, TimeGrid, WindowRecord
+from .splitting import (Discretization, InterfaceData, PhysicalParams,
+                        RobinRobinSolver, TimeGrid, WindowRecord, WindowSample)
 
 
 @dataclass
@@ -78,26 +82,27 @@ def window_T(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
     return total
 
 
+def _interface_S(disc: Discretization, lam: float, traction, u_trace) -> float:
+    """1/(2 lambda) ||sigma_f n||^2 + lambda/2 ||u||^2 on the interface;
+    traction in the interface-mass dual norm."""
+    return (disc.traction_norm_sq(traction) / (2 * lam)
+            + 0.5 * lam * disc.trace_norm_sq(u_trace))
+
+
 def window_S(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
              window: WindowRecord) -> float:
-    """1/(2 lambda) int ||sigma_f n||^2 + lambda/2 int ||u||^2 on the
-    interface over the window; traction in the interface-mass dual norm."""
-    lam = params.lambda_robin
-    ddt = grid.ddt
+    """The interface stock _interface_S integrated over the window."""
     total = 0.0
     for s in window.samples:
-        total += ddt * (disc.traction_norm_sq(s.traction) / (2 * lam)
-                        + 0.5 * lam * disc.trace_norm_sq(s.u_trace))
+        total += grid.ddt * _interface_S(disc, params.lambda_robin, s.traction,
+                                         s.u_trace)
     return total
 
 
 def initial_S0(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
                u0_trace: np.ndarray, traction0: np.ndarray) -> float:
-    """dt/(2 lambda) ||sigma_F(t0) n||^2 + lambda dt/2 ||u(t0)||^2 on the
-    interface."""
-    lam = params.lambda_robin
-    return grid.dt * (disc.traction_norm_sq(traction0) / (2 * lam)
-                      + 0.5 * lam * disc.trace_norm_sq(u0_trace))
+    """dt times the interface stock of the initial trace and traction."""
+    return grid.dt * _interface_S(disc, params.lambda_robin, traction0, u0_trace)
 
 
 def build_ledger(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
@@ -116,53 +121,39 @@ def build_ledger(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
 
 def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
                 windows, reference, state0) -> ErrorReport:
-    """Splitting-error quantities against a monolithic reference trajectory.
+    """The ledger terms of the error trajectory, reference minus splitting at
+    every substep time: final E and S, and T summed with interface weight
+    1/4 against the previous window's error average.
 
     Both trajectories must start from the same state (so the initial error
     and interface-error stock vanish) and the reference grid must contain
     every splitting substep time.
     """
-    K_f = disc.stiffness_fluid(params.mu)
-    lam = params.lambda_robin
-    ddt = grid.ddt
-
     if not (np.allclose(reference.u[0], state0.u)
             and np.allclose(reference.eta[0], state0.eta)
             and np.allclose(reference.etad[0], state0.etad)):
         raise ValueError("reference and splitting runs start from different states")
 
-    def err_at(sample):
-        k = reference.index_at(sample.t)
-        return (reference.u[k] - sample.u,
-                reference.etad[k] - sample.etad,
-                reference.eta[k] - sample.eta,
-                reference.flux[k] - sample.traction)
-
+    # the first window's interface data are exact, so their error vanishes
+    iface = InterfaceData(np.zeros(disc.ifd_f.size), np.zeros(disc.ifd_f.size))
     T_windows = []
-    prev_eu_avg = np.zeros(disc.ifd_f.size)  # error of u_avg^0 vanishes
-    S_final = 0.0
-    last_err = None
     for w in windows:
-        t_win = 0.0
-        s_win = 0.0
-        eu_traces = []
+        samples = []
         for s in w.samples:
-            eu, eetad, eeta, eflux = err_at(s)
-            visc = float(eu @ (K_f @ eu))
-            diff = eetad[disc.ifd_s] - prev_eu_avg
-            t_win += ddt * (visc + 0.25 * lam * disc.trace_norm_sq(diff))
-            s_win += ddt * (disc.traction_norm_sq(eflux) / (2 * lam)
-                            + 0.5 * lam * disc.trace_norm_sq(eu[disc.ifd_f]))
-            eu_traces.append(eu[disc.ifd_f])
-            last_err = (eu, eetad, eeta)
-        T_windows.append(t_win)
-        S_final = s_win
-        prev_eu_avg = np.mean(eu_traces, axis=0)
+            k = reference.index_at(s.t)
+            eu, eetad = reference.u[k] - s.u, reference.etad[k] - s.etad
+            samples.append(WindowSample(  # pressure enters no ledger term
+                t=s.t, u=eu, p=None, eta=reference.eta[k] - s.eta, etad=eetad,
+                u_trace=eu[disc.ifd_f], etad_trace=eetad[disc.ifd_s],
+                traction=reference.flux[k] - s.traction))
+        error = WindowRecord(samples=samples, iface_used=iface)
+        T_windows.append(window_T(disc, params, grid, error, iface_weight=0.25))
+        iface = RobinRobinSolver.update_interface_average(samples)
 
-    eu, eetad, eeta = last_err
-    E_final = energy_E(disc, params, eu, eetad, eeta)
-    return ErrorReport(E_final=E_final, T_sum=float(np.sum(T_windows)),
-                       S_final=S_final)
+    last = error.samples[-1]
+    return ErrorReport(E_final=energy_E(disc, params, last.u, last.etad, last.eta),
+                       T_sum=float(np.sum(T_windows)),
+                       S_final=window_S(disc, params, grid, error))
 
 
 def consistency_terms(disc: Discretization, reference, dt: float,

@@ -105,19 +105,18 @@ def pressure_pulse(disc: Discretization, params: PhysicalParams,
         return amplitude * np.exp(-((x - L / 2.0) ** 2) / width ** 2)
 
     u = np.zeros(d.V_f.ndof)
-    pres = np.array([p0(x, y) for x, y in d.Q.node_coords])
+    pres = p0(*d.Q.node_coords.T)
     traction = pointwise_traction_load(d, u, p0, mu=0.0)
     iface = InterfaceData(u_avg=np.zeros(d.ifd_f.size), traction_avg=traction)
     return SplitState(n=0, u=u, p=pres, eta=np.zeros(d.V_s.ndof),
                       etad=np.zeros(d.V_s.ndof), iface=iface)
 
 
-def smooth_coupled_mode(disc: Discretization, params: PhysicalParams,
-                        amplitude: float = 1.0) -> SplitState:
+def smooth_coupled_mode(disc: Discretization, params: PhysicalParams) -> SplitState:
     """Smooth, kinematically compatible initial data for convergence runs.
 
     The fluid velocity derives from the stream function
-    psi = amplitude * x^2 (L-x)^2 y^2, which vanishes along with its normal
+    psi = x^2 (L-x)^2 y^2, which vanishes along with its normal
     derivative on the outer fluid boundary, and is projected onto the
     discretely divergence-free subspace.  The solid velocity extends the
     fluid trace (shared interface values bitwise); displacement starts at
@@ -127,16 +126,10 @@ def smooth_coupled_mode(disc: Discretization, params: PhysicalParams,
     d = disc
     L = d.geom.length
 
-    def velocity(x, y):
-        ux = amplitude * x ** 2 * (L - x) ** 2 * 2.0 * y
-        uy = -amplitude * (2 * x * (L - x) ** 2 - 2 * x ** 2 * (L - x)) * y ** 2
-        return ux, uy
-
-    u_raw = np.zeros(d.V_f.ndof)
-    for n, (x, y) in enumerate(d.V_f.node_coords):
-        ux, uy = velocity(x, y)
-        u_raw[2 * n], u_raw[2 * n + 1] = ux, uy
-    u = project_divergence_free(d, u_raw)
+    x, y = d.V_f.node_coords.T
+    ux = x ** 2 * (L - x) ** 2 * 2.0 * y
+    uy = -(2 * x * (L - x) ** 2 - 2 * x ** 2 * (L - x)) * y ** 2
+    u = project_divergence_free(d, np.column_stack([ux, uy]).ravel())
 
     etad = solid_extension(d, u[d.ifd_f])
     iface = InterfaceData(u_avg=u[d.ifd_f].copy(),
@@ -146,17 +139,17 @@ def smooth_coupled_mode(disc: Discretization, params: PhysicalParams,
 
 
 def random_state(disc: Discretization, params: PhysicalParams,
-                 rng: np.random.Generator, scale: float = 1.0) -> SplitState:
+                 rng: np.random.Generator) -> SplitState:
     """Random nonzero initial data for the stability sweep: random nodal
     fields (divergence-free fluid velocity, solid displacement and velocity)
     and a random initial interface traction."""
     d = disc
-    u = project_divergence_free(d, scale * rng.standard_normal(d.V_f.ndof))
-    eta = scale * rng.standard_normal(d.V_s.ndof)
-    etad = scale * rng.standard_normal(d.V_s.ndof)
+    u = project_divergence_free(d, rng.standard_normal(d.V_f.ndof))
+    eta = rng.standard_normal(d.V_s.ndof)
+    etad = rng.standard_normal(d.V_s.ndof)
     eta[d.dir_s] = 0.0
     etad[d.dir_s] = 0.0
-    traction = scale * (d.M_c @ rng.standard_normal(d.ifd_f.size))
+    traction = d.M_c @ rng.standard_normal(d.ifd_f.size)
     iface = InterfaceData(u_avg=u[d.ifd_f].copy(), traction_avg=traction)
     return SplitState(n=0, u=u, p=np.zeros(d.Q.ndof), eta=eta, etad=etad,
                       iface=iface)

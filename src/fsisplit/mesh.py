@@ -54,22 +54,12 @@ class Mesh:
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    @property
-    def num_cells(self) -> int:
-        return self.cells.shape[0]
-
     def cells_of(self, domain: int) -> np.ndarray:
         return np.flatnonzero(self.cell_domain == domain)
 
     def facets_of(self, tag: str) -> np.ndarray:
         idx = [i for i, t in enumerate(self.facet_tags) if t == tag]
         return self.facets[idx]
-
-    def cell_areas(self) -> np.ndarray:
-        p = self.vertices
-        a, b, c = (p[self.cells[:, k]] for k in range(3))
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
 def build_two_layer_mesh(geom: ChannelGeometry, nx: int, ny_f: int, ny_s: int) -> Mesh:

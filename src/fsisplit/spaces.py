@@ -1,10 +1,10 @@
 """Finite element spaces on one subdomain of a two-layer mesh.
 
-Supported elements: vector/scalar Lagrange P1 and P2 on triangles.  Nodes are
-numbered vertices-first in ascending vertex id, then edge midpoints (P2 only)
-in the order each edge first appears over the mesh cells, which makes the
-numbering deterministic and the interface node ordering identical for the
-fluid and solid spaces.
+Supported elements: vector Lagrange P2 and scalar Lagrange P1 on triangles.
+Nodes are numbered vertices-first in ascending vertex id, then edge midpoints
+(P2 only) in the order each edge first appears over the mesh cells, which
+makes the numbering deterministic and the interface node ordering identical
+for the fluid and solid spaces.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ import numpy as np
 from .mesh import INTERFACE, SIGMA_F, SIGMA_S, Mesh
 
 VECTOR_P2 = "vector_p2"
-VECTOR_P1 = "vector_p1"
 SCALAR_P1 = "scalar_p1"
 
-_KINDS = {VECTOR_P2: (2, 2), VECTOR_P1: (1, 2), SCALAR_P1: (1, 1)}
+_KINDS = {VECTOR_P2: (2, 2), SCALAR_P1: (1, 1)}
 
 
 def _local_edges(cells: np.ndarray) -> np.ndarray:

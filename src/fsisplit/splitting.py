@@ -193,10 +193,6 @@ class Discretization:
         """Squared dual norm of a canonical interface load vector."""
         return float(load @ self._M_c_inv @ load)
 
-    def zero_iface(self) -> InterfaceData:
-        n = self.ifd_f.size
-        return InterfaceData(np.zeros(n), np.zeros(n))
-
 
 class RobinRobinSolver:
     """Factorizes the two subproblem systems once and advances windows."""
@@ -305,13 +301,12 @@ class RobinRobinSolver:
             window=WindowRecord(samples=samples, iface_used=iface))
 
     def run(self, state0: SplitState):
-        """Advance all windows; returns (final state, list of WindowRecord)."""
+        """Advance all windows, yielding each new state with its window; no
+        window is kept here."""
         state = state0
-        windows = []
         for _ in range(self.grid.num_windows):
             state = self.advance(state)
-            windows.append(state.window)
-        return state, windows
+            yield state
 
 
 def initial_interface_data(disc: Discretization, u0: np.ndarray,

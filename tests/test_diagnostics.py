@@ -52,9 +52,10 @@ def _make_window(d, t, u, p, eta, etad, traction, iface):
 def test_window_T_zero_and_matched(run_disc, params):
     d = run_disc
     grid = TimeGrid(0.5, 4)
+    zero = np.zeros(d.ifd_f.size)
     zero_w = _make_window(d, grid.dt, np.zeros(d.V_f.ndof), np.zeros(d.Q.ndof),
-                          np.zeros(d.V_s.ndof), np.zeros(d.V_s.ndof),
-                          np.zeros(d.ifd_f.size), d.zero_iface())
+                          np.zeros(d.V_s.ndof), np.zeros(d.V_s.ndof), zero,
+                          InterfaceData(zero, zero))
     assert window_T(d, params, grid, zero_w) == 0.0
     # rigid fluid velocity, solid velocity matching the window-average trace
     u = interpolate(d.V_f, lambda x, y: (0.7, 0.0))
@@ -230,6 +231,19 @@ def test_error_grows_at_most_like_final_time(params):
         assert dts[0] == dt
         C[T] = reports[0].total / (T * dt)
     assert max(C.values()) <= 2 * C[0.125], C
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_convergence_with_substeps(params, m):
+    """With m > 1 substeps per window (window averages over several
+    samples) the error still converges at rate >= 0.4 and every level's
+    ledger closes within 1e-8 (E0 + S0)."""
+    disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 8, 8, 8)
+    dts, reports, residuals, _ = convergence(disc, params, 0.5, 8, 3, m)
+    rate = fit_rate(dts, [r.total for r in reports])
+    assert rate >= 0.4, rate
+    for worst, scale in residuals:
+        assert worst <= 1e-8 * scale, (worst, scale)
 
 
 # -- consistency terms -------------------------------------------------------

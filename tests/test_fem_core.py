@@ -10,7 +10,7 @@ from fsisplit.assembly import (Factorization, SingularSystemError,
                                assemble_vector_mass)
 from fsisplit.mesh import (FLUID, SOLID, ChannelGeometry, Mesh,
                            build_two_layer_mesh)
-from fsisplit.spaces import SCALAR_P1, VECTOR_P1, VECTOR_P2, build_space
+from fsisplit.spaces import SCALAR_P1, VECTOR_P2, build_space
 
 
 def interpolate(space, f):
@@ -101,13 +101,6 @@ def test_oracle_vector_mass(oracle_disc):
     assert _max_err(got, want) < 1e-12
 
 
-def test_oracle_vector_mass_p1():
-    mesh = build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), 1, 1, 1)
-    space = build_space(mesh, FLUID, VECTOR_P1)
-    got = assemble_vector_mass(space, 1.0)
-    assert _max_err(got, oracles.dense_vector_mass(space, 1.0)) < 1e-12
-
-
 def test_oracle_symgrad(oracle_disc):
     got = assemble_symgrad(oracle_disc.V_f, 0.9)
     assert _max_err(got, oracles.dense_symgrad(oracle_disc.V_f, 0.9)) < 1e-12
@@ -144,7 +137,7 @@ def _canonical_perm(space):
 
 def _shuffled(mesh, seed=3):
     """The same mesh with its cells in a random order."""
-    perm = np.random.default_rng(seed).permutation(mesh.num_cells)
+    perm = np.random.default_rng(seed).permutation(len(mesh.cells))
     return Mesh(vertices=mesh.vertices, cells=mesh.cells[perm],
                 cell_domain=mesh.cell_domain[perm], facets=mesh.facets,
                 facet_tags=mesh.facet_tags)
@@ -179,7 +172,7 @@ _NUMBERING_MESHES = {
 }
 
 
-@pytest.mark.parametrize("kind", [VECTOR_P2, VECTOR_P1, SCALAR_P1])
+@pytest.mark.parametrize("kind", [VECTOR_P2, SCALAR_P1])
 @pytest.mark.parametrize("domain", [FLUID, SOLID])
 @pytest.mark.parametrize("mesh_name", list(_NUMBERING_MESHES))
 def test_numbering_matches_reference(mesh_name, domain, kind):

@@ -95,6 +95,23 @@ def test_smooth_coupled_mode_compatibility(run_disc, params):
     assert np.linalg.norm(st.u) > 0.0
 
 
+def test_initial_fields_match_nodewise_loops(params):
+    """The array-built nodal fields equal node-by-node evaluation, bit for
+    bit, on a non-unit channel."""
+    d = Discretization(ChannelGeometry(2.0, 0.7, 1.3), 5, 3, 4)
+    L, width = d.geom.length, 0.5
+    pulse = pressure_pulse(d, params, amplitude=1.5, width=width)
+    want_p = [1.5 * np.exp(-((x - L / 2.0) ** 2) / width ** 2)
+              for x, _ in d.Q.node_coords]
+    assert np.array_equal(pulse.p, want_p)
+    u_raw = np.zeros(d.V_f.ndof)
+    for n, (x, y) in enumerate(d.V_f.node_coords):
+        u_raw[2 * n] = x ** 2 * (L - x) ** 2 * 2.0 * y
+        u_raw[2 * n + 1] = -(2 * x * (L - x) ** 2 - 2 * x ** 2 * (L - x)) * y ** 2
+    want_u = project_divergence_free(d, u_raw)
+    assert np.array_equal(smooth_coupled_mode(d, params).u, want_u)
+
+
 def test_random_state_invariants(run_disc, params, rng):
     st = random_state(run_disc, params, rng)
     d = run_disc

@@ -8,6 +8,13 @@ from fsisplit.mesh import (FLUID, INTERFACE, SIGMA_F, SIGMA_S, SOLID,
 from fsisplit.spaces import SCALAR_P1, build_space
 
 
+def cell_areas(mesh):
+    """Signed cell areas: positive for counter-clockwise cells."""
+    a, b, c = (mesh.vertices[mesh.cells[:, k]] for k in range(3))
+    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+
+
 def test_smallest_mesh_counts():
     mesh = build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), 1, 1, 1)
     assert mesh.cells_of(FLUID).size == 2
@@ -20,7 +27,7 @@ def test_smallest_mesh_counts():
 
 def test_total_area_exact():
     mesh = build_two_layer_mesh(ChannelGeometry(2.0, 1.0, 0.5), 4, 2, 1)
-    assert mesh.cell_areas().sum() == pytest.approx(3.0, abs=1e-14)
+    assert cell_areas(mesh).sum() == pytest.approx(3.0, abs=1e-14)
 
 
 def test_interface_length_sums_to_L():
@@ -76,7 +83,7 @@ def test_boundary_tag_partition():
 def test_mesh_properties_hold_for_any_geometry(L, hf, hs, nx, nyf, nys):
     geom = ChannelGeometry(L, hf, hs)
     mesh = build_two_layer_mesh(geom, nx, nyf, nys)
-    areas = mesh.cell_areas()
+    areas = cell_areas(mesh)
     h2 = (L / nx) * (min(hf / nyf, hs / nys))
     assert np.all(areas > 1e-14 * h2)  # positive orientation, no slivers
     assert areas.sum() == pytest.approx(L * (hf + hs), rel=1e-12)

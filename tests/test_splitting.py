@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,14 @@ from fsisplit.initial_data import random_state
 from fsisplit.splitting import WindowSample
 
 
+def zero_iface(disc):
+    return InterfaceData(np.zeros(disc.ifd_f.size), np.zeros(disc.ifd_f.size))
+
+
 def zero_state(disc):
     return SplitState(n=0, u=np.zeros(disc.V_f.ndof), p=np.zeros(disc.Q.ndof),
                       eta=np.zeros(disc.V_s.ndof), etad=np.zeros(disc.V_s.ndof),
-                      iface=disc.zero_iface())
+                      iface=zero_iface(disc))
 
 
 def dual_norm(disc, load):
@@ -42,7 +49,7 @@ def test_time_grid_validation():
 
 def test_zero_state_is_fixed_point(run_disc, params):
     grid = TimeGrid(0.1, 2)
-    state, _ = RobinRobinSolver(run_disc, params, grid).run(zero_state(run_disc))
+    *_, state = RobinRobinSolver(run_disc, params, grid).run(zero_state(run_disc))
     for field in (state.u, state.p, state.eta, state.etad,
                   state.iface.u_avg, state.iface.traction_avg):
         assert np.abs(field).max() == 0.0
@@ -63,7 +70,7 @@ def test_solid_energy_decay_with_zero_interface_data(run_disc, params, rng):
 
     e_prev = energy(eta, etad)
     for _ in range(4):
-        samples = solver.solid_step(eta, etad, d.zero_iface())
+        samples = solver.solid_step(eta, etad, zero_iface(d))
         for eta, etad in samples:
             e = energy(eta, etad)
             assert e <= e_prev * (1.0 + 1e-12)
@@ -98,7 +105,7 @@ def test_fluid_steady_robin_limit(run_disc, params, rng):
     etad = np.zeros(d.V_s.ndof)
     etad[d.ifd_s] = c
     samples = solver.fluid_step(np.zeros(d.V_f.ndof), [(None, etad)],
-                                d.zero_iface())
+                                zero_iface(d))
     u, p = samples[0]
     flux = ((params.rho_f / grid.ddt) * (d.M_f @ u)
             + d.stiffness_fluid(params.mu) @ u - d.B.T @ p)[d.ifd_f]
@@ -108,15 +115,14 @@ def test_fluid_steady_robin_limit(run_disc, params, rng):
 
 def test_divergence_constraint_every_substep(run_disc, params, rng):
     solver = RobinRobinSolver(run_disc, params, TimeGrid(0.2, 3, 2))
-    _, windows = solver.run(random_state(run_disc, params, rng))
-    for w in windows:
-        for s in w.samples:
+    for state in solver.run(random_state(run_disc, params, rng)):
+        for s in state.window.samples:
             assert np.linalg.norm(run_disc.B @ s.u) <= 1e-9 * np.linalg.norm(s.u)
 
 
 def test_dirichlet_dofs_exactly_zero(run_disc, params, rng):
     solver = RobinRobinSolver(run_disc, params, TimeGrid(0.2, 3))
-    state, _ = solver.run(random_state(run_disc, params, rng))
+    *_, state = solver.run(random_state(run_disc, params, rng))
     assert np.abs(state.u[run_disc.dir_f]).max() == 0.0
     assert np.abs(state.eta[run_disc.dir_s]).max() == 0.0
     assert np.abs(state.etad[run_disc.dir_s]).max() == 0.0
@@ -128,7 +134,7 @@ def test_traction_extraction_passthroughs(run_disc, params, rng):
     u = rng.standard_normal(d.V_f.ndof)
     etad = np.zeros(d.V_s.ndof)
     etad[d.ifd_s] = u[d.ifd_f]
-    assert np.abs(solver.extract_fluid_traction(u, etad, d.zero_iface())).max() < 1e-14
+    assert np.abs(solver.extract_fluid_traction(u, etad, zero_iface(d))).max() < 1e-14
     sig = rng.standard_normal(d.ifd_f.size)
     iface = InterfaceData(np.zeros(d.ifd_f.size), sig)
     got = solver.extract_fluid_traction(np.zeros(d.V_f.ndof),
@@ -198,13 +204,32 @@ def test_per_window_stability_inequality(run_disc, params, rng):
         prev = ledger.E[k] + ledger.S[k - 1]
 
 
+def test_robin_robin_holds_one_window(run_disc, params, rng, monkeypatch):
+    """The ledger run streams its windows: once a window is built, only it
+    and the one before it are alive."""
+    refs = []
+    advance = RobinRobinSolver.advance
+
+    def tracked(self, state):
+        new = advance(self, state)
+        refs.append(weakref.ref(new.window))
+        gc.collect()
+        assert all(ref() is None for ref in refs[:-2]), len(refs)
+        return new
+
+    monkeypatch.setattr(RobinRobinSolver, "advance", tracked)
+    ledger = robin_robin(run_disc, params, TimeGrid(0.3, 6, 2),
+                         random_state(run_disc, params, rng))
+    assert len(refs) == len(ledger.T) == 6
+
+
 def test_advance_deterministic(run_disc, params):
     grid = TimeGrid(0.2, 3)
     state0 = random_state(run_disc, params, np.random.default_rng(7))
     runs = []
     for _ in range(2):
         solver = RobinRobinSolver(run_disc, params, grid)
-        state, _ = solver.run(state0)
+        *_, state = solver.run(state0)
         runs.append(state)
     assert np.array_equal(runs[0].u, runs[1].u)
     assert np.array_equal(runs[0].eta, runs[1].eta)
@@ -225,7 +250,7 @@ def test_substep_refinement_consistency(run_disc, params):
     finals = []
     for m in (1, 2, 4):
         solver = RobinRobinSolver(run_disc, params, TimeGrid(grid_T, N, m))
-        state, _ = solver.run(state0)
+        *_, state = solver.run(state0)
         finals.append(np.concatenate([state.u, state.etad, state.eta]))
     d12 = np.linalg.norm(finals[0] - finals[1])
     d24 = np.linalg.norm(finals[1] - finals[2])

@@ -248,21 +248,40 @@ def apply_dirichlet(A: sp.spmatrix, b: np.ndarray, dofs, values=None):
 
 
 class SingularSystemError(RuntimeError):
-    """Raised when the direct factorization hits an exactly singular pivot."""
+    """A singular pivot, or a first solve that fails its backward-error check."""
 
 
 class Factorization:
-    """Immutable LU factorization; safe for repeated solves."""
+    """LU factorization ordered to the matrix; safe for repeated solves.
+
+    Symmetric with a positive diagonal (a solid operator): minimum degree on
+    A + A^T and partial pivoting.  Otherwise (a saddle point): COLAMD and
+    threshold pivoting, which keeps more of the sparse ordering; the normwise
+    backward error of the first solve with b != 0 is checked to make it safe.
+    """
 
     def __init__(self, A: sp.spmatrix):
         A = A.tocsc()
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
+        if (A.diagonal() > 0).all() and abs(A - A.T).max() == 0:
+            options = {"permc_spec": "MMD_AT_PLUS_A"}
+        else:
+            options = {"permc_spec": "COLAMD", "diag_pivot_thresh": 0.01}
         try:
-            self._lu = spla.splu(A)
+            self._lu = spla.splu(A, **options)
         except RuntimeError as exc:
             raise SingularSystemError(str(exc)) from exc
+        self._unchecked = A  # dropped once the first solve is checked
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=float))
+        b = np.asarray(b, dtype=float)
+        x = self._lu.solve(b)
+        if self._unchecked is not None and b.any():
+            A, self._unchecked = self._unchecked, None
+            scale = abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+            eta = np.abs(b - A @ x).max() / scale
+            if not eta <= 1e-10:
+                raise SingularSystemError(f"solve backward error {eta:.3e} > 1e-10")
+        return x
 

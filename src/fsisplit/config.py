@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .mesh import ChannelGeometry
@@ -70,6 +71,8 @@ def parse_config(path) -> RunConfig:
                 parsed[key] = raw
         except ValueError:
             raise ConfigError(f"key '{key}': cannot parse value '{raw}'") from None
+        if key in _FLOAT_KEYS and not math.isfinite(parsed[key]):
+            raise ConfigError(f"key '{key}': must be finite, got '{raw}'")
 
     if parsed["mode"] not in MODES:
         raise ConfigError(f"key 'mode': must be one of {', '.join(MODES)}")

@@ -27,7 +27,7 @@ def project_divergence_free(disc: Discretization, u_raw: np.ndarray) -> np.ndarr
     A, b = apply_dirichlet(A, b, d.dir_f)
     u = Factorization(A).solve(b)[:nu].copy()  # not a view of the solve vector
     res = np.linalg.norm(d.B @ u)
-    if res > 1e-8 * max(1.0, np.linalg.norm(u)):
+    if not res <= 1e-8 * max(1.0, np.linalg.norm(u)):  # NaN fails too
         raise RuntimeError(f"divergence-free projection failed, |Bu| = {res:.3e}")
     return u
 

@@ -57,7 +57,10 @@ def test_parse_tolerates_comments_and_blanks(tmp_path):
     ({"dt_levels": "0"}, "dt_levels"),
     ({"L": "-2"}, "geometry"),
     ({"dt_levels": "1"}, "dt_levels"),
-])
+] + [({key: value}, f"key '{key}': must be finite")
+     for key in ("L", "H_f", "H_s", "rho_f", "rho_s", "mu", "l1", "l2",
+                 "lambda", "T")
+     for value in ("nan", "inf", "-inf")])
 def test_parse_rejects_and_names_key(tmp_path, overrides, needle):
     path = write_config(tmp_path / "bad.cfg", **overrides)
     with pytest.raises(ConfigError, match=needle):
@@ -104,6 +107,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     path = write_config(tmp_path / "bad.cfg", **{"lambda": "0.0"})
     assert main(["stability", "--config", path]) == 2
     assert "lambda" in capsys.readouterr().err
+    # l2 = nan once dropped the div-div term and exited 0
+    path = write_config(tmp_path / "nan.cfg", l2="nan")
+    assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "'l2'" in capsys.readouterr().err
 
 
 def test_dump_config_command(tmp_path, capsys):
@@ -288,6 +295,22 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
         raise SingularSystemError("pivot")
 
     monkeypatch.setitem(cli.COMMANDS, "stability", boom)
+    path = write_config(tmp_path / "a.cfg")
+    assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 3
+
+
+def test_inaccurate_solve_exits_3(tmp_path, monkeypatch):
+    import scipy.sparse.linalg as spla
+    splu = spla.splu
+
+    class Perturbed:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, b):
+            return 1.001 * self._lu.solve(b)
+
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: Perturbed(splu(A, **kw)))
     path = write_config(tmp_path / "a.cfg")
     assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 3
 

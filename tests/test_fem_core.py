@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import oracles
+from fsisplit import (ChannelGeometry, Discretization, RobinRobinSolver,
+                      TimeGrid, initial_data, splitting)
 from fsisplit.assembly import (Factorization, SingularSystemError,
                                apply_dirichlet, assemble_divdiv,
                                assemble_divergence, assemble_elasticity,
@@ -275,6 +278,62 @@ def test_solve_deterministic(small_disc, rng):
     x1 = lu.solve(b)
     assert np.array_equal(lu.solve(b), x1)
     assert np.array_equal(Factorization(A).solve(b), x1)
+
+
+def _fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_factorization_orders_to_structure(params, monkeypatch):
+    """The solid operators (symmetric, positive diagonal) have less fill than
+    COLAMD gives them, the fluid saddle less than partially pivoted COLAMD."""
+    made = []
+
+    class Recording(Factorization):
+        def __init__(self, A):
+            super().__init__(A)
+            made.append((A.tocsc(), self))
+
+    monkeypatch.setattr(splitting, "Factorization", Recording)
+    monkeypatch.setattr(initial_data, "Factorization", Recording)
+    d = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 16, 16, 16)
+    RobinRobinSolver(d, params, TimeGrid(0.5, 64, 2))
+    initial_data.solid_extension(d, np.ones(d.ifd_s.size))
+    (S, solid), (F, fluid), (E, extension) = made
+    assert abs(S - S.T).max() == 0 and abs(F - F.T).max() > 0
+    for A, fac in ((S, solid), (E, extension)):
+        assert _fill(fac._lu) < _fill(spla.splu(A, permc_spec="COLAMD"))
+    assert _fill(fluid._lu) < _fill(spla.splu(F, permc_spec="COLAMD"))
+
+
+def test_symmetric_path_pivots_tiny_diagonal(monkeypatch):
+    # a zero pivot threshold would keep the 1e-17 pivot and return [2, 0]
+    used = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: used.append(kw) or splu(A, **kw))
+    A = sp.csr_matrix(np.array([[1e-17, 1.0], [1.0, 1e-17]]))
+    b = np.array([1.0, 2.0])
+    x = Factorization(A).solve(b)
+    assert used == [{"permc_spec": "MMD_AT_PLUS_A"}]
+    assert np.array_equal(x, [2.0, 1.0])
+    assert np.abs(b - A @ x).max() == 0.0
+
+
+@pytest.mark.parametrize("perturb", [lambda x: 1.001 * x, lambda x: np.nan * x],
+                         ids=["scaled", "nan"])
+def test_first_solve_checks_backward_error(small_disc, rng, perturb):
+    A = (small_disc.M_f + assemble_symgrad(small_disc.V_f, 1.0)).tocsr()
+    fac = Factorization(A)
+    lu = fac._lu
+
+    class Perturbed:
+        def solve(self, b):
+            return perturb(lu.solve(b))
+
+    fac._lu = Perturbed()
+    fac.solve(np.zeros(A.shape[0]))  # a zero right-hand side is not checked
+    with pytest.raises(SingularSystemError, match="backward error"):
+        fac.solve(rng.standard_normal(A.shape[0]))
 
 
 def test_singular_matrix_raises():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fsisplit import ChannelGeometry, Discretization, TimeGrid
+from fsisplit import ChannelGeometry, Discretization, TimeGrid, initial_data
 from fsisplit.diagnostics import initial_S0
 from fsisplit.initial_data import (pointwise_traction_load, pressure_pulse,
                                    project_divergence_free, random_state,
@@ -74,6 +74,19 @@ def test_divergence_free_projection(run_disc, rng):
     # projecting again changes nothing (up to solver tolerance)
     again = project_divergence_free(d, u.copy())
     assert np.linalg.norm(again - u) <= 1e-10 * np.linalg.norm(u)
+
+
+def test_divergence_free_projection_rejects_nan(run_disc, monkeypatch):
+    class NaNSolve:
+        def __init__(self, A):
+            self.n = A.shape[0]
+
+        def solve(self, b):
+            return np.full(self.n, np.nan)
+
+    monkeypatch.setattr(initial_data, "Factorization", NaNSolve)
+    with pytest.raises(RuntimeError, match="projection failed"):
+        project_divergence_free(run_disc, np.ones(run_disc.V_f.ndof))
 
 
 def test_solid_extension_trace_bitwise(run_disc, rng):

@@ -3,9 +3,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsisplit import (InterfaceData, PhysicalParams, RobinRobinSolver,
-                      SplitState, TimeGrid)
+from fsisplit import (ChannelGeometry, Discretization, InterfaceData,
+                      PhysicalParams, RobinRobinSolver, SplitState, TimeGrid)
 from fsisplit.experiments import robin_robin
 from fsisplit.initial_data import random_state
 from fsisplit.splitting import WindowSample
@@ -202,6 +204,28 @@ def test_per_window_stability_inequality(run_disc, params, rng):
         now = ledger.E[k] + ledger.T[k - 1] + ledger.S[k - 1]
         assert now <= prev + 1e-10 * scale
         prev = ledger.E[k] + ledger.S[k - 1]
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lam=_decades(-4, 4), rho_f=_decades(-2, 2), ratio=_decades(-4, 4),
+       t_final=_decades(-5, 3), m=st.integers(1, 4),
+       L=st.floats(0.3, 3.0), H_f=st.floats(0.3, 3.0), H_s=st.floats(0.3, 3.0),
+       nx=st.integers(1, 4), ny_f=st.integers(1, 3), ny_s=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
+def test_stability_bound_property(lam, rho_f, ratio, t_final, m, L, H_f, H_s,
+                                  nx, ny_f, ny_s, seed):
+    """The energy bound holds for any Robin weight, density ratio, step size
+    and substep count, on channels other than the unit square."""
+    disc = Discretization(ChannelGeometry(L, H_f, H_s), nx, ny_f, ny_s)
+    params = PhysicalParams(rho_f=rho_f, rho_s=ratio * rho_f, mu=0.1, l1=1.0,
+                            l2=1.0, lambda_robin=lam)
+    state0 = random_state(disc, params, np.random.default_rng(seed))
+    ledger = robin_robin(disc, params, TimeGrid(t_final, 4, m), state0)
+    assert ledger.residuals().max() <= 1e-8 * (ledger.E[0] + ledger.S0)
 
 
 def test_robin_robin_holds_one_window(run_disc, params, rng, monkeypatch):

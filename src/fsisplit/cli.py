@@ -64,7 +64,9 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> None:
     dts, reports, _, ref = experiments.convergence(
         disc, cfg.params, cfg.t_final, cfg.num_windows, cfg.dt_levels, cfg.substeps)
     totals = [r.total for r in reports]
-    pairwise = [float("nan")] + [float(0.5 * np.log2(a / b))
+    # np.divide: a level with zero error gives a NaN or infinite rate, not
+    # a ZeroDivisionError
+    pairwise = [float("nan")] + [float(0.5 * np.log2(np.divide(a, b)))
                                  for a, b in zip(totals, totals[1:])]
     rows = [(dt, r.E_final, r.T_sum, r.S_final, r.total, q)
             for dt, r, q in zip(dts, reports, pairwise)]

@@ -126,12 +126,12 @@ def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
     1/4 against the previous window's error average.
 
     Both trajectories must start from the same state (so the initial error
-    and interface-error stock vanish) and the reference grid must contain
-    every splitting substep time.
+    and interface-error stock vanish) and the reference must store its
+    fields at every splitting substep time.
     """
-    if not (np.allclose(reference.u[0], state0.u)
-            and np.allclose(reference.eta[0], state0.eta)
-            and np.allclose(reference.etad[0], state0.etad)):
+    ref0, _ = reference.at(0.0)
+    if not (np.allclose(ref0.u, state0.u) and np.allclose(ref0.eta, state0.eta)
+            and np.allclose(ref0.etad, state0.etad)):
         raise ValueError("reference and splitting runs start from different states")
 
     # the first window's interface data are exact, so their error vanishes
@@ -140,12 +140,12 @@ def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
     for w in windows:
         samples = []
         for s in w.samples:
-            k = reference.index_at(s.t)
-            eu, eetad = reference.u[k] - s.u, reference.etad[k] - s.etad
+            ref, flux = reference.at(s.t)
+            eu, eetad = ref.u - s.u, ref.etad - s.etad
             samples.append(WindowSample(  # pressure enters no ledger term
-                t=s.t, u=eu, p=None, eta=reference.eta[k] - s.eta, etad=eetad,
+                t=s.t, u=eu, p=None, eta=ref.eta - s.eta, etad=eetad,
                 u_trace=eu[disc.ifd_f], etad_trace=eetad[disc.ifd_s],
-                traction=reference.flux[k] - s.traction))
+                traction=flux - s.traction))
         error = WindowRecord(samples=samples, iface_used=iface)
         T_windows.append(window_T(disc, params, grid, error, iface_weight=0.25))
         iface = RobinRobinSolver.update_interface_average(samples)
@@ -173,7 +173,7 @@ def consistency_terms(disc: Discretization, reference, dt: float,
 
     g3 = np.zeros(n_win)
     g2 = np.zeros(n_win)
-    u_tr = [u[disc.ifd_f] for u in reference.u]
+    u_tr = reference.traces
     for n in range(n_win):
         if n == 0:
             u_avg = u_tr[0]

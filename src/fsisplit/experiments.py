@@ -37,9 +37,11 @@ def convergence(disc: Discretization, params: PhysicalParams, t_final: float,
     n_levels = [num_windows * 2 ** i for i in range(dt_levels)]
     s0 = smooth_coupled_mode(disc, params)
     # at least 8 reference steps per finest window, and a whole number per
-    # substep so that every substep time lies on the reference grid
+    # substep so that every substep time lies on the reference grid; the
+    # error report reads the fields only at the finest substep times
+    per_window = math.lcm(8, substeps)
     ref = run_reference(disc, params, CoupledState(0.0, s0.u, s0.p, s0.eta, s0.etad),
-                        t_final, n_levels[-1] * math.lcm(8, substeps))
+                        t_final, n_levels[-1] * per_window, per_window // substeps)
     dts, reports, residuals = [], [], []
     for n_win in n_levels:
         grid = TimeGrid(t_final, n_win, substeps)

@@ -30,21 +30,27 @@ class CoupledState:
 
 @dataclass
 class ReferenceTrajectory:
-    """Fine backward-Euler trajectory with interface flux per step."""
+    """Fine backward-Euler trajectory: the fields every `stride` steps, the
+    interface trace and flux at every step."""
 
     ddt: float
-    times: np.ndarray
-    u: list
+    stride: int
+    times: np.ndarray    # every step
+    u: list              # u, p, eta, etad at times[::stride]
     p: list
     eta: list
     etad: list
+    traces: list         # u[ifd_f], traces[k] at times[k]
     flux: list           # canonical interface load, flux[k] for step ending at times[k]
 
-    def index_at(self, t: float) -> int:
+    def at(self, t: float):
+        """(CoupledState, flux) at time t, which must be a stored step."""
         k = int(round(t / self.ddt))
-        if abs(k * self.ddt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not on the reference grid")
-        return k
+        if abs(k * self.ddt - t) > 1e-9 * max(1.0, abs(t)) or k % self.stride:
+            raise ValueError(f"time {t} is not a stored reference step")
+        j = k // self.stride
+        return (CoupledState(self.times[k], self.u[j], self.p[j], self.eta[j],
+                             self.etad[j]), self.flux[k])
 
 
 def _remap(mat: sp.spmatrix, row_map: np.ndarray, col_map: np.ndarray, shape):
@@ -101,8 +107,8 @@ class MonolithicSolver:
                                 - self.A_s @ state.eta)  # solid_map is injective
         rhs[self.dirichlet] = 0.0
         x = self._lu.solve(rhs)
-        u = x[:self._nu].copy()  # copies: a stored step must not keep all of x
-        pres = x[self._nu:self._nu + self._np].copy()
+        u = x[:self._nu]
+        pres = x[self._nu:self._nu + self._np]
         etad = x[self.solid_map]
         eta = state.eta + self.ddt * etad
         return CoupledState(t=state.t + self.ddt, u=u, p=pres, eta=eta, etad=etad)
@@ -114,8 +120,9 @@ class MonolithicSolver:
 
 def run_reference(disc: Discretization, params: PhysicalParams,
                   state0: CoupledState, t_final: float,
-                  num_steps: int) -> ReferenceTrajectory:
-    """Run the monolithic solver on a fine grid, recording every step.
+                  num_steps: int, stride: int = 1) -> ReferenceTrajectory:
+    """Run the monolithic solver on a fine grid, keeping the fields every
+    `stride` steps and the interface trace and flux at every step.
 
     The flux at t_0 is taken from the first step (the best available
     approximation of the initial fluid traction on this grid).
@@ -123,16 +130,19 @@ def run_reference(disc: Discretization, params: PhysicalParams,
     ddt = t_final / num_steps
     solver = MonolithicSolver(disc, params, ddt)
     traj = ReferenceTrajectory(
-        ddt=ddt, times=np.linspace(0.0, t_final, num_steps + 1),
+        ddt=ddt, stride=stride, times=np.linspace(0.0, t_final, num_steps + 1),
         u=[state0.u], p=[state0.p], eta=[state0.eta], etad=[state0.etad],
-        flux=[None])
+        traces=[state0.u[disc.ifd_f]], flux=[None])
     state = state0
-    for _ in range(num_steps):
+    for k in range(1, num_steps + 1):
         new = solver.step(state)
-        traj.u.append(new.u)
-        traj.p.append(new.p)
-        traj.eta.append(new.eta)
-        traj.etad.append(new.etad)
+        if k % stride == 0:
+            # copies: a stored step must not keep all of the solve vector
+            traj.u.append(new.u.copy())
+            traj.p.append(new.p.copy())
+            traj.eta.append(new.eta)
+            traj.etad.append(new.etad)
+        traj.traces.append(new.u[disc.ifd_f])
         traj.flux.append(solver.fluid_flux(new.u, state.u, new.p))
         state = new
     traj.flux[0] = traj.flux[1]

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsisplit.cli import main
@@ -100,17 +100,20 @@ def test_dump_parse_fixed_point(tmp_path_factory, L, mu, lam, T):
 
 
 def test_missing_config_exits_2(tmp_path):
-    assert main(["stability", "--config", str(tmp_path / "nope.cfg")]) == 2
+    assert main(["stability", "--config", str(tmp_path / "nope.cfg"),
+                 "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
     path = write_config(tmp_path / "bad.cfg", **{"lambda": "0.0"})
-    assert main(["stability", "--config", path]) == 2
+    assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 2
     assert "lambda" in capsys.readouterr().err
     # l2 = nan once dropped the div-div term and exited 0
     path = write_config(tmp_path / "nan.cfg", l2="nan")
     assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 2
     assert "'l2'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_dump_config_command(tmp_path, capsys):
@@ -143,6 +146,58 @@ def test_converge_command(tmp_path):
     dts = [float(r["dt"]) for r in rows]
     assert dts == sorted(dts, reverse=True)
     assert (out / "consistency.csv").exists()
+
+
+# One cell per subdomain: both levels' errors are exactly 0, so the pairwise
+# rate is 0/0.
+ZERO_ERROR = {
+    "L": "0.016872741291426623", "H_f": "0.27597765877611896",
+    "H_s": "0.09954209598476502", "nx": "1", "ny_f": "1", "ny_s": "1",
+    "rho_f": "4330.093984177311", "rho_s": "0.00015949890968342694",
+    "mu": "2.379803202676259", "l1": "0.00014762467611305214", "l2": "0.0",
+    "lambda": "222.77699102169882", "T": "0.05102966262157215", "N": "1",
+    "m": "4", "dt_levels": "2", "seed": "1",
+}
+
+
+def test_converge_zero_error_exits_4(tmp_path, capsys):
+    path = write_config(tmp_path / "z.cfg", mode="converge", **ZERO_ERROR)
+    out = tmp_path / "o"
+    assert main(["converge", "--config", path, "--out", str(out)]) == 4
+    assert "rate = nan" in capsys.readouterr().out
+    rows = list(csv.DictReader((out / "converge.csv").open()))
+    assert [r["total"] for r in rows] == ["0", "0"]
+    assert [r["rate_pairwise"] for r in rows] == ["nan", "nan"]
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(cells=st.tuples(*[st.integers(1, 2)] * 4), m=st.integers(1, 4),
+       lengths=st.tuples(*[_decades(-2, 1)] * 3),
+       floats=st.tuples(*[_decades(-4, 4)] * 5),
+       l2=st.one_of(st.just(0.0), _decades(-4, 4)), T=_decades(-2, 0),
+       seed=st.integers(0, 3))
+@example(cells=(1, 1, 1, 1), m=4,
+         lengths=tuple(float(ZERO_ERROR[k]) for k in ("L", "H_f", "H_s")),
+         floats=tuple(float(ZERO_ERROR[k])
+                      for k in ("rho_f", "rho_s", "mu", "l1", "lambda")),
+         l2=0.0, T=float(ZERO_ERROR["T"]), seed=1)
+def test_every_command_keeps_exit_code_contract(tmp_path_factory, cells, m,
+                                                lengths, floats, l2, T, seed):
+    """Small configs across decades: every command exits 0, 2, 3 or 4, and
+    no exception escapes main."""
+    tmp = tmp_path_factory.mktemp("contract")
+    keys = dict(zip(("nx", "ny_f", "ny_s", "N"), map(str, cells)))
+    keys.update(zip(("L", "H_f", "H_s"), map(repr, lengths)))
+    keys.update(zip(("rho_f", "rho_s", "mu", "l1", "lambda"), map(repr, floats)))
+    path = write_config(tmp / "h.cfg", **keys, l2=repr(l2), T=repr(T),
+                        m=str(m), dt_levels="2", seed=str(seed))
+    for command in ("stability", "converge", "lambda-sweep", "dn-compare"):
+        assert main([command, "--config", path,
+                     "--out", str(tmp / command)]) in (0, 2, 3, 4)
 
 
 def test_dn_compare_without_blowup_exits_4(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,12 +181,11 @@ def test_ledger_residual_bookkeeping():
 def _reference_as_windows(disc, traj):
     """Wrap a reference trajectory as one-substep splitting windows."""
     windows = []
-    for k in range(1, len(traj.u)):
-        s = WindowSample(t=traj.times[k], u=traj.u[k], p=traj.p[k],
-                         eta=traj.eta[k], etad=traj.etad[k],
-                         u_trace=traj.u[k][disc.ifd_f],
-                         etad_trace=traj.etad[k][disc.ifd_s],
-                         traction=traj.flux[k])
+    for t, trace in zip(traj.times[1:], traj.traces[1:]):
+        ref, flux = traj.at(t)
+        s = WindowSample(t=t, u=ref.u, p=ref.p, eta=ref.eta, etad=ref.etad,
+                         u_trace=trace, etad_trace=ref.etad[disc.ifd_s],
+                         traction=flux)
         windows.append(WindowRecord(samples=[s], iface_used=None))
     return windows
 
@@ -246,26 +248,44 @@ def test_convergence_with_substeps(params, m):
         assert worst <= 1e-8 * scale, (worst, scale)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_strided_reference_gives_identical_error_reports(run_disc, params,
+                                                         monkeypatch, m):
+    """The error reports read the reference fields only at substep times, so
+    keeping them every lcm(8, m) / m steps changes no bit of any report."""
+    from fsisplit import experiments
+
+    strided = convergence(run_disc, params, 0.25, 4, 2, m)
+    ref = strided[3]
+    steps = 8 * math.lcm(8, m)  # finest level: 4 * 2 windows
+    assert ref.stride == math.lcm(8, m) // m
+    assert len(ref.u) == steps // ref.stride + 1
+    assert len(ref.flux) == len(ref.traces) == steps + 1
+    monkeypatch.setattr(experiments, "run_reference",
+                        lambda *args: run_reference(*args[:5]))
+    full = convergence(run_disc, params, 0.25, 4, 2, m)
+    assert full[3].stride == 1 and len(full[3].u) == steps + 1
+    for got, want in zip(strided[1], full[1]):
+        assert np.array(astuple(got)).tobytes() == np.array(astuple(want)).tobytes()
+    assert strided[2] == full[2]
+
+
 # -- consistency terms -------------------------------------------------------
 
 
-def _synthetic_trajectory(disc, t_final, steps, trace_of_t, flux_of_t):
-    ddt = t_final / steps
+def _synthetic_trajectory(t_final, steps, trace_of_t, flux_of_t):
+    """Interface trace and flux only: the consistency terms read no field."""
     times = np.linspace(0.0, t_final, steps + 1)
-    u, flux = [], []
-    for t in times:
-        v = np.zeros(disc.V_f.ndof)
-        v[disc.ifd_f] = trace_of_t(t)
-        u.append(v)
-        flux.append(flux_of_t(t))
-    return ReferenceTrajectory(ddt=ddt, times=times, u=u, p=None, eta=None,
-                               etad=None, flux=flux)
+    return ReferenceTrajectory(ddt=t_final / steps, stride=steps, times=times,
+                               u=None, p=None, eta=None, etad=None,
+                               traces=[trace_of_t(t) for t in times],
+                               flux=[flux_of_t(t) for t in times])
 
 
 def test_consistency_constant_trace(run_disc, params):
     d = run_disc
     c = np.linspace(1.0, 2.0, d.ifd_f.size)
-    traj = _synthetic_trajectory(d, 1.0, 32, lambda t: c, lambda t: d.M_c @ c)
+    traj = _synthetic_trajectory(1.0, 32, lambda t: c, lambda t: d.M_c @ c)
     g3, g2 = consistency_terms(d, traj, 0.25, params.lambda_robin, 1.0)
     assert np.abs(g3).max() < 1e-13
     assert np.abs(g2).max() < 1e-13
@@ -280,8 +300,8 @@ def test_consistency_linear_trace_closed_form(run_disc, params):
     c = np.linspace(-1.0, 1.0, d.ifd_f.size)
     c_sq = d.trace_norm_sq(c)
     dt, T, per = 0.25, 1.0, 64
-    traj = _synthetic_trajectory(d, T, int(T / dt) * per, lambda t: t * c,
-                                 lambda t: np.zeros(d.ifd_f.size))
+    traj = _synthetic_trajectory(T, int(T / dt) * per, lambda t: t * c,
+                              lambda t: np.zeros(d.ifd_f.size))
     g3, _ = consistency_terms(d, traj, dt, lam, T)
     assert g3[0] == pytest.approx(lam ** 2 * dt ** 3 / 3.0 * c_sq, rel=0.05)
     for val in g3[1:]:
@@ -291,8 +311,8 @@ def test_consistency_linear_trace_closed_form(run_disc, params):
 
 def test_consistency_rejects_incompatible_window(run_disc, params):
     d = run_disc
-    traj = _synthetic_trajectory(d, 1.0, 30, lambda t: np.zeros(d.ifd_f.size),
-                                 lambda t: np.zeros(d.ifd_f.size))
+    traj = _synthetic_trajectory(1.0, 30, lambda t: np.zeros(d.ifd_f.size),
+                              lambda t: np.zeros(d.ifd_f.size))
     with pytest.raises(ValueError):
         consistency_terms(d, traj, 0.25, params.lambda_robin, 1.0)
 

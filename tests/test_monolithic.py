@@ -129,14 +129,33 @@ def test_fluid_flux_matches_full_residual_bitwise(rng):
 
 def test_reference_trajectory_structure(run_disc, params):
     state0 = to_coupled(smooth_coupled_mode(run_disc, params))
-    traj = run_reference(run_disc, params, state0, 0.1, 8)
-    assert len(traj.u) == 9 and len(traj.flux) == 9
+    full = run_reference(run_disc, params, state0, 0.1, 8)
+    traj = run_reference(run_disc, params, state0, 0.1, 8, stride=4)
+    assert len(full.u) == 9 and len(full.flux) == 9
+    fields = (traj.u, traj.p, traj.eta, traj.etad)
+    assert all(len(f) == 8 // 4 + 1 for f in fields)
+    assert len(traj.flux) == len(traj.traces) == 9
     # each stored step owns its arrays, not a view of the solve vector
     assert all(a.base is None for a in traj.u + traj.p)
+    one_step = sum(f[0].nbytes for f in fields)
+    assert sum(a.nbytes for f in fields for a in f) <= (8 // 4 + 1) * one_step
     assert np.array_equal(traj.flux[0], traj.flux[1])
-    assert traj.index_at(0.1) == 8
-    with pytest.raises(ValueError):
-        traj.index_at(0.013)
+    # the kept steps and every step's trace and flux are those of the
+    # unstrided run, bit for bit
+    for t in traj.times[::4]:
+        (got, got_flux), (want, want_flux) = traj.at(t), full.at(t)
+        for a, b in zip((got.u, got.p, got.eta, got.etad, got_flux),
+                        (want.u, want.p, want.eta, want.etad, want_flux)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    for t, trace, flux in zip(traj.times, traj.traces, traj.flux):
+        state, want_flux = full.at(t)
+        assert np.array_equal(trace, state.u[run_disc.ifd_f])
+        assert np.array_equal(flux, want_flux)
+    assert full.at(0.1)[0].t == traj.at(0.1)[0].t == traj.times[-1]
+    # off the grid, and on the grid but not stored: never a neighbouring step
+    for t in (0.013, traj.times[1], traj.times[3]):
+        with pytest.raises(ValueError):
+            traj.at(t)
     # zero data gives the zero trajectory
     ztraj = run_reference(run_disc, params, zero_coupled(run_disc), 0.1, 4)
     assert max(np.abs(u).max() for u in ztraj.u) == 0.0

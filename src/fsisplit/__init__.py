@@ -2,11 +2,10 @@
 
 from .mesh import ChannelGeometry, Mesh, build_two_layer_mesh
 from .splitting import (Discretization, InterfaceData, PhysicalParams,
-                        RobinRobinSolver, SplitState, TimeGrid,
-                        initial_interface_data)
+                        RobinRobinSolver, SplitState, TimeGrid)
 
 __all__ = [
     "ChannelGeometry", "Mesh", "build_two_layer_mesh",
     "Discretization", "InterfaceData", "PhysicalParams", "RobinRobinSolver",
-    "SplitState", "TimeGrid", "initial_interface_data",
+    "SplitState", "TimeGrid",
 ]

@@ -119,7 +119,7 @@ def cmd_dn_compare(cfg: RunConfig, out_dir: str) -> None:
     ledger = experiments.robin_robin(disc, cfg.params, grid, state0)
     residuals = ledger.residuals()
     energies, growth = experiments.dirichlet_neumann(
-        disc, cfg.params, grid.dt, cfg.num_windows, state0, state0.iface.traction_avg)
+        disc, cfg.params, grid.dt, cfg.num_windows, state0)
 
     rows = [(n, n * grid.dt, e, ledger.E[n], residuals[n - 1])
             for n, e in enumerate(energies, 1)]

@@ -78,6 +78,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"key 'mode': must be one of {', '.join(MODES)}")
     if parsed["dt_levels"] < 2:
         raise ConfigError("key 'dt_levels': must be >= 2 to fit a rate")
+    if parsed["seed"] < 0:
+        raise ConfigError("key 'seed': must be >= 0")
     try:
         geometry = ChannelGeometry(parsed["L"], parsed["H_f"], parsed["H_s"])
     except ValueError as exc:

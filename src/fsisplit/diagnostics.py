@@ -77,7 +77,7 @@ def window_T(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
     total = 0.0
     for s in window.samples:
         visc = float(s.u @ (K_f @ s.u))  # K_f already carries the factor 2 mu
-        diff = s.etad_trace - window.iface_used.u_avg
+        diff = s.etad[disc.ifd_s] - window.iface_used.u_avg
         total += ddt * (visc + iface_weight * lam * disc.trace_norm_sq(diff))
     return total
 
@@ -95,7 +95,7 @@ def window_S(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
     total = 0.0
     for s in window.samples:
         total += grid.ddt * _interface_S(disc, params.lambda_robin, s.traction,
-                                         s.u_trace)
+                                         s.u[disc.ifd_f])
     return total
 
 
@@ -106,8 +106,10 @@ def initial_S0(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
 
 
 def build_ledger(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
-                 windows, state0, iface0) -> EnergyLedger:
-    """Assemble the full stability ledger from a splitting trajectory."""
+                 windows, state0) -> EnergyLedger:
+    """Assemble the full stability ledger from a splitting trajectory that
+    starts from the SplitState state0."""
+    iface0 = state0.iface
     ledger = EnergyLedger(
         S0=initial_S0(disc, params, grid, iface0.u_avg, iface0.traction_avg))
     ledger.E.append(energy_E(disc, params, state0.u, state0.etad, state0.eta))
@@ -141,14 +143,12 @@ def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
         samples = []
         for s in w.samples:
             ref, flux = reference.at(s.t)
-            eu, eetad = ref.u - s.u, ref.etad - s.etad
             samples.append(WindowSample(  # pressure enters no ledger term
-                t=s.t, u=eu, p=None, eta=ref.eta - s.eta, etad=eetad,
-                u_trace=eu[disc.ifd_f], etad_trace=eetad[disc.ifd_s],
-                traction=flux - s.traction))
+                t=s.t, u=ref.u - s.u, p=None, eta=ref.eta - s.eta,
+                etad=ref.etad - s.etad, traction=flux - s.traction))
         error = WindowRecord(samples=samples, iface_used=iface)
         T_windows.append(window_T(disc, params, grid, error, iface_weight=0.25))
-        iface = RobinRobinSolver.update_interface_average(samples)
+        iface = RobinRobinSolver.update_interface_average(disc, samples)
 
     last = error.samples[-1]
     return ErrorReport(E_final=energy_E(disc, params, last.u, last.etad, last.eta),

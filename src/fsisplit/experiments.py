@@ -9,9 +9,8 @@ import numpy as np
 
 from .diagnostics import build_ledger, energy_E, error_norms
 from .initial_data import pressure_pulse, random_state, smooth_coupled_mode
-from .monolithic import CoupledState, DirichletNeumannExplicit, run_reference
-from .splitting import (Discretization, PhysicalParams, RobinRobinSolver,
-                        TimeGrid, initial_interface_data)
+from .monolithic import DirichletNeumannExplicit, run_reference
+from .splitting import Discretization, PhysicalParams, RobinRobinSolver, TimeGrid
 
 
 def initial_state(disc: Discretization, params: PhysicalParams, seed: int):
@@ -24,8 +23,7 @@ def initial_state(disc: Discretization, params: PhysicalParams, seed: int):
 def robin_robin(disc: Discretization, params: PhysicalParams, grid: TimeGrid, state0):
     """The EnergyLedger of a Robin-Robin splitting run from state0."""
     states = RobinRobinSolver(disc, params, grid).run(state0)
-    return build_ledger(disc, params, grid, (s.window for s in states), state0,
-                        state0.iface)
+    return build_ledger(disc, params, grid, (s.window for s in states), state0)
 
 
 def convergence(disc: Discretization, params: PhysicalParams, t_final: float,
@@ -40,33 +38,33 @@ def convergence(disc: Discretization, params: PhysicalParams, t_final: float,
     # substep so that every substep time lies on the reference grid; the
     # error report reads the fields only at the finest substep times
     per_window = math.lcm(8, substeps)
-    ref = run_reference(disc, params, CoupledState(0.0, s0.u, s0.p, s0.eta, s0.etad),
-                        t_final, n_levels[-1] * per_window, per_window // substeps)
+    ref = run_reference(disc, params, s0, t_final, n_levels[-1] * per_window,
+                        per_window // substeps)
     dts, reports, residuals = [], [], []
     for n_win in n_levels:
         grid = TimeGrid(t_final, n_win, substeps)
         s0 = smooth_coupled_mode(disc, params)
-        s0.iface = initial_interface_data(disc, s0.u, traction0=ref.flux[0])
+        s0.iface.traction_avg = ref.flux[0]
         # kept, since the error report and the ledger both read them
         windows = [s.window for s in RobinRobinSolver(disc, params, grid).run(s0)]
         reports.append(error_norms(disc, params, grid, windows, ref, s0))
-        ledger = build_ledger(disc, params, grid, windows, s0, s0.iface)
+        ledger = build_ledger(disc, params, grid, windows, s0)
         residuals.append((float(ledger.residuals().max()), ledger.E[0] + ledger.S0))
         dts.append(grid.dt)
     return dts, reports, residuals, ref
 
 
 def dirichlet_neumann(disc: Discretization, params: PhysicalParams, dt: float,
-                      num_steps: int, state0, traction0):
-    """(energy after each explicit Dirichlet-Neumann step from state0, growth).
+                      num_steps: int, state0):
+    """(energy after each explicit Dirichlet-Neumann step from state0, growth);
+    the first step loads the solid with state0's interface traction.
 
     Growth is measured from the first non-zero energy, since a run may start
     from zero velocity and displacement (the pressure pulse): 0 for a history
     that never leaves zero, infinite for a non-finite energy.  The run stops
     at a non-finite energy or a 1e9-fold growth."""
     dn = DirichletNeumannExplicit(disc, params, dt)
-    state = CoupledState(0.0, state0.u, state0.p, state0.eta, state0.etad)
-    traction, e0, energies = traction0, 0.0, []
+    state, traction, e0, energies = state0, state0.iface.traction_avg, 0.0, []
     for _ in range(num_steps):
         state, traction = dn.step(state, traction)
         e = energy_E(disc, params, state.u, state.etad, state.eta)

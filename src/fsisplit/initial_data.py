@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (EDGE_POINTS, EDGE_WEIGHTS, Factorization,
-                       apply_dirichlet, edge_basis, p2_basis, _geometry)
+                       apply_dirichlet, edge_basis)
 from .splitting import Discretization, InterfaceData, PhysicalParams, SplitState
 
 
@@ -46,48 +46,27 @@ def solid_extension(disc: Discretization, trace: np.ndarray) -> np.ndarray:
     return out
 
 
-def pointwise_traction_load(disc: Discretization, u: np.ndarray, pressure,
-                            mu: float) -> np.ndarray:
-    """Interface quadrature of (2 mu eps(u) - p I) n against the interface
-    test functions; pressure is a callable of (x, y), evaluated on arrays of
-    points.
-
-    This is the pointwise (non-variational) traction, used to seed the n = 0
-    interface data from analytic initial pressure and as a low-order oracle
-    for the variational flux.
-    """
-    d = disc
-    space = d.V_f
+def pressure_traction_load(disc: Discretization, pressure) -> np.ndarray:
+    """Interface quadrature of the pressure traction -p n against the
+    interface test functions; pressure is a callable of (x, y), evaluated on
+    arrays of points.  Seeds the n = 0 interface data from an analytic
+    initial pressure at rest, where the viscous traction vanishes."""
+    space = disc.V_f
     facets = space.interface_facets  # (f, 3): endpoint0, endpoint1, midpoint
-    # the fluid cell of each interface facet: the one holding its midpoint
-    owner = np.empty(space.num_nodes, dtype=np.int64)
-    owner[space.cell_nodes[:, 3:]] = np.arange(space.cells.size)[:, None]
-    cell = owner[facets[:, 2]]
-    _, inv = _geometry(space.mesh, space.cells[cell])
-    origin = space.node_coords[space.cell_nodes[cell, 0]]
     p0, p1 = space.node_coords[facets[:, 0]], space.node_coords[facets[:, 1]]
     length = np.linalg.norm(p1 - p0, axis=1)
 
     xq = p0[:, None] + EDGE_POINTS[:, None] * (p1 - p0)[:, None]  # (f, q, 2)
-    # batched matmuls, as in assembly: the same BLAS products, the same bits
-    ref = (inv[:, None] @ (xq - origin[:, None])[..., None])[..., 0]
-    _, dn = p2_basis(ref[..., 0], ref[..., 1])
-    gphys = dn @ inv[:, None]
-    coef = u.reshape(-1, 2)[space.cell_nodes[cell]]  # (f, 6, 2)
-    grad = np.zeros(xq.shape + (2,))
-    for j in range(6):
-        grad = grad + coef[:, None, j, :, None] * gphys[:, :, j, None, :]
-    eps = 0.5 * (grad + grad.swapaxes(-1, -2))
     pres = np.broadcast_to(pressure(xq[..., 0], xq[..., 1]), xq.shape[:2])
-    sigma = 2.0 * mu * eps - pres[..., None, None] * np.eye(2)
-    tn = sigma[..., 1]  # sigma n with the outward fluid normal (0, 1) of the flat interface
+    tn = np.zeros(xq.shape)
+    tn[..., 1] = -pres  # the outward fluid normal of the flat interface is (0, 1)
 
     wl = EDGE_WEIGHTS * length[:, None]
     contrib = (wl[..., None] * edge_basis(2, EDGE_POINTS))[..., None] * tn[:, :, None]
     load = np.zeros((space.num_nodes, 2))
     # accumulate facet by facet, point by point, node by node
     np.add.at(load, np.broadcast_to(facets[:, None], contrib.shape[:3]), contrib)
-    return load.ravel()[d.ifd_f]
+    return load.ravel()[disc.ifd_f]
 
 
 def pressure_pulse(disc: Discretization, params: PhysicalParams,
@@ -104,12 +83,11 @@ def pressure_pulse(disc: Discretization, params: PhysicalParams,
     def p0(x, y):
         return amplitude * np.exp(-((x - L / 2.0) ** 2) / width ** 2)
 
-    u = np.zeros(d.V_f.ndof)
-    pres = p0(*d.Q.node_coords.T)
-    traction = pointwise_traction_load(d, u, p0, mu=0.0)
-    iface = InterfaceData(u_avg=np.zeros(d.ifd_f.size), traction_avg=traction)
-    return SplitState(n=0, u=u, p=pres, eta=np.zeros(d.V_s.ndof),
-                      etad=np.zeros(d.V_s.ndof), iface=iface)
+    iface = InterfaceData(u_avg=np.zeros(d.ifd_f.size),
+                          traction_avg=pressure_traction_load(d, p0))
+    return SplitState(t=0.0, u=np.zeros(d.V_f.ndof), p=p0(*d.Q.node_coords.T),
+                      eta=np.zeros(d.V_s.ndof), etad=np.zeros(d.V_s.ndof),
+                      iface=iface)
 
 
 def smooth_coupled_mode(disc: Discretization, params: PhysicalParams) -> SplitState:
@@ -120,8 +98,8 @@ def smooth_coupled_mode(disc: Discretization, params: PhysicalParams) -> SplitSt
     derivative on the outer fluid boundary, and is projected onto the
     discretely divergence-free subspace.  The solid velocity extends the
     fluid trace (shared interface values bitwise); displacement starts at
-    zero.  The initial traction is left to the caller (monolithic-consistent
-    flux), see initial_interface_data.
+    zero.  The initial traction is zero here: the caller sets
+    iface.traction_avg (e.g. to the monolithic-consistent flux).
     """
     d = disc
     L = d.geom.length
@@ -134,7 +112,7 @@ def smooth_coupled_mode(disc: Discretization, params: PhysicalParams) -> SplitSt
     etad = solid_extension(d, u[d.ifd_f])
     iface = InterfaceData(u_avg=u[d.ifd_f].copy(),
                           traction_avg=np.zeros(d.ifd_f.size))
-    return SplitState(n=0, u=u, p=np.zeros(d.Q.ndof),
+    return SplitState(t=0.0, u=u, p=np.zeros(d.Q.ndof),
                       eta=np.zeros(d.V_s.ndof), etad=etad, iface=iface)
 
 
@@ -151,5 +129,5 @@ def random_state(disc: Discretization, params: PhysicalParams,
     etad[d.dir_s] = 0.0
     traction = d.M_c @ rng.standard_normal(d.ifd_f.size)
     iface = InterfaceData(u_avg=u[d.ifd_f].copy(), traction_avg=traction)
-    return SplitState(n=0, u=u, p=np.zeros(d.Q.ndof), eta=eta, etad=etad,
+    return SplitState(t=0.0, u=u, p=np.zeros(d.Q.ndof), eta=eta, etad=etad,
                       iface=iface)

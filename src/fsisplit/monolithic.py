@@ -16,16 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import Factorization, apply_dirichlet
-from .splitting import Discretization, PhysicalParams
-
-
-@dataclass
-class CoupledState:
-    t: float
-    u: np.ndarray        # fluid velocity (fluid-space numbering)
-    p: np.ndarray
-    eta: np.ndarray      # solid displacement (solid-space numbering)
-    etad: np.ndarray     # solid velocity (solid-space numbering)
+from .splitting import CoupledState, Discretization, PhysicalParams
 
 
 @dataclass
@@ -46,7 +37,8 @@ class ReferenceTrajectory:
     def at(self, t: float):
         """(CoupledState, flux) at time t, which must be a stored step."""
         k = int(round(t / self.ddt))
-        if abs(k * self.ddt - t) > 1e-9 * max(1.0, abs(t)) or k % self.stride:
+        if (not 0 <= k < len(self.times) or k % self.stride
+                or abs(k * self.ddt - t) > 1e-9 * max(1.0, abs(t))):
             raise ValueError(f"time {t} is not a stored reference step")
         j = k // self.stride
         return (CoupledState(self.times[k], self.u[j], self.p[j], self.eta[j],

@@ -79,16 +79,21 @@ class InterfaceData:
 
 
 @dataclass
-class WindowSample:
-    """State of one backward-Euler substep (right endpoint values)."""
+class CoupledState:
+    """The fields every scheme advances, at time t."""
 
     t: float
-    u: np.ndarray
+    u: np.ndarray        # fluid velocity (fluid-space numbering)
     p: np.ndarray
-    eta: np.ndarray
-    etad: np.ndarray
-    u_trace: np.ndarray
-    etad_trace: np.ndarray
+    eta: np.ndarray      # solid displacement (solid-space numbering)
+    etad: np.ndarray     # solid velocity (solid-space numbering)
+
+
+@dataclass
+class WindowSample(CoupledState):
+    """State of one backward-Euler substep (right endpoint values) and the
+    fluid traction extracted there."""
+
     traction: np.ndarray
 
 
@@ -101,12 +106,10 @@ class WindowRecord:
 
 
 @dataclass
-class SplitState:
-    n: int
-    u: np.ndarray
-    p: np.ndarray
-    eta: np.ndarray
-    etad: np.ndarray
+class SplitState(CoupledState):
+    """The fields plus the interface data for the next window and the
+    record of the window that produced them (None for initial data)."""
+
     iface: InterfaceData
     window: WindowRecord | None = None
 
@@ -268,9 +271,9 @@ class RobinRobinSolver:
         return self.params.lambda_robin * (d.M_c @ diff) + iface.traction_avg
 
     @staticmethod
-    def update_interface_average(samples) -> InterfaceData:
+    def update_interface_average(disc: Discretization, samples) -> InterfaceData:
         """Rectangle-rule average of the substep traces and tractions."""
-        u_avg = np.mean([s.u_trace for s in samples], axis=0)
+        u_avg = np.mean([s.u[disc.ifd_f] for s in samples], axis=0)
         t_avg = np.mean([s.traction for s in samples], axis=0)
         return InterfaceData(u_avg, t_avg)
 
@@ -279,10 +282,8 @@ class RobinRobinSolver:
     def advance(self, state: SplitState) -> SplitState:
         """One window: solid solve, fluid solve, traction extraction, average
         update.  Records the substep samples needed by the diagnostics."""
-        d = self.disc
         grid = self.grid
         iface = state.iface
-        t0 = state.n * grid.dt
 
         solid = self.solid_step(state.eta, state.etad, iface)
         fluid = self.fluid_step(state.u, solid, iface)
@@ -291,13 +292,12 @@ class RobinRobinSolver:
         for k, ((eta, etad), (u, pres)) in enumerate(zip(solid, fluid)):
             traction = self.extract_fluid_traction(u, etad, iface)
             samples.append(WindowSample(
-                t=t0 + (k + 1) * grid.ddt, u=u, p=pres, eta=eta, etad=etad,
-                u_trace=u[d.ifd_f].copy(), etad_trace=etad[d.ifd_s].copy(),
+                t=state.t + (k + 1) * grid.ddt, u=u, p=pres, eta=eta, etad=etad,
                 traction=traction))
         last = samples[-1]
         return SplitState(
-            n=state.n + 1, u=last.u, p=last.p, eta=last.eta, etad=last.etad,
-            iface=self.update_interface_average(samples),
+            t=last.t, u=last.u, p=last.p, eta=last.eta, etad=last.etad,
+            iface=self.update_interface_average(self.disc, samples),
             window=WindowRecord(samples=samples, iface_used=iface))
 
     def run(self, state0: SplitState):
@@ -308,11 +308,3 @@ class RobinRobinSolver:
             state = self.advance(state)
             yield state
 
-
-def initial_interface_data(disc: Discretization, u0: np.ndarray,
-                           traction0: np.ndarray) -> InterfaceData:
-    """Interface data for the first window: the initial velocity trace plus
-    the initial fluid traction as a canonical load vector (e.g. a
-    monolithic-consistent variational flux)."""
-    return InterfaceData(u_avg=u0[disc.ifd_f].copy(),
-                         traction_avg=np.asarray(traction0, dtype=float))

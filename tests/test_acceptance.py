@@ -15,7 +15,7 @@ from fsisplit.diagnostics import consistency_terms, energy_E, fit_rate
 from fsisplit.experiments import (convergence, dirichlet_neumann, initial_state,
                                   robin_robin)
 from fsisplit.initial_data import random_state
-from fsisplit.monolithic import CoupledState, MonolithicSolver
+from fsisplit.monolithic import MonolithicSolver
 
 STABILITY_TOL = 1e-8
 RATE_THRESHOLD = 0.4
@@ -152,8 +152,7 @@ def test_criterion_5_assembly_oracle():
 def test_criterion_6_added_mass_contrast(disc16, base_params):
     T, N = 0.5, 200
     state0 = initial_state(disc16, base_params, 7)
-    _, growth = dirichlet_neumann(disc16, base_params, T / N, N, state0,
-                                  state0.iface.traction_avg)
+    _, growth = dirichlet_neumann(disc16, base_params, T / N, N, state0)
     ledger = robin_robin(disc16, base_params, TimeGrid(T, N, 1), state0)
     scale = ledger.E[0] + ledger.S0
     resid = float(ledger.residuals().max()) / scale
@@ -165,8 +164,7 @@ def test_criterion_6_added_mass_contrast(disc16, base_params):
 
 def test_criterion_7_monolithic_dissipation(disc16, base_params):
     solver = MonolithicSolver(disc16, base_params, 0.01)
-    st0 = random_state(disc16, base_params, np.random.default_rng(3))
-    state = CoupledState(0.0, st0.u, st0.p, st0.eta, st0.etad)
+    state = random_state(disc16, base_params, np.random.default_rng(3))
     e0 = energy_E(disc16, base_params, state.u, state.etad, state.eta)
     e_prev = e0
     worst = -np.inf

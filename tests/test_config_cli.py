@@ -60,7 +60,9 @@ def test_parse_tolerates_comments_and_blanks(tmp_path):
 ] + [({key: value}, f"key '{key}': must be finite")
      for key in ("L", "H_f", "H_s", "rho_f", "rho_s", "mu", "l1", "l2",
                  "lambda", "T")
-     for value in ("nan", "inf", "-inf")])
+     for value in ("nan", "inf", "-inf")] + [
+    ({"seed": "-1"}, "seed"),
+])
 def test_parse_rejects_and_names_key(tmp_path, overrides, needle):
     path = write_config(tmp_path / "bad.cfg", **overrides)
     with pytest.raises(ConfigError, match=needle):
@@ -179,7 +181,7 @@ def _decades(lo, hi):
        lengths=st.tuples(*[_decades(-2, 1)] * 3),
        floats=st.tuples(*[_decades(-4, 4)] * 5),
        l2=st.one_of(st.just(0.0), _decades(-4, 4)), T=_decades(-2, 0),
-       seed=st.integers(0, 3))
+       seed=st.integers(-2, 3))
 @example(cells=(1, 1, 1, 1), m=4,
          lengths=tuple(float(ZERO_ERROR[k]) for k in ("L", "H_f", "H_s")),
          floats=tuple(float(ZERO_ERROR[k])

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,9 +13,8 @@ from fsisplit.diagnostics import (EnergyLedger, consistency_terms, energy_E,
                                   window_T)
 from fsisplit.experiments import convergence
 from fsisplit.initial_data import smooth_coupled_mode
-from fsisplit.monolithic import CoupledState, ReferenceTrajectory, run_reference
-from fsisplit.splitting import (InterfaceData, SplitState, WindowRecord,
-                                WindowSample)
+from fsisplit.monolithic import ReferenceTrajectory, run_reference
+from fsisplit.splitting import InterfaceData, WindowRecord, WindowSample
 
 
 def interpolate(space, f):
@@ -46,9 +45,8 @@ def test_energy_constant_fluid_velocity(run_disc):
     assert energy_E(d, params, u, zeros, zeros) == pytest.approx(2.0, rel=1e-13)
 
 
-def _make_window(d, t, u, p, eta, etad, traction, iface):
-    s = WindowSample(t=t, u=u, p=p, eta=eta, etad=etad, u_trace=u[d.ifd_f],
-                     etad_trace=etad[d.ifd_s], traction=traction)
+def _make_window(t, u, p, eta, etad, traction, iface):
+    s = WindowSample(t=t, u=u, p=p, eta=eta, etad=etad, traction=traction)
     return WindowRecord(samples=[s], iface_used=iface)
 
 
@@ -56,7 +54,7 @@ def test_window_T_zero_and_matched(run_disc, params):
     d = run_disc
     grid = TimeGrid(0.5, 4)
     zero = np.zeros(d.ifd_f.size)
-    zero_w = _make_window(d, grid.dt, np.zeros(d.V_f.ndof), np.zeros(d.Q.ndof),
+    zero_w = _make_window(grid.dt, np.zeros(d.V_f.ndof), np.zeros(d.Q.ndof),
                           np.zeros(d.V_s.ndof), np.zeros(d.V_s.ndof), zero,
                           InterfaceData(zero, zero))
     assert window_T(d, params, grid, zero_w) == 0.0
@@ -66,7 +64,7 @@ def test_window_T_zero_and_matched(run_disc, params):
     etad[d.ifd_s] = u[d.ifd_f]
     iface = InterfaceData(u_avg=u[d.ifd_f].copy(),
                           traction_avg=np.zeros(d.ifd_f.size))
-    w = _make_window(d, grid.dt, u, np.zeros(d.Q.ndof), np.zeros(d.V_s.ndof),
+    w = _make_window(grid.dt, u, np.zeros(d.Q.ndof), np.zeros(d.V_s.ndof),
                      etad, np.zeros(d.ifd_f.size), iface)
     assert window_T(d, params, grid, w) < 1e-13
 
@@ -82,7 +80,7 @@ def test_window_quantities_match_dense_oracle(small_disc, params, rng):
     traction = rng.standard_normal(d.ifd_f.size)
     iface = InterfaceData(u_avg=rng.standard_normal(d.ifd_f.size),
                           traction_avg=np.zeros(d.ifd_f.size))
-    w = _make_window(d, grid.dt, u, np.zeros(d.Q.ndof), np.zeros(d.V_s.ndof),
+    w = _make_window(grid.dt, u, np.zeros(d.Q.ndof), np.zeros(d.V_s.ndof),
                      etad, traction, iface)
 
     K_dense = oracles.dense_symgrad(d.V_f, params.mu)
@@ -105,13 +103,12 @@ def test_initial_S0_constant_pressure(params):
     traction is only representable up to an O(h) boundary effect; the mesh
     here is fine enough for a 2 percent check.
     """
-    from fsisplit.initial_data import pointwise_traction_load
+    from fsisplit.initial_data import pressure_traction_load
 
     disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 16, 2, 2)
     p0 = 2.0
     grid = TimeGrid(0.5, 4)
-    load = pointwise_traction_load(disc, np.zeros(disc.V_f.ndof),
-                                   lambda x, y: p0, mu=0.0)
+    load = pressure_traction_load(disc, lambda x, y: p0)
     got = initial_S0(disc, params, grid, np.zeros(disc.ifd_f.size), load)
     want = grid.dt / (2.0 * params.lambda_robin) * p0 ** 2 * 1.0
     assert got == pytest.approx(want, rel=0.02)
@@ -178,13 +175,12 @@ def test_ledger_residual_bookkeeping():
         assert residuals[k - 1] == want == ledger.stability_residual(k)
 
 
-def _reference_as_windows(disc, traj):
+def _reference_as_windows(traj):
     """Wrap a reference trajectory as one-substep splitting windows."""
     windows = []
-    for t, trace in zip(traj.times[1:], traj.traces[1:]):
+    for t in traj.times[1:]:
         ref, flux = traj.at(t)
         s = WindowSample(t=t, u=ref.u, p=ref.p, eta=ref.eta, etad=ref.etad,
-                         u_trace=trace, etad_trace=ref.etad[disc.ifd_s],
                          traction=flux)
         windows.append(WindowRecord(samples=[s], iface_used=None))
     return windows
@@ -192,26 +188,21 @@ def _reference_as_windows(disc, traj):
 
 def test_error_norms_reference_vs_itself(run_disc, params):
     state0 = smooth_coupled_mode(run_disc, params)
-    traj = run_reference(run_disc, params,
-                         CoupledState(0.0, state0.u, state0.p, state0.eta,
-                                      state0.etad), 0.2, 8)
+    traj = run_reference(run_disc, params, state0, 0.2, 8)
     grid = TimeGrid(0.2, 8, 1)
     rep = error_norms(run_disc, params, grid,
-                      _reference_as_windows(run_disc, traj), traj, state0)
+                      _reference_as_windows(traj), traj, state0)
     assert rep.E_final == 0.0 and rep.T_sum == 0.0 and rep.S_final == 0.0
     assert rep.total == 0.0
 
 
 def test_error_norms_rejects_mismatched_start(run_disc, params, rng):
     state0 = smooth_coupled_mode(run_disc, params)
-    traj = run_reference(run_disc, params,
-                         CoupledState(0.0, state0.u, state0.p, state0.eta,
-                                      state0.etad), 0.2, 8)
-    other = SplitState(n=0, u=state0.u + 1.0, p=state0.p, eta=state0.eta,
-                       etad=state0.etad, iface=state0.iface)
+    traj = run_reference(run_disc, params, state0, 0.2, 8)
+    other = replace(state0, u=state0.u + 1.0)
     with pytest.raises(ValueError):
         error_norms(run_disc, params, TimeGrid(0.2, 8, 1),
-                    _reference_as_windows(run_disc, traj), traj, other)
+                    _reference_as_windows(traj), traj, other)
 
 
 def test_two_level_error_ratio(run_disc, params):

@@ -9,10 +9,6 @@ from fsisplit.monolithic import (CoupledState, DirichletNeumannExplicit,
                                  MonolithicSolver, _fluid_flux, run_reference)
 
 
-def to_coupled(state):
-    return CoupledState(0.0, state.u, state.p, state.eta, state.etad)
-
-
 def zero_coupled(disc):
     return CoupledState(0.0, np.zeros(disc.V_f.ndof), np.zeros(disc.Q.ndof),
                         np.zeros(disc.V_s.ndof), np.zeros(disc.V_s.ndof))
@@ -27,7 +23,7 @@ def test_zero_state_fixed_point(run_disc, params):
 
 def test_interface_velocities_shared_bitwise(run_disc, params, rng):
     solver = MonolithicSolver(run_disc, params, 0.05)
-    state = to_coupled(random_state(run_disc, params, rng))
+    state = random_state(run_disc, params, rng)
     for _ in range(3):
         state = solver.step(state)
         assert np.array_equal(state.u[run_disc.ifd_f], state.etad[run_disc.ifd_s])
@@ -81,7 +77,7 @@ def test_coupled_matrix_matches_dense_hand_assembly(params, rng):
 
 def test_energy_non_increasing_random_steps(run_disc, params, rng):
     solver = MonolithicSolver(run_disc, params, 0.02)
-    state = to_coupled(random_state(run_disc, params, rng))
+    state = random_state(run_disc, params, rng)
     e0 = energy_E(run_disc, params, state.u, state.etad, state.eta)
     e_prev = e0
     for _ in range(100):
@@ -96,7 +92,7 @@ def test_interface_flux_balance(run_disc, params, rng):
     d = run_disc
     solver = MonolithicSolver(d, params, dt)
     A_s = d.stiffness_solid(params.l1, params.l2)
-    state = to_coupled(random_state(d, params, rng))
+    state = random_state(d, params, rng)
     for _ in range(3):
         new = solver.step(state)
         tf = solver.fluid_flux(new.u, state.u, new.p)
@@ -128,7 +124,7 @@ def test_fluid_flux_matches_full_residual_bitwise(rng):
 
 
 def test_reference_trajectory_structure(run_disc, params):
-    state0 = to_coupled(smooth_coupled_mode(run_disc, params))
+    state0 = smooth_coupled_mode(run_disc, params)
     full = run_reference(run_disc, params, state0, 0.1, 8)
     traj = run_reference(run_disc, params, state0, 0.1, 8, stride=4)
     assert len(full.u) == 9 and len(full.flux) == 9
@@ -153,7 +149,8 @@ def test_reference_trajectory_structure(run_disc, params):
         assert np.array_equal(flux, want_flux)
     assert full.at(0.1)[0].t == traj.at(0.1)[0].t == traj.times[-1]
     # off the grid, and on the grid but not stored: never a neighbouring step
-    for t in (0.013, traj.times[1], traj.times[3]):
+    # before 0 and past T, even at a multiple of the stride
+    for t in (0.013, traj.times[1], traj.times[3], -traj.times[4], 0.15):
         with pytest.raises(ValueError):
             traj.at(t)
     # zero data gives the zero trajectory
@@ -162,7 +159,7 @@ def test_reference_trajectory_structure(run_disc, params):
 
 
 def test_reference_self_convergence(run_disc, params):
-    state0 = to_coupled(smooth_coupled_mode(run_disc, params))
+    state0 = smooth_coupled_mode(run_disc, params)
     finals = []
     for steps in (16, 32, 64):
         traj = run_reference(run_disc, params, state0, 0.2, steps)
@@ -188,8 +185,8 @@ def test_dirichlet_neumann_added_mass_contrast(run_disc, rng):
     def growth(rho_s):
         params = PhysicalParams(1.0, rho_s, 0.1, 1.0, 1.0, 1.0)
         state0 = initial_state(run_disc, params, 5)
-        traction0 = rng.standard_normal(run_disc.ifd_f.size)
-        return dirichlet_neumann(run_disc, params, 0.01, 200, state0, traction0)[1]
+        state0.iface.traction_avg = rng.standard_normal(run_disc.ifd_f.size)
+        return dirichlet_neumann(run_disc, params, 0.01, 200, state0)[1]
 
     assert growth(1.0) >= 1e6
     assert growth(1000.0) < 1e3

@@ -18,7 +18,7 @@ def zero_iface(disc):
 
 
 def zero_state(disc):
-    return SplitState(n=0, u=np.zeros(disc.V_f.ndof), p=np.zeros(disc.Q.ndof),
+    return SplitState(t=0.0, u=np.zeros(disc.V_f.ndof), p=np.zeros(disc.Q.ndof),
                       eta=np.zeros(disc.V_s.ndof), etad=np.zeros(disc.V_s.ndof),
                       iface=zero_iface(disc))
 
@@ -168,29 +168,29 @@ def test_interface_algebra_identity(run_disc, params, rng):
     state = random_state(d, params, rng)
     new = solver.advance(state)
     for s in new.window.samples:
-        lhs = s.traction + lam * (d.M_c @ s.u_trace)
-        rhs = lam * (d.M_c @ s.etad_trace) + state.iface.traction_avg
+        lhs = s.traction + lam * (d.M_c @ s.u[d.ifd_f])
+        rhs = lam * (d.M_c @ s.etad[d.ifd_s]) + state.iface.traction_avg
         assert np.abs(lhs - rhs).max() <= 1e-13 * max(1.0, np.abs(rhs).max())
 
 
-def test_window_averages():
-    n = 3
+def test_window_averages(run_disc):
+    d = run_disc
 
     def sample(u, t):
-        z = np.full(n, float(u))
-        return WindowSample(t=t, u=None, p=None, eta=None, etad=None,
-                            u_trace=z, traction=2.0 * z, etad_trace=z)
+        return WindowSample(t=t, u=np.full(d.V_f.ndof, float(u)), p=None,
+                            eta=None, etad=None,
+                            traction=np.full(d.ifd_f.size, 2.0 * u))
 
-    one = RobinRobinSolver.update_interface_average([sample(5.0, 1.0)])
+    one = RobinRobinSolver.update_interface_average(d, [sample(5.0, 1.0)])
     assert np.all(one.u_avg == 5.0) and np.all(one.traction_avg == 10.0)
     two = RobinRobinSolver.update_interface_average(
-        [sample(1.0, 0.5), sample(3.0, 1.0)])
+        d, [sample(1.0, 0.5), sample(3.0, 1.0)])
     assert np.all(two.u_avg == 2.0)
     # linear-in-time trace, m = 4: mean of right-endpoint samples equals the
     # exact integral of the piecewise-constant backward-Euler interpolant
     ts = [0.25, 0.5, 0.75, 1.0]
     lin = RobinRobinSolver.update_interface_average(
-        [sample(2.0 * t, t) for t in ts])
+        d, [sample(2.0 * t, t) for t in ts])
     assert np.allclose(lin.u_avg, np.mean([2.0 * t for t in ts]))
 
 

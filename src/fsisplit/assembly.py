@@ -96,12 +96,15 @@ def _quadrature(space: Space):
 
 def _scatter(shape, row_dofs, col_dofs, blocks):
     """Sum (c, i, j) local blocks into a CSR matrix at rows row_dofs[c, i]
-    and columns col_dofs[c, j]; entries go in cell-major order."""
+    and columns col_dofs[c, j]; entries go in cell-major order.  Exact zeros
+    (the x-y couplings of the mass forms) are not stored, so that no matvec
+    multiplies them."""
     rows = np.broadcast_to(row_dofs[:, :, None], blocks.shape)
     cols = np.broadcast_to(col_dofs[:, None, :], blocks.shape)
     mat = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
                         shape=shape).tocsr()
     mat.sum_duplicates()
+    mat.eliminate_zeros()
     mat.sort_indices()
     return mat
 
@@ -145,6 +148,22 @@ def assemble_vector_mass(space: Space, density: float) -> sp.csr_matrix:
     return _assemble_cellwise(space, blocks)
 
 
+def _gradient_pairs(gphys, w):
+    """(c, 2, 2, nl, nl) blocks of the integrals of d_a phi_i d_b phi_j: the
+    one contraction every strain form is built from."""
+    return np.einsum("cq,cqia,cqjb->cabij", w, gphys, gphys)
+
+
+def _symgrad_blocks(pairs):
+    """Component blocks of 2 eps(u):eps(v) from the gradient pairs: their
+    (a, b)-transpose plus the Laplacian on the diagonal."""
+    out = pairs.transpose(0, 2, 1, 3, 4).copy()
+    lap = pairs[:, 0, 0] + pairs[:, 1, 1]
+    out[:, 0, 0] += lap
+    out[:, 1, 1] += lap
+    return out
+
+
 def assemble_symgrad(space: Space, coeff: float) -> sp.csr_matrix:
     """coeff * integral of 2 eps(u):eps(v); with coeff = mu this is the
     viscous stiffness 2 mu (eps(u), eps(v))."""
@@ -154,13 +173,7 @@ def assemble_symgrad(space: Space, coeff: float) -> sp.csr_matrix:
         raise ValueError("coefficient must be positive")
 
     def blocks(gphys, vals, w):
-        lap = np.einsum("cq,cqid,cqjd->cij", w, gphys, gphys)
-        out = np.empty((lap.shape[0], 2, 2) + lap.shape[1:])
-        for a in range(2):
-            for b in range(2):
-                cross = np.einsum("cq,cqi,cqj->cij", w, gphys[..., b], gphys[..., a])
-                out[:, a, b] = cross + (lap if a == b else 0.0)
-        return coeff * out
+        return coeff * _symgrad_blocks(_gradient_pairs(gphys, w))
 
     return _assemble_cellwise(space, blocks)
 
@@ -171,7 +184,7 @@ def assemble_divdiv(space: Space, coeff: float) -> sp.csr_matrix:
         raise ValueError("div-div form requires a vector space")
 
     def blocks(gphys, vals, w):
-        return coeff * np.einsum("cq,cqia,cqjb->cabij", w, gphys, gphys)
+        return coeff * _gradient_pairs(gphys, w)
 
     return _assemble_cellwise(space, blocks)
 
@@ -179,15 +192,18 @@ def assemble_divdiv(space: Space, coeff: float) -> sp.csr_matrix:
 def assemble_elasticity(space: Space, l1: float, l2: float) -> sp.csr_matrix:
     """2 L1 (eps(w), eps(v)) + L2 (div w, div v); induces the solid energy
     norm used throughout the diagnostics."""
+    if space.ncomp != 2:
+        raise ValueError("elasticity form requires a vector space")
     if l1 <= 0:
         raise ValueError("l1 must be positive")
     if l2 < 0:
         raise ValueError("l2 must be non-negative")
-    mat = assemble_symgrad(space, l1)
-    if l2 > 0:
-        mat = (mat + assemble_divdiv(space, l2)).tocsr()
-    mat.sort_indices()
-    return mat
+
+    def blocks(gphys, vals, w):
+        pairs = _gradient_pairs(gphys, w)
+        return l1 * _symgrad_blocks(pairs) + l2 * pairs
+
+    return _assemble_cellwise(space, blocks)
 
 
 def assemble_divergence(vel: Space, pres: Space) -> sp.csr_matrix:
@@ -254,22 +270,22 @@ class SingularSystemError(RuntimeError):
 class Factorization:
     """LU factorization ordered to the matrix; safe for repeated solves.
 
-    Symmetric with a positive diagonal (a solid operator): minimum degree on
-    A + A^T and partial pivoting.  Otherwise (a saddle point): COLAMD and
-    threshold pivoting, which keeps more of the sparse ordering; the normwise
-    backward error of the first solve with b != 0 is checked to make it safe.
+    The column ordering follows from symmetry alone: minimum degree on
+    A + A^T for an exactly symmetric matrix (the solid operators and the
+    divergence-free projection), COLAMD otherwise (the fluid saddle points
+    and the monolithic matrix).
+    Threshold pivoting keeps more of that ordering than partial pivoting
+    does; the normwise backward error of the first solve with b != 0 is
+    checked to make it safe.
     """
 
     def __init__(self, A: sp.spmatrix):
         A = A.tocsc()
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
-        if (A.diagonal() > 0).all() and abs(A - A.T).max() == 0:
-            options = {"permc_spec": "MMD_AT_PLUS_A"}
-        else:
-            options = {"permc_spec": "COLAMD", "diag_pivot_thresh": 0.01}
+        order = "MMD_AT_PLUS_A" if abs(A - A.T).max() == 0 else "COLAMD"
         try:
-            self._lu = spla.splu(A, **options)
+            self._lu = spla.splu(A, permc_spec=order, diag_pivot_thresh=0.01)
         except RuntimeError as exc:
             raise SingularSystemError(str(exc)) from exc
         self._unchecked = A  # dropped once the first solve is checked

@@ -18,8 +18,9 @@ import numpy as np
 from . import experiments
 from .assembly import SingularSystemError
 from .config import ConfigError, RunConfig, dump_config, parse_config
-from .diagnostics import consistency_terms, fit_rate
-from .splitting import Discretization, TimeGrid
+from .diagnostics import consistency_terms, energy_E, fit_rate
+from .initial_data import stream_function_velocity
+from .splitting import Discretization, PhysicalParams, TimeGrid
 
 # Every verdict is written as `not (value <= bound)` or `not (value >= bound)`
 # so that a NaN fails it.
@@ -27,6 +28,10 @@ STABILITY_TOL = 1e-8
 RATE_THRESHOLD = 0.4
 DN_BLOWUP_FACTOR = 1e6
 LAMBDA_SWEEP = (0.1, 1.0, 10.0)
+# A smooth mode whose initial energy scale is below this share of the
+# stream-function field it was projected from is round-off: the mesh holds no
+# divergence-free velocity of that shape, and no rate fits its errors.
+ROUNDOFF_SHARE = 1e-20
 
 
 class ThresholdError(RuntimeError):
@@ -38,6 +43,14 @@ def _write_csv(path, header, rows):
         for row in (header, *rows):
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
                               for v in row) + "\n")
+
+
+def _roundoff_floor(disc: Discretization, params: PhysicalParams) -> float:
+    """The initial energy scale E0 + S0 below which the convergence study's
+    smooth mode is round-off; it takes matvecs, no solve."""
+    zero = np.zeros(disc.V_s.ndof)
+    u = stream_function_velocity(disc)
+    return ROUNDOFF_SHARE * energy_E(disc, params, u, zero, zero)
 
 
 def cmd_stability(cfg: RunConfig, out_dir: str) -> None:
@@ -61,7 +74,7 @@ def cmd_stability(cfg: RunConfig, out_dir: str) -> None:
 
 def cmd_converge(cfg: RunConfig, out_dir: str) -> None:
     disc = Discretization(cfg.geometry, cfg.nx, cfg.ny_f, cfg.ny_s)
-    dts, reports, _, ref = experiments.convergence(
+    dts, reports, residuals, ref = experiments.convergence(
         disc, cfg.params, cfg.t_final, cfg.num_windows, cfg.dt_levels, cfg.substeps)
     totals = [r.total for r in reports]
     # np.divide: a level with zero error gives a NaN or infinite rate, not
@@ -84,6 +97,10 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> None:
 
     slope = fit_rate(dts, totals)
     print(f"fitted energy-norm rate = {slope:.3f}")
+    scale, floor = residuals[0][1], _roundoff_floor(disc, cfg.params)
+    if not (scale >= floor):
+        raise ThresholdError(f"initial energy {scale:.3e} is round-off "
+                             f"(below {floor:.3e}); no rate is measured")
     if not (slope >= RATE_THRESHOLD):
         raise ThresholdError(f"convergence rate {slope:.3f} below {RATE_THRESHOLD}")
 
@@ -92,6 +109,7 @@ def cmd_lambda_sweep(cfg: RunConfig, out_dir: str) -> None:
     disc = Discretization(cfg.geometry, cfg.nx, cfg.ny_f, cfg.ny_s)
     rows = []
     failed = []
+    floor = _roundoff_floor(disc, cfg.params)
     for lam in LAMBDA_SWEEP:
         params = replace(cfg.params, lambda_robin=lam)
         # [:3] frees this lambda's reference before the next one is built
@@ -103,6 +121,8 @@ def cmd_lambda_sweep(cfg: RunConfig, out_dir: str) -> None:
             if not (resid <= STABILITY_TOL * scale):
                 failed.append(f"lambda={lam}: residual {resid:.3e}")
         print(f"lambda = {lam}: rate = {slope:.3f}")
+        if not (residuals[0][1] >= floor):
+            failed.append(f"lambda={lam}: initial energy at round-off")
         if not (slope >= RATE_THRESHOLD):
             failed.append(f"lambda={lam}: rate {slope:.3f}")
     _write_csv(os.path.join(out_dir, "lambda_sweep.csv"),

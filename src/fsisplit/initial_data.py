@@ -90,6 +90,16 @@ def pressure_pulse(disc: Discretization, params: PhysicalParams,
                       iface=iface)
 
 
+def stream_function_velocity(disc: Discretization) -> np.ndarray:
+    """The curl of the stream function psi = x^2 (L-x)^2 y^2 at the fluid
+    velocity nodes: the smooth mode's velocity before its projection."""
+    L = disc.geom.length
+    x, y = disc.V_f.node_coords.T
+    ux = x ** 2 * (L - x) ** 2 * 2.0 * y
+    uy = -(2 * x * (L - x) ** 2 - 2 * x ** 2 * (L - x)) * y ** 2
+    return np.column_stack([ux, uy]).ravel()
+
+
 def smooth_coupled_mode(disc: Discretization, params: PhysicalParams) -> SplitState:
     """Smooth, kinematically compatible initial data for convergence runs.
 
@@ -102,12 +112,7 @@ def smooth_coupled_mode(disc: Discretization, params: PhysicalParams) -> SplitSt
     iface.traction_avg (e.g. to the monolithic-consistent flux).
     """
     d = disc
-    L = d.geom.length
-
-    x, y = d.V_f.node_coords.T
-    ux = x ** 2 * (L - x) ** 2 * 2.0 * y
-    uy = -(2 * x * (L - x) ** 2 - 2 * x ** 2 * (L - x)) * y ** 2
-    u = project_divergence_free(d, np.column_stack([ux, uy]).ravel())
+    u = project_divergence_free(d, stream_function_velocity(d))
 
     etad = solid_extension(d, u[d.ifd_f])
     iface = InterfaceData(u_avg=u[d.ifd_f].copy(),

@@ -1,5 +1,6 @@
 import csv
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +171,23 @@ def test_converge_zero_error_exits_4(tmp_path, capsys):
     rows = list(csv.DictReader((out / "converge.csv").open()))
     assert [r["total"] for r in rows] == ["0", "0"]
     assert [r["rate_pairwise"] for r in rows] == ["nan", "nan"]
+
+
+# The shipped converge config on one cell per subdomain.  That mesh holds no
+# divergence-free velocity of the stream function's shape: the smooth mode is
+# exactly zero on the unit channel and round-off (E0 about 7e-32) on the long
+# one, whose errors of about 1e-29 used to fit a rate of 0.546 and exit 0.
+@pytest.mark.parametrize("command", ["converge", "lambda-sweep"])
+@pytest.mark.parametrize("geometry", [{}, {"L": "3.0", "H_f": "0.2", "H_s": "0.5"}],
+                         ids=["unit", "long"])
+def test_roundoff_smooth_mode_exits_4(tmp_path, capsys, command, geometry):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "converge.cfg"
+    keys = dict(line.split(" = ") for line in shipped.read_text().splitlines())
+    keys.update(nx="1", ny_f="1", ny_s="1", **geometry)
+    path = tmp_path / "r.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "round-off" in capsys.readouterr().err
 
 
 def _decades(lo, hi):

@@ -284,9 +284,19 @@ def _fill(lu):
     return lu.L.nnz + lu.U.nnz
 
 
+def test_operators_store_no_zeros(small_disc, params):
+    d = small_disc
+    for A in (d.M_f, d.M_s, d.B, d.M_if, d.M_is, d.stiffness_fluid(params.mu),
+              d.stiffness_solid(params.l1, params.l2)):
+        assert A.nnz > 0 and np.all(A.data != 0)
+    # the mass forms couple no x component with a y component
+    assert d.M_f[0::2, 1::2].nnz == 0
+
+
 def test_factorization_orders_to_structure(params, monkeypatch):
-    """The solid operators (symmetric, positive diagonal) have less fill than
-    COLAMD gives them, the fluid saddle less than partially pivoted COLAMD."""
+    """The symmetric operators (solid, extension, projection) have less fill
+    than COLAMD gives them, the fluid saddle less than partially pivoted
+    COLAMD."""
     made = []
 
     class Recording(Factorization):
@@ -299,22 +309,29 @@ def test_factorization_orders_to_structure(params, monkeypatch):
     d = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 16, 16, 16)
     RobinRobinSolver(d, params, TimeGrid(0.5, 64, 2))
     initial_data.solid_extension(d, np.ones(d.ifd_s.size))
-    (S, solid), (F, fluid), (E, extension) = made
+    initial_data.project_divergence_free(d, np.ones(d.V_f.ndof))
+    (S, solid), (F, fluid), (E, extension), (P, projection) = made
     assert abs(S - S.T).max() == 0 and abs(F - F.T).max() > 0
+    assert abs(P - P.T).max() == 0
     for A, fac in ((S, solid), (E, extension)):
         assert _fill(fac._lu) < _fill(spla.splu(A, permc_spec="COLAMD"))
     assert _fill(fluid._lu) < _fill(spla.splu(F, permc_spec="COLAMD"))
+    # the zero block of the projection's saddle point does not send it to
+    # COLAMD: minimum degree beats it under the same pivoting
+    assert _fill(projection._lu) < _fill(
+        spla.splu(P, permc_spec="COLAMD", diag_pivot_thresh=0.01))
 
 
 def test_symmetric_path_pivots_tiny_diagonal(monkeypatch):
-    # a zero pivot threshold would keep the 1e-17 pivot and return [2, 0]
+    # a zero pivot threshold would keep the 1e-17 pivot and return [2, 0];
+    # 1e-17 lies below the 0.01 threshold, so the row swap still happens
     used = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda A, **kw: used.append(kw) or splu(A, **kw))
     A = sp.csr_matrix(np.array([[1e-17, 1.0], [1.0, 1e-17]]))
     b = np.array([1.0, 2.0])
     x = Factorization(A).solve(b)
-    assert used == [{"permc_spec": "MMD_AT_PLUS_A"}]
+    assert used == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01}]
     assert np.array_equal(x, [2.0, 1.0])
     assert np.abs(b - A @ x).max() == 0.0
 

@@ -6,7 +6,8 @@ from fsisplit import ChannelGeometry, Discretization, TimeGrid, initial_data
 from fsisplit.diagnostics import initial_S0
 from fsisplit.initial_data import (pressure_pulse, pressure_traction_load,
                                    project_divergence_free, random_state,
-                                   smooth_coupled_mode, solid_extension)
+                                   smooth_coupled_mode, solid_extension,
+                                   stream_function_velocity)
 
 
 def test_pressure_pulse_zero_amplitude(run_disc, params):
@@ -104,6 +105,7 @@ def test_initial_fields_match_nodewise_loops(params):
     for n, (x, y) in enumerate(d.V_f.node_coords):
         u_raw[2 * n] = x ** 2 * (L - x) ** 2 * 2.0 * y
         u_raw[2 * n + 1] = -(2 * x * (L - x) ** 2 - 2 * x ** 2 * (L - x)) * y ** 2
+    assert np.array_equal(stream_function_velocity(d), u_raw)
     want_u = project_divergence_free(d, u_raw)
     assert np.array_equal(smooth_coupled_mode(d, params).u, want_u)
 

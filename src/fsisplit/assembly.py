@@ -1,7 +1,8 @@
 """Bilinear form assembly, boundary conditions and the sparse direct solve.
 
 Quadrature: 6-point degree-4 rule on triangles, 3-point Gauss on interface
-edges — exact for every product of P2 basis functions appearing here.
+edges — exact for every product of P2 basis functions appearing here.  The
+triangle rule runs once, at import, on the reference cell.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .spaces import Space
 __all__ = [
     "assemble_vector_mass", "assemble_symgrad", "assemble_divdiv",
     "assemble_elasticity", "assemble_divergence", "assemble_interface_mass",
-    "apply_dirichlet", "SingularSystemError",
+    "stack_saddle", "apply_dirichlet", "SingularSystemError",
 ]
 
 # Dunavant degree-4 rule, weights scaled to reference-triangle area 1/2.
@@ -77,21 +78,39 @@ def _geometry(mesh: Mesh, cells: np.ndarray):
     return det, adj.reshape(-1, 2, 2) / det[:, None, None]
 
 
-def _tabulate(space: Space):
-    """Basis values (nq, nl) and reference gradients (nq, nl, 2) at the
-    triangle quadrature points."""
-    basis = p1_basis if space.degree == 1 else p2_basis
-    return basis(TRI_POINTS[:, 0], TRI_POINTS[:, 1])
+def _tables(basis):
+    """Basis values (nq, nl) and reference gradients (nq, 2 nl), the latter
+    as [q, (A, i)] for d_A phi_i, at the triangle quadrature points."""
+    vals, grads = basis(TRI_POINTS[:, 0], TRI_POINTS[:, 1])
+    return vals, grads.transpose(0, 2, 1).reshape(len(vals), -1)
 
 
-def _quadrature(space: Space):
-    """Basis values (nq, nl), physical gradients (c, nq, nl, 2) and weights
-    (c, nq) on every cell of the space."""
-    vals, grads = _tabulate(space)
-    det, inv = _geometry(space.mesh, space.cells)
-    # A batched matmul runs the BLAS product a per-cell `grads @ inv` ran, so
-    # the gradients keep their bits; einsum rounds these 2-term sums differently.
-    return vals, grads @ inv[:, None], np.abs(det)[:, None] * TRI_WEIGHTS
+def _integrate(a, b):
+    """Reference-cell integrals (m, n) of a[:, k] b[:, l], from tables (nq, m)
+    and (nq, n) at the triangle quadrature points."""
+    # A BLAS product, not einsum: einsum sums two mirror-image entries of
+    # DIV_REF to equal bits, which then cancel exactly on right-angled cells;
+    # the divergence matrix loses those round-off entries, and the
+    # projection's minimum-degree fill grows by 15% at n = 16.
+    return (TRI_WEIGHTS[:, None] * a).T @ b
+
+
+# Tensor representation of the forms on affine cells (Kirby & Logg, ACM TOMS
+# 2006): each cell matrix is the cell's geometry contracted with a constant
+# reference-cell integral, so no form runs quadrature per cell.  The rule is
+# exact for these products, so the tables hold the exact integrals, up to
+# rounding.  Keyed by degree.
+_TABLES = {1: _tables(p1_basis), 2: _tables(p2_basis)}
+# [i, j]: integral of phi_i phi_j
+MASS_REF = {deg: _integrate(v, v) for deg, (v, _) in _TABLES.items()}
+# [(A, B), (i, j)]: integral of d_A phi_i d_B phi_j
+GRAD_REF = {deg: _integrate(g, g).reshape(2, v.shape[1], 2, -1)
+            .transpose(0, 2, 1, 3).reshape(4, -1)
+            for deg, (v, g) in _TABLES.items()}
+# [(deg_q, deg_v)][A, (i, j)]: integral of psi_i d_A phi_j
+DIV_REF = {(dq, dv): _integrate(vq, gv).reshape(vq.shape[1], 2, -1)
+           .transpose(1, 0, 2).reshape(2, -1)
+           for dq, (vq, _) in _TABLES.items() for dv, (_, gv) in _TABLES.items()}
 
 
 def _scatter(shape, row_dofs, col_dofs, blocks):
@@ -125,11 +144,10 @@ def _interleave(blocks):
     return blocks.transpose(0, 3, 1, 4, 2).reshape(c, n * nl, n * nl)
 
 
-def _assemble_cellwise(space: Space, local_blocks):
-    """Generic symmetric assembly over all cells; local_blocks(gphys, vals, w)
-    returns the (c, ncomp, ncomp, nl, nl) component blocks of every cell."""
-    vals, gphys, w = _quadrature(space)
-    blocks = _interleave(local_blocks(gphys, vals, w))
+def _assemble_cellwise(space: Space, blocks):
+    """Symmetric assembly of (c, ncomp, ncomp, nl, nl) component blocks, one
+    per cell of the space."""
+    blocks = _interleave(blocks)
     blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))  # all forms here are symmetric; make it exact
     dofs = space.expand(space.cell_nodes)
     return _scatter((space.ndof, space.ndof), dofs, dofs, blocks)
@@ -141,17 +159,21 @@ def assemble_vector_mass(space: Space, density: float) -> sp.csr_matrix:
         raise ValueError("density must be positive")
     if space.ncomp != 2:
         raise ValueError("vector mass requires a vector-valued space")
-
-    def blocks(gphys, vals, w):
-        return density * _on_diagonal(np.einsum("cq,qi,qj->cij", w, vals, vals), 2)
-
-    return _assemble_cellwise(space, blocks)
+    det, _ = _geometry(space.mesh, space.cells)
+    mass = np.abs(det)[:, None, None] * MASS_REF[space.degree]
+    return _assemble_cellwise(space, density * _on_diagonal(mass, 2))
 
 
-def _gradient_pairs(gphys, w):
-    """(c, 2, 2, nl, nl) blocks of the integrals of d_a phi_i d_b phi_j: the
-    one contraction every strain form is built from."""
-    return np.einsum("cq,cqia,cqjb->cabij", w, gphys, gphys)
+def _gradient_pairs(space: Space):
+    """(c, 2, 2, nl, nl) blocks of the integrals of d_a phi_i d_b phi_j, the
+    one contraction every strain form is built from: |det J| (J^-1 x J^-1)
+    : GRAD_REF as one (c, 4, 4) @ (4, nl^2) product."""
+    det, inv = _geometry(space.mesh, space.cells)
+    inv_t = inv.transpose(0, 2, 1)  # [c, a, A] = d xi_A / d x_a
+    geo = (np.abs(det)[:, None, None, None, None]
+           * inv_t[:, :, None, :, None] * inv_t[:, None, :, None, :])
+    nl = space.cell_nodes.shape[1]
+    return (geo.reshape(-1, 4, 4) @ GRAD_REF[space.degree]).reshape(-1, 2, 2, nl, nl)
 
 
 def _symgrad_blocks(pairs):
@@ -171,22 +193,14 @@ def assemble_symgrad(space: Space, coeff: float) -> sp.csr_matrix:
         raise ValueError("symmetric-gradient form requires a vector space")
     if coeff <= 0:
         raise ValueError("coefficient must be positive")
-
-    def blocks(gphys, vals, w):
-        return coeff * _symgrad_blocks(_gradient_pairs(gphys, w))
-
-    return _assemble_cellwise(space, blocks)
+    return _assemble_cellwise(space, coeff * _symgrad_blocks(_gradient_pairs(space)))
 
 
 def assemble_divdiv(space: Space, coeff: float) -> sp.csr_matrix:
     """coeff * integral of div(u) div(v)."""
     if space.ncomp != 2:
         raise ValueError("div-div form requires a vector space")
-
-    def blocks(gphys, vals, w):
-        return coeff * _gradient_pairs(gphys, w)
-
-    return _assemble_cellwise(space, blocks)
+    return _assemble_cellwise(space, coeff * _gradient_pairs(space))
 
 
 def assemble_elasticity(space: Space, l1: float, l2: float) -> sp.csr_matrix:
@@ -198,24 +212,22 @@ def assemble_elasticity(space: Space, l1: float, l2: float) -> sp.csr_matrix:
         raise ValueError("l1 must be positive")
     if l2 < 0:
         raise ValueError("l2 must be non-negative")
-
-    def blocks(gphys, vals, w):
-        pairs = _gradient_pairs(gphys, w)
-        return l1 * _symgrad_blocks(pairs) + l2 * pairs
-
-    return _assemble_cellwise(space, blocks)
+    pairs = _gradient_pairs(space)
+    return _assemble_cellwise(space, l1 * _symgrad_blocks(pairs) + l2 * pairs)
 
 
 def assemble_divergence(vel: Space, pres: Space) -> sp.csr_matrix:
-    """Rectangular B with B[q, v] = integral of q div(v)."""
+    """Rectangular B with B[q, v] = integral of q div(v): per cell,
+    |det J| J^-1 : DIV_REF."""
     if vel.ncomp != 2 or pres.ncomp != 1:
         raise ValueError("expected a vector velocity and scalar pressure space")
     if vel.domain != pres.domain or not np.array_equal(vel.cells, pres.cells):
         raise ValueError("velocity and pressure spaces live on different subdomains")
-    _, gphys, w = _quadrature(vel)
-    pvals, _ = _tabulate(pres)
-    blocks = np.einsum("cq,qi,cqjb->cijb", w, pvals, gphys)
-    blocks = blocks.reshape(blocks.shape[:2] + (-1,))
+    det, inv = _geometry(vel.mesh, vel.cells)
+    geo = np.abs(det)[:, None, None] * inv.transpose(0, 2, 1)  # [c, b, A]
+    npl, nl = pres.cell_nodes.shape[1], vel.cell_nodes.shape[1]
+    blocks = (geo @ DIV_REF[(pres.degree, vel.degree)]).reshape(-1, 2, npl, nl)
+    blocks = blocks.transpose(0, 2, 3, 1).reshape(-1, npl, 2 * nl)  # [c, i, (j, b)]
     return _scatter((pres.ndof, vel.ndof), pres.cell_nodes,
                     vel.expand(vel.cell_nodes), blocks)
 
@@ -235,12 +247,22 @@ def assemble_interface_mass(space: Space) -> sp.csr_matrix:
                     _interleave(_on_diagonal(m, space.ncomp)))
 
 
+def stack_saddle(A: sp.csr_matrix, Bt: sp.csr_matrix, B: sp.csr_matrix) -> sp.csr_matrix:
+    """The saddle point [[A, Bt], [B, 0]] of CSR blocks, stacked as CSR with
+    no COO round trip."""
+    zero = sp.csr_matrix((B.shape[0], Bt.shape[1]))
+    return sp.vstack([sp.hstack([A, Bt], format="csr"),
+                      sp.hstack([B, zero], format="csr")], format="csr")
+
+
 def apply_dirichlet(A: sp.spmatrix, b: np.ndarray, dofs, values=None):
     """Symmetric elimination of the given dofs.
 
     Rows and columns are zeroed and replaced by the identity; for homogeneous
     conditions (the default) the RHS entries are simply zeroed, otherwise the
-    lifting of the prescribed values is subtracted from the RHS first.
+    lifting of the prescribed values is subtracted from the RHS first.  The
+    result is D A D + I_fixed, D the identity on the free dofs, built from
+    masked CSR arrays with no stored zeros.
     """
     dofs = np.asarray(dofs, dtype=np.int64)
     A = A.tocsr()
@@ -248,23 +270,35 @@ def apply_dirichlet(A: sp.spmatrix, b: np.ndarray, dofs, values=None):
     if dofs.size == 0:
         return A, b
     n = A.shape[0]
-    keep = np.ones(n)
-    keep[dofs] = 0.0
+    free = np.ones(n, dtype=bool)
+    free[dofs] = False
     lift = np.zeros(n)
     if values is not None:
         lift[dofs] = values
         b = b - A @ lift
-    D = sp.diags(keep)
-    fixed = np.zeros(n)
-    fixed[dofs] = 1.0
-    A2 = (D @ A @ D + sp.diags(fixed)).tocsr()
-    A2.sort_indices()
-    b2 = keep * b + lift
-    return A2, b2
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    kept = np.repeat(free, np.diff(A.indptr)) & free[A.indices] & (A.data != 0)
+    before = np.concatenate(([0], np.cumsum(kept)))[A.indptr]  # kept entries before each row
+    fixed = np.flatnonzero(~free)  # ascending, as the rows their ones go in
+    indices = np.insert(A.indices[kept], before[fixed], fixed)
+    data = np.insert(A.data[kept], before[fixed], 1.0)
+    indptr = before + np.concatenate(([0], np.cumsum(~free)))
+    return sp.csr_matrix((data, indices, indptr), shape=A.shape), free * b + lift
 
 
 class SingularSystemError(RuntimeError):
     """A singular pivot, or a first solve that fails its backward-error check."""
+
+
+def _is_symmetric(A: sp.csc_matrix) -> bool:
+    """Whether a canonical CSC matrix equals its transpose, stored zeros
+    included: the CSR arrays of A are the CSC arrays of A^T.  A NaN equals
+    nothing, so a matrix holding one reads as unsymmetric."""
+    T = A.tocsr()
+    return (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
+            and np.array_equal(A.data, T.data))
 
 
 class Factorization:
@@ -283,7 +317,10 @@ class Factorization:
         A = A.tocsc()
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
-        order = "MMD_AT_PLUS_A" if abs(A - A.T).max() == 0 else "COLAMD"
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
+        order = "MMD_AT_PLUS_A" if _is_symmetric(A) else "COLAMD"
         try:
             self._lu = spla.splu(A, permc_spec=order, diag_pivot_thresh=0.01)
         except RuntimeError as exc:

@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     except ThresholdError as exc:
         print(f"threshold failure: {exc}", file=sys.stderr)
         return 4
-    except (SingularSystemError, RuntimeError) as exc:
+    except (SingularSystemError, RuntimeError, MemoryError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     return 0

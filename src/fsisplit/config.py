@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .experiments import reference_steps
 from .mesh import ChannelGeometry
 from .splitting import PhysicalParams, TimeGrid
 
@@ -15,6 +16,12 @@ _FLOAT_KEYS = ("L", "H_f", "H_s", "rho_f", "rho_s", "mu", "l1", "l2",
 _INT_KEYS = ("nx", "ny_f", "ny_s", "N", "m", "dt_levels", "seed")
 _STR_KEYS = ("mode",)
 KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
+# Size bounds, so that no config reaches an allocation that cannot succeed:
+# mesh triangles (a 128 x (128 + 128) channel has 65,536; the benchmark's
+# largest has 4,096) and the convergence reference's time steps, which bound
+# every run's steps (the shipped configs take at most 12,800).
+MAX_CELLS = 2 ** 17
+MAX_STEPS = 2 ** 20
 
 
 class ConfigError(ValueError):
@@ -86,6 +93,10 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"geometry: {exc}") from None
     if min(parsed["nx"], parsed["ny_f"], parsed["ny_s"]) < 1:
         raise ConfigError("key 'nx'/'ny_f'/'ny_s': cell counts must be >= 1")
+    cells = 2 * parsed["nx"] * (parsed["ny_f"] + parsed["ny_s"])
+    if cells > MAX_CELLS:
+        raise ConfigError(f"key 'nx'/'ny_f'/'ny_s': {cells} mesh cells exceed "
+                          f"the bound of {MAX_CELLS}")
     try:
         params = PhysicalParams(parsed["rho_f"], parsed["rho_s"], parsed["mu"],
                                 parsed["l1"], parsed["l2"], parsed["lambda"])
@@ -95,6 +106,11 @@ def parse_config(path) -> RunConfig:
         TimeGrid(parsed["T"], parsed["N"], parsed["m"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # the first test keeps 2 ** (dt_levels - 1) from growing without bound
+    if (parsed["dt_levels"] > MAX_STEPS.bit_length() or reference_steps(
+            parsed["N"], parsed["dt_levels"], parsed["m"]) > MAX_STEPS):
+        raise ConfigError(f"key 'N'/'m'/'dt_levels': the convergence reference "
+                          f"would take more than {MAX_STEPS} steps")
 
     return RunConfig(geometry=geometry, nx=parsed["nx"], ny_f=parsed["ny_f"],
                      ny_s=parsed["ny_s"], params=params, t_final=parsed["T"],

@@ -26,6 +26,14 @@ def robin_robin(disc: Discretization, params: PhysicalParams, grid: TimeGrid, st
     return build_ledger(disc, params, grid, (s.window for s in states), state0)
 
 
+def reference_steps(num_windows: int, dt_levels: int, substeps: int) -> int:
+    """Steps of the convergence study's monolithic reference: lcm(8, m) per
+    window of the finest of dt_levels halved levels, at least 8 per finest
+    window and a whole number per substep, so that every substep time lies
+    on the reference grid."""
+    return num_windows * 2 ** (dt_levels - 1) * math.lcm(8, substeps)
+
+
 def convergence(disc: Discretization, params: PhysicalParams, t_final: float,
                 num_windows: int, dt_levels: int, substeps: int):
     """Splitting runs with num_windows * 2^i windows (i < dt_levels) against
@@ -34,12 +42,10 @@ def convergence(disc: Discretization, params: PhysicalParams, t_final: float,
     reference)."""
     n_levels = [num_windows * 2 ** i for i in range(dt_levels)]
     s0 = smooth_coupled_mode(disc, params)
-    # at least 8 reference steps per finest window, and a whole number per
-    # substep so that every substep time lies on the reference grid; the
-    # error report reads the fields only at the finest substep times
-    per_window = math.lcm(8, substeps)
-    ref = run_reference(disc, params, s0, t_final, n_levels[-1] * per_window,
-                        per_window // substeps)
+    # the error report reads the fields only at the finest substep times
+    ref = run_reference(disc, params, s0, t_final,
+                        reference_steps(num_windows, dt_levels, substeps),
+                        math.lcm(8, substeps) // substeps)
     dts, reports, residuals = [], [], []
     for n_win in n_levels:
         grid = TimeGrid(t_final, n_win, substeps)

@@ -8,10 +8,9 @@ discretely divergence-free.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (EDGE_POINTS, EDGE_WEIGHTS, Factorization,
-                       apply_dirichlet, edge_basis)
+                       apply_dirichlet, edge_basis, stack_saddle)
 from .splitting import Discretization, InterfaceData, PhysicalParams, SplitState
 
 
@@ -22,7 +21,7 @@ def project_divergence_free(disc: Discretization, u_raw: np.ndarray) -> np.ndarr
     nu, npr = d.V_f.ndof, d.Q.ndof
     u_raw = u_raw.copy()
     u_raw[d.dir_f] = 0.0
-    A = sp.bmat([[d.M_f, d.B.T], [d.B, None]], format="csr")
+    A = stack_saddle(d.M_f, d.BT, d.B)
     b = np.concatenate([d.M_f @ u_raw, np.zeros(npr)])
     A, b = apply_dirichlet(A, b, d.dir_f)
     u = Factorization(A).solve(b)[:nu].copy()  # not a view of the solve vector

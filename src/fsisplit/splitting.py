@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from . import mesh as msh
 from .assembly import (Factorization, apply_dirichlet, assemble_divergence,
                        assemble_elasticity, assemble_interface_mass,
-                       assemble_symgrad, assemble_vector_mass)
+                       assemble_symgrad, assemble_vector_mass, stack_saddle)
 from .mesh import ChannelGeometry, build_two_layer_mesh
 from .spaces import SCALAR_P1, VECTOR_P2, build_space
 
@@ -130,6 +130,7 @@ class Discretization:
         self.M_f = assemble_vector_mass(self.V_f, 1.0)
         self.M_s = assemble_vector_mass(self.V_s, 1.0)
         self.B = assemble_divergence(self.V_f, self.Q)
+        self.BT = self.B.T.tocsr()
         self.M_if = assemble_interface_mass(self.V_f)
         self.M_is = assemble_interface_mass(self.V_s)
         self.dir_f = self.V_f.dirichlet_dofs(msh.SIGMA_F)
@@ -167,7 +168,7 @@ class Discretization:
         if key not in self._memo:
             rows = self.ifd_f
             self._memo[key] = (self.M_f[rows], self.stiffness_fluid(mu)[rows],
-                               self.B.T.tocsr()[rows])
+                               self.BT[rows])
         return self._memo[key]
 
     def fluid_saddle(self, params: PhysicalParams, ddt: float,
@@ -177,7 +178,7 @@ class Discretization:
         Auu = (params.rho_f / ddt) * self.M_f + self.stiffness_fluid(params.mu)
         if lam:
             Auu = Auu + lam * self.M_if
-        return sp.bmat([[Auu, -self.B.T], [self.B, None]], format="csr")
+        return stack_saddle(Auu, -self.BT, self.B)
 
     def solid_operator(self, params: PhysicalParams, ddt: float,
                        lam: float = 0.0) -> sp.csr_matrix:

@@ -63,11 +63,41 @@ def test_parse_tolerates_comments_and_blanks(tmp_path):
                  "lambda", "T")
      for value in ("nan", "inf", "-inf")] + [
     ({"seed": "-1"}, "seed"),
+    ({"nx": "1000000000"}, "'nx'/'ny_f'/'ny_s': 16000000000 mesh cells"),
+    ({"ny_s": "100000"}, "mesh cells exceed"),
+    ({"N": "1000000000000"}, "'N'/'m'/'dt_levels'"),
+    ({"m": "1000000007"}, "'N'/'m'/'dt_levels'"),
+    ({"dt_levels": "1000000000000"}, "'N'/'m'/'dt_levels'"),
 ])
 def test_parse_rejects_and_names_key(tmp_path, overrides, needle):
     path = write_config(tmp_path / "bad.cfg", **overrides)
     with pytest.raises(ConfigError, match=needle):
         parse_config(path)
+
+
+def test_parse_bounds_sizes_at_their_limits(tmp_path):
+    """The size bounds sit exactly at MAX_CELLS and MAX_STEPS; only the
+    parser runs, so no mesh is built."""
+    from fsisplit.config import MAX_CELLS, MAX_STEPS
+
+    assert 2 * 128 * (256 + 256) == MAX_CELLS
+    cfg = parse_config(write_config(tmp_path / "a.cfg", nx="128", ny_f="256",
+                                    ny_s="256"))
+    assert cfg.nx == 128
+    with pytest.raises(ConfigError, match="mesh cells"):
+        parse_config(write_config(tmp_path / "b.cfg", nx="128", ny_f="256",
+                                  ny_s="257"))
+    # N * 2^(dt_levels - 1) * lcm(8, m): 32768 * 4 * 8 steps
+    assert 32768 * 4 * 8 == MAX_STEPS
+    cfg = parse_config(write_config(tmp_path / "c.cfg", N="32768"))
+    assert cfg.num_windows == 32768
+    for overrides in ({"N": "32769"}, {"N": "32768", "m": "3"},
+                      {"N": "32768", "dt_levels": "4"}):
+        with pytest.raises(ConfigError, match="reference"):
+            parse_config(write_config(tmp_path / "d.cfg", **overrides))
+    # the shipped configs all lie within the bounds
+    for shipped in (Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"):
+        parse_config(str(shipped))
 
 
 def test_parse_rejects_duplicate_key(tmp_path):
@@ -372,6 +402,18 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "stability", boom)
     path = write_config(tmp_path / "a.cfg")
     assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 3
+
+
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    import fsisplit.cli as cli
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 8.00 EiB")
+
+    monkeypatch.setattr(cli, "Discretization", no_memory)
+    path = write_config(tmp_path / "a.cfg")
+    assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 3
+    assert "solver failure: Unable to allocate" in capsys.readouterr().err
 
 
 def test_inaccurate_solve_exits_3(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -89,8 +91,33 @@ def test_interface_mass_examples(small_disc):
 # -- dense high-order quadrature oracle ----------------------------------
 
 
-@pytest.fixture(scope="module", params=["one_cell", "two_by_two"])
+def _general_affine_spaces():
+    """The spaces of a stretched 2 x (2 + 2) channel (L = 3, H_f = 0.2,
+    H_s = 0.5) whose inner vertices are moved off the grid, and its interface
+    vertices along it: cells that are neither right-angled nor of unit size."""
+    geom = ChannelGeometry(3.0, 0.2, 0.5)
+    mesh = build_two_layer_mesh(geom, 2, 2, 2)
+    x, y = mesh.vertices.T
+    top = geom.fluid_height + geom.solid_height
+    inner_x = (x > 0.0) & (x < geom.length)
+    inner_y = inner_x & (y > 0.0) & (y < top) & (y != geom.fluid_height)
+    step_y = np.where(y < geom.fluid_height, 0.1, 0.25)
+    shift = np.random.default_rng(11).uniform(-0.3, 0.3, mesh.vertices.shape)
+    mesh.vertices = mesh.vertices + shift * np.column_stack(
+        [1.5 * inner_x, step_y * inner_y])
+    a, b, c = (mesh.vertices[mesh.cells[:, k]] for k in range(3))
+    e1, e2 = b - a, c - a
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    assert det.min() > 0 and np.unique(np.round(np.abs(det), 12)).size > 4
+    return SimpleNamespace(V_f=build_space(mesh, FLUID, VECTOR_P2),
+                           Q=build_space(mesh, FLUID, SCALAR_P1),
+                           V_s=build_space(mesh, SOLID, VECTOR_P2))
+
+
+@pytest.fixture(scope="module", params=["one_cell", "two_by_two", "general_affine"])
 def oracle_disc(request, tiny_disc, small_disc):
+    if request.param == "general_affine":
+        return _general_affine_spaces()
     return tiny_disc if request.param == "one_cell" else small_disc
 
 
@@ -251,6 +278,51 @@ def test_apply_dirichlet_nonhomogeneous(small_disc, rng):
     assert np.abs(x - want).max() < 1e-12
 
 
+def _unsorted(A, fmt="csr"):
+    """A copy of A in the given compressed format with the entries of every
+    row (column) in reverse order: valid, but not canonical."""
+    A = A.asformat(fmt, copy=True)
+    for k in range(A.shape[0] if fmt == "csr" else A.shape[1]):
+        seg = slice(A.indptr[k], A.indptr[k + 1])
+        A.indices[seg], A.data[seg] = A.indices[seg][::-1].copy(), A.data[seg][::-1].copy()
+    A.has_sorted_indices = False
+    return A
+
+
+@pytest.mark.parametrize("case", ["unsorted_dofs", "duplicate_dofs", "values",
+                                  "unsorted_indices_stored_zero"])
+def test_apply_dirichlet_matches_dense_oracle(small_disc, rng, case):
+    """D A D + I entry for entry, and the lifted right-hand side, on the
+    inputs a masked elimination can get wrong: fixed dofs out of order (the
+    solid extension passes its outer and interface dofs concatenated) or
+    repeated, prescribed values, and a matrix that is not canonical."""
+    d = small_disc
+    A = (d.M_s + d.stiffness_solid(1.0, 0.0)).tocsr()
+    b = rng.standard_normal(A.shape[0])
+    dofs = np.concatenate([d.dir_s, d.ifd_s])
+    assert not np.all(np.diff(dofs) > 0)
+    values = None
+    if case == "duplicate_dofs":
+        dofs = np.concatenate([dofs, dofs[::3]])
+    elif case == "values":
+        dofs = rng.permutation(dofs)
+        values = rng.standard_normal(dofs.size)
+    elif case == "unsorted_indices_stored_zero":
+        A = _unsorted(A)
+        free = np.setdiff1d(np.arange(A.shape[0]), dofs)
+        row = free[0]
+        k = A.indptr[row] + np.flatnonzero(np.isin(A.indices[A.indptr[row]:A.indptr[row + 1]],
+                                                   free[1:]))[0]
+        A.data[k] = 0.0  # a stored zero in a free row and column
+    before = (A.indptr.copy(), A.indices.copy(), A.data.copy())
+    A2, b2 = apply_dirichlet(A, b, dofs, values)
+    want_A, want_b = oracles.dense_dirichlet(A, b, dofs, values)
+    assert np.array_equal(A2.toarray(), want_A)
+    assert np.abs(b2 - want_b).max() <= 1e-13 * np.abs(want_b).max()
+    assert A2.format == "csr" and A2.has_canonical_format and np.all(A2.data != 0)
+    assert all(np.array_equal(x, y) for x, y in zip(before, (A.indptr, A.indices, A.data)))
+
+
 def test_solve_identity_and_diagonal():
     b = np.array([3.0, -1.0])
     assert np.array_equal(Factorization(sp.identity(2, format="csr")).solve(b), b)
@@ -334,6 +406,43 @@ def test_symmetric_path_pivots_tiny_diagonal(monkeypatch):
     assert used == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01}]
     assert np.array_equal(x, [2.0, 1.0])
     assert np.abs(b - A @ x).max() == 0.0
+
+
+def _one_ulp_off(A):
+    A = A.tocsr(copy=True)
+    k = A.indptr[3] + np.flatnonzero(A.indices[A.indptr[3]:A.indptr[4]] != 3)[0]
+    A.data[k] = np.nextafter(A.data[k], np.inf)
+    return A
+
+
+def _nan_on_diagonal(A):
+    A = A.tocsr(copy=True)
+    A[2, 2] = np.nan
+    return A
+
+
+@pytest.mark.parametrize("perturb,order", [
+    (lambda A: _unsorted(A, "csc"), "MMD_AT_PLUS_A"),
+    (lambda A: _unsorted(A, "csr"), "MMD_AT_PLUS_A"),
+    (_one_ulp_off, "COLAMD"),
+    (_nan_on_diagonal, "COLAMD"),
+], ids=["unsorted_csc", "unsorted_csr", "one_ulp", "nan"])
+def test_ordering_follows_exact_symmetry(small_disc, params, monkeypatch, perturb, order):
+    used = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: used.append(kw) or splu(A, **kw))
+    S, _ = apply_dirichlet(small_disc.solid_operator(params, 0.1),
+                           np.zeros(small_disc.V_s.ndof), small_disc.dir_s)
+    A = perturb(S)
+    indices, data = A.indices.copy(), A.data.copy()
+    if np.isnan(A.data).any():
+        with pytest.raises(SingularSystemError):  # SuperLU reads the NaN pivot as singular
+            Factorization(A)
+    else:
+        Factorization(A)
+    assert used == [{"permc_spec": order, "diag_pivot_thresh": 0.01}]
+    assert np.array_equal(A.indices, indices)  # the caller's matrix is not sorted in place
+    assert np.array_equal(A.data, data, equal_nan=True)
 
 
 @pytest.mark.parametrize("perturb", [lambda x: 1.001 * x, lambda x: np.nan * x],

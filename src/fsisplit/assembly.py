@@ -60,11 +60,9 @@ def p2_basis(x, y):
     return n, dn
 
 
-def edge_basis(degree, s):
-    """1D P1/P2 values (..., 2 or 3) on [0,1]; node order: endpoint0,
-    endpoint1[, midpoint]."""
-    if degree == 1:
-        return np.stack([1 - s, s], axis=-1)
+def edge_basis(s):
+    """1D P2 values (..., 3) on [0,1]; node order: endpoint0, endpoint1,
+    midpoint."""
     return np.stack([(1 - s) * (1 - 2 * s), s * (2 * s - 1), 4 * s * (1 - s)], axis=-1)
 
 
@@ -233,14 +231,15 @@ def assemble_divergence(vel: Space, pres: Space) -> sp.csr_matrix:
 
 
 def assemble_interface_mass(space: Space) -> sp.csr_matrix:
-    """Interface mass: integral over the interface of phi_i . phi_j."""
+    """Interface mass: integral over the interface of phi_i . phi_j, for a
+    P2 space."""
     facets = space.interface_facets
-    if facets.size == 0:
-        raise ValueError("space has no interface facets")
+    if space.degree != 2 or facets.size == 0:
+        raise ValueError("space has no P2 interface facets")
     ends = space.node_coords[facets[:, :2]]
     length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
     m = np.zeros((facets.shape[0],) + 2 * facets.shape[1:])
-    for vals, w in zip(edge_basis(space.degree, EDGE_POINTS), EDGE_WEIGHTS):
+    for vals, w in zip(edge_basis(EDGE_POINTS), EDGE_WEIGHTS):
         m += (w * length)[:, None, None] * np.outer(vals, vals)
     dofs = space.expand(facets)
     return _scatter((space.ndof, space.ndof), dofs, dofs,

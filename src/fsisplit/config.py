@@ -107,10 +107,14 @@ def parse_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     # the first test keeps 2 ** (dt_levels - 1) from growing without bound
-    if (parsed["dt_levels"] > MAX_STEPS.bit_length() or reference_steps(
-            parsed["N"], parsed["dt_levels"], parsed["m"]) > MAX_STEPS):
+    if parsed["dt_levels"] > MAX_STEPS.bit_length() or (steps := reference_steps(
+            parsed["N"], parsed["dt_levels"], parsed["m"])) > MAX_STEPS:
         raise ConfigError(f"key 'N'/'m'/'dt_levels': the convergence reference "
                           f"would take more than {MAX_STEPS} steps")
+    # the reference's step is the smallest any command takes
+    if parsed["T"] / steps == 0.0:
+        raise ConfigError(f"key 'T': the convergence reference's step T / {steps} "
+                          f"is zero")
 
     return RunConfig(geometry=geometry, nx=parsed["nx"], ny_f=parsed["ny_f"],
                      ny_s=parsed["ny_s"], params=params, t_final=parsed["T"],

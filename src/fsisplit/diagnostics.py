@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .splitting import (Discretization, InterfaceData, PhysicalParams,
-                        RobinRobinSolver, TimeGrid, WindowRecord, WindowSample)
+from .splitting import (Discretization, PhysicalParams, RobinRobinSolver,
+                        TimeGrid, WindowSample)
 
 
 @dataclass
@@ -64,9 +64,10 @@ def energy_E(disc: Discretization, params: PhysicalParams, u, etad, eta) -> floa
 
 
 def window_T(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
-             window: WindowRecord, iface_weight: float = 0.5) -> float:
+             samples, u_avg_prev, iface_weight: float = 0.5) -> float:
     """2 mu int ||eps(u)||^2 + (weight * lambda) int ||etad - u_avg_prev||^2
-    over the window (rectangle rule over substeps).
+    over the window of the given substep samples (rectangle rule), with
+    u_avg_prev the interface velocity average of the window before.
 
     The interface weight is 1/2 for the stability ledger and 1/4 for the
     error quantities.
@@ -75,9 +76,9 @@ def window_T(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
     lam = params.lambda_robin
     ddt = grid.ddt
     total = 0.0
-    for s in window.samples:
+    for s in samples:
         visc = float(s.u @ (K_f @ s.u))  # K_f already carries the factor 2 mu
-        diff = s.etad[disc.ifd_s] - window.iface_used.u_avg
+        diff = s.etad[disc.ifd_s] - u_avg_prev
         total += ddt * (visc + iface_weight * lam * disc.trace_norm_sq(diff))
     return total
 
@@ -90,10 +91,11 @@ def _interface_S(disc: Discretization, lam: float, traction, u_trace) -> float:
 
 
 def window_S(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
-             window: WindowRecord) -> float:
-    """The interface stock _interface_S integrated over the window."""
+             samples) -> float:
+    """The interface stock _interface_S integrated over the window of the
+    given substep samples."""
     total = 0.0
-    for s in window.samples:
+    for s in samples:
         total += grid.ddt * _interface_S(disc, params.lambda_robin, s.traction,
                                          s.u[disc.ifd_f])
     return total
@@ -106,23 +108,23 @@ def initial_S0(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
 
 
 def build_ledger(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
-                 windows, state0) -> EnergyLedger:
-    """Assemble the full stability ledger from a splitting trajectory that
-    starts from the SplitState state0."""
-    iface0 = state0.iface
+                 states, state0) -> EnergyLedger:
+    """Assemble the full stability ledger from the SplitStates of a
+    splitting run that starts from the SplitState state0."""
+    iface = state0.iface
     ledger = EnergyLedger(
-        S0=initial_S0(disc, params, grid, iface0.u_avg, iface0.traction_avg))
+        S0=initial_S0(disc, params, grid, iface.u_avg, iface.traction_avg))
     ledger.E.append(energy_E(disc, params, state0.u, state0.etad, state0.eta))
-    for w in windows:
-        last = w.samples[-1]
-        ledger.E.append(energy_E(disc, params, last.u, last.etad, last.eta))
-        ledger.T.append(window_T(disc, params, grid, w))
-        ledger.S.append(window_S(disc, params, grid, w))
+    for state in states:
+        ledger.E.append(energy_E(disc, params, state.u, state.etad, state.eta))
+        ledger.T.append(window_T(disc, params, grid, state.samples, iface.u_avg))
+        ledger.S.append(window_S(disc, params, grid, state.samples))
+        iface = state.iface
     return ledger
 
 
 def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
-                windows, reference, state0) -> ErrorReport:
+                states, reference, state0) -> ErrorReport:
     """The ledger terms of the error trajectory, reference minus splitting at
     every substep time: final E and S, and T summed with interface weight
     1/4 against the previous window's error average.
@@ -137,23 +139,23 @@ def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
         raise ValueError("reference and splitting runs start from different states")
 
     # the first window's interface data are exact, so their error vanishes
-    iface = InterfaceData(np.zeros(disc.ifd_f.size), np.zeros(disc.ifd_f.size))
+    u_avg = np.zeros(disc.ifd_f.size)
     T_windows = []
-    for w in windows:
+    for state in states:
         samples = []
-        for s in w.samples:
+        for s in state.samples:
             ref, flux = reference.at(s.t)
             samples.append(WindowSample(  # pressure enters no ledger term
                 t=s.t, u=ref.u - s.u, p=None, eta=ref.eta - s.eta,
                 etad=ref.etad - s.etad, traction=flux - s.traction))
-        error = WindowRecord(samples=samples, iface_used=iface)
-        T_windows.append(window_T(disc, params, grid, error, iface_weight=0.25))
-        iface = RobinRobinSolver.update_interface_average(disc, samples)
+        T_windows.append(window_T(disc, params, grid, samples, u_avg,
+                                  iface_weight=0.25))
+        u_avg = RobinRobinSolver.update_interface_average(disc, samples).u_avg
 
-    last = error.samples[-1]
+    last = samples[-1]
     return ErrorReport(E_final=energy_E(disc, params, last.u, last.etad, last.eta),
                        T_sum=float(np.sum(T_windows)),
-                       S_final=window_S(disc, params, grid, error))
+                       S_final=window_S(disc, params, grid, samples))
 
 
 def consistency_terms(disc: Discretization, reference, dt: float,
@@ -183,7 +185,7 @@ def consistency_terms(disc: Discretization, reference, dt: float,
             u_avg = np.mean(u_tr[lo + 1:lo + per + 1], axis=0)
             f_avg = np.mean(reference.flux[lo + 1:lo + per + 1], axis=0)
         for k in range(n * per + 1, (n + 1) * per + 1):
-            g3[n] += ref_dt * lam ** 2 * disc.trace_norm_sq(u_tr[k] - u_avg)
+            g3[n] += ref_dt * lam * lam * disc.trace_norm_sq(u_tr[k] - u_avg)
             g2[n] += ref_dt * disc.traction_norm_sq(reference.flux[k] - f_avg)
     return g3, g2
 

@@ -61,7 +61,7 @@ def pressure_traction_load(disc: Discretization, pressure) -> np.ndarray:
     tn[..., 1] = -pres  # the outward fluid normal of the flat interface is (0, 1)
 
     wl = EDGE_WEIGHTS * length[:, None]
-    contrib = (wl[..., None] * edge_basis(2, EDGE_POINTS))[..., None] * tn[:, :, None]
+    contrib = (wl[..., None] * edge_basis(EDGE_POINTS))[..., None] * tn[:, :, None]
     load = np.zeros((space.num_nodes, 2))
     # accumulate facet by facet, point by point, node by node
     np.add.at(load, np.broadcast_to(facets[:, None], contrib.shape[:3]), contrib)

@@ -57,10 +57,6 @@ class Mesh:
     def cells_of(self, domain: int) -> np.ndarray:
         return np.flatnonzero(self.cell_domain == domain)
 
-    def facets_of(self, tag: str) -> np.ndarray:
-        idx = [i for i, t in enumerate(self.facet_tags) if t == tag]
-        return self.facets[idx]
-
 
 def build_two_layer_mesh(geom: ChannelGeometry, nx: int, ny_f: int, ny_s: int) -> Mesh:
     """Build the structured crossed-triangle mesh of the two-layer channel.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import INTERFACE, SIGMA_F, SIGMA_S, Mesh
+from .mesh import FLUID, INTERFACE, SIGMA_F, SIGMA_S, Mesh
 
 VECTOR_P2 = "vector_p2"
 SCALAR_P1 = "scalar_p1"
@@ -58,13 +58,13 @@ class Space:
 
     mesh: Mesh
     domain: int
-    kind: str
     degree: int
     ncomp: int
     node_coords: np.ndarray          # (n_nodes, 2)
     cell_nodes: np.ndarray           # (n_subcells, 3 or 6) global node ids
     cells: np.ndarray                # mesh cell ids of this subdomain
-    boundary_nodes: dict             # tag -> sorted array of node ids
+    dirichlet_nodes: np.ndarray      # sorted SIGMA_F (fluid) or SIGMA_S
+                                     # (solid) node ids
     interface_nodes: np.ndarray      # canonical order (by x), corners excluded
     interface_facets: np.ndarray     # (n_if, 2 or 3) endpoint0, endpoint1
                                      # [, midpoint] nodes, left to right
@@ -88,8 +88,9 @@ class Space:
     def interface_dofs(self) -> np.ndarray:
         return self.expand(self.interface_nodes)
 
-    def dirichlet_dofs(self, tag: str) -> np.ndarray:
-        return self.expand(self.boundary_nodes.get(tag, np.empty(0, dtype=np.int64)))
+    @property
+    def dirichlet_dofs(self) -> np.ndarray:
+        return self.expand(self.dirichlet_nodes)
 
 
 def build_space(mesh: Mesh, domain: int, kind: str) -> Space:
@@ -125,24 +126,18 @@ def build_space(mesh: Mesh, domain: int, kind: str) -> Space:
     inside = keys[pos] == fkeys
     fnodes = np.hstack([np.searchsorted(vids, mesh.facets), key_nodes[pos]])
     tags = np.asarray(mesh.facet_tags)
-    boundary_nodes = {}
-    for tag in (SIGMA_F, SIGMA_S, INTERFACE):
-        nodes = fnodes[inside & (tags == tag)]
-        if nodes.size:
-            boundary_nodes[tag] = np.unique(nodes)
-
-    empty = np.empty(0, dtype=np.int64)
-    dir_nodes = boundary_nodes.get(SIGMA_F if domain == 0 else SIGMA_S, empty)
-    iface = boundary_nodes.get(INTERFACE, empty)
+    dir_tag = SIGMA_F if domain == FLUID else SIGMA_S
+    dir_nodes = np.unique(fnodes[inside & (tags == dir_tag)])
+    facets = fnodes[inside & (tags == INTERFACE)]
+    iface = np.unique(facets)
     iface = iface[~np.isin(iface, dir_nodes)]
     iface = iface[np.argsort(node_coords[iface, 0], kind="stable")]
 
-    facets = fnodes[inside & (tags == INTERFACE)]
     flip = node_coords[facets[:, 1], 0] < node_coords[facets[:, 0], 0]
     facets[flip, :2] = facets[flip, 1::-1]
     facets = facets[np.argsort(node_coords[facets[:, 0], 0], kind="stable")]
 
-    return Space(mesh=mesh, domain=domain, kind=kind, degree=degree, ncomp=ncomp,
+    return Space(mesh=mesh, domain=domain, degree=degree, ncomp=ncomp,
                  node_coords=node_coords, cell_nodes=cell_nodes, cells=sub,
-                 boundary_nodes=boundary_nodes, interface_nodes=iface,
+                 dirichlet_nodes=dir_nodes, interface_nodes=iface,
                  interface_facets=facets)

@@ -10,15 +10,16 @@ standard fully discrete scheme where the averages collapse to endpoint values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import mesh as msh
-from .assembly import (Factorization, apply_dirichlet, assemble_divergence,
-                       assemble_elasticity, assemble_interface_mass,
-                       assemble_symgrad, assemble_vector_mass, stack_saddle)
+from .assembly import (Factorization, SingularSystemError, apply_dirichlet,
+                       assemble_divergence, assemble_elasticity,
+                       assemble_interface_mass, assemble_symgrad,
+                       assemble_vector_mass, stack_saddle)
 from .mesh import ChannelGeometry, build_two_layer_mesh
 from .spaces import SCALAR_P1, VECTOR_P2, build_space
 
@@ -98,20 +99,13 @@ class WindowSample(CoupledState):
 
 
 @dataclass
-class WindowRecord:
-    """Per-window trajectory samples plus the interface data driving them."""
-
-    samples: list
-    iface_used: InterfaceData
-
-
-@dataclass
 class SplitState(CoupledState):
     """The fields plus the interface data for the next window and the
-    record of the window that produced them (None for initial data)."""
+    substep samples of the window that produced them (none for initial
+    data); the fields are those of the last sample."""
 
     iface: InterfaceData
-    window: WindowRecord | None = None
+    samples: list = field(default_factory=list)
 
 
 class Discretization:
@@ -133,13 +127,16 @@ class Discretization:
         self.BT = self.B.T.tocsr()
         self.M_if = assemble_interface_mass(self.V_f)
         self.M_is = assemble_interface_mass(self.V_s)
-        self.dir_f = self.V_f.dirichlet_dofs(msh.SIGMA_F)
-        self.dir_s = self.V_s.dirichlet_dofs(msh.SIGMA_S)
+        self.dir_f = self.V_f.dirichlet_dofs
+        self.dir_s = self.V_s.dirichlet_dofs
         self.ifd_f = self.V_f.interface_dofs
         self.ifd_s = self.V_s.interface_dofs
         # canonical interface mass (small and dense); identical from either side
         self.M_c = self.M_if[self.ifd_f][:, self.ifd_f].toarray()
-        self._M_c_inv = np.linalg.inv(self.M_c)
+        try:
+            self._M_c_inv = np.linalg.inv(self.M_c)
+        except np.linalg.LinAlgError:  # e.g. edge lengths that underflow to 0
+            raise SingularSystemError("the interface mass is singular") from None
         # matrices by coefficients; held per instance, not by a functools
         # cache, so that a Discretization can be freed
         self._memo = {}
@@ -299,11 +296,11 @@ class RobinRobinSolver:
         return SplitState(
             t=last.t, u=last.u, p=last.p, eta=last.eta, etad=last.etad,
             iface=self.update_interface_average(self.disc, samples),
-            window=WindowRecord(samples=samples, iface_used=iface))
+            samples=samples)
 
     def run(self, state0: SplitState):
-        """Advance all windows, yielding each new state with its window; no
-        window is kept here."""
+        """Advance all windows, yielding each new state with its samples; no
+        state is kept here."""
         state = state0
         for _ in range(self.grid.num_windows):
             state = self.advance(state)

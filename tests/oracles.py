@@ -139,6 +139,11 @@ def dense_divergence(vel, pres):
                       pres_space=pres)
 
 
+def facets_of(mesh, tag):
+    """The (k, 2) vertex pairs of the mesh facets tagged `tag`."""
+    return mesh.facets[[i for i, t in enumerate(mesh.facet_tags) if t == tag]]
+
+
 def dense_interface_mass(space):
     """1D oracle over interface facets with an 8-point Gauss rule and a
     Vandermonde-reconstructed quadratic line basis."""
@@ -152,7 +157,7 @@ def dense_interface_mass(space):
     g, w = np.polynomial.legendre.leggauss(8)
     g, w = 0.5 * (g + 1.0), 0.5 * w
     A = np.zeros((space.ndof, space.ndof))
-    for v0, v1 in mesh.facets_of(INTERFACE):
+    for v0, v1 in facets_of(mesh, INTERFACE):
         p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
         length = np.linalg.norm(p1 - p0)
         nodes = [node_of[tuple(np.round(p0, 12))],
@@ -182,9 +187,10 @@ def reference_numbering(mesh, domain, degree):
     vertices first in ascending id, then edge midpoints in the order each
     edge first appears over all mesh cells.
 
-    Returns (node_coords, cell_nodes, boundary_nodes, interface_nodes,
-    interface_facets), the last as (endpoint0, endpoint1[, midpoint]) node
-    rows found by rounded coordinates and ordered by x.
+    Returns (node_coords, cell_nodes, dirichlet_nodes, interface_nodes,
+    interface_facets): the sorted nodes of the domain's outer boundary
+    (SIGMA_F or SIGMA_S), and the facets as (endpoint0, endpoint1[,
+    midpoint]) node rows found by rounded coordinates and ordered by x.
     """
     from fsisplit.mesh import INTERFACE, SIGMA_F, SIGMA_S
 
@@ -214,27 +220,23 @@ def reference_numbering(mesh, domain, degree):
         rows.append(loc)
     cell_nodes = np.asarray(rows, dtype=np.int64)
 
-    boundary_nodes = {}
-    for tag in (SIGMA_F, SIGMA_S, INTERFACE):
+    def tagged_nodes(tag):
         nodes = set()
-        for v0, v1 in mesh.facets_of(tag):
+        for v0, v1 in facets_of(mesh, tag):
             key = (min(v0, v1), max(v0, v1))
             if key in sub_edges:
                 nodes |= {vmap[int(v0)], vmap[int(v1)]}
                 if degree == 2:
                     nodes.add(emap[key])
-        if nodes:
-            boundary_nodes[tag] = np.array(sorted(nodes), dtype=np.int64)
+        return nodes
 
-    dirichlet = set(boundary_nodes.get(SIGMA_F if domain == 0 else SIGMA_S,
-                                       np.empty(0, np.int64)).tolist())
-    iface = [n for n in boundary_nodes.get(INTERFACE, np.empty(0, np.int64)).tolist()
-             if n not in dirichlet]
+    dirichlet = tagged_nodes(SIGMA_F if domain == 0 else SIGMA_S)
+    iface = sorted(tagged_nodes(INTERFACE) - dirichlet)
     iface.sort(key=lambda n: node_coords[n, 0])
 
     node_of = {tuple(np.round(p, 12)): n for n, p in enumerate(node_coords)}
     facets = []
-    for v0, v1 in mesh.facets_of(INTERFACE):
+    for v0, v1 in facets_of(mesh, INTERFACE):
         p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
         if p1[0] < p0[0]:
             p0, p1 = p1, p0
@@ -242,7 +244,7 @@ def reference_numbering(mesh, domain, degree):
         facets.append([node_of[tuple(np.round(p, 12))] for p in points])
     facets.sort(key=lambda f: node_coords[f[0], 0])
 
-    return (node_coords, cell_nodes, boundary_nodes,
+    return (node_coords, cell_nodes, np.array(sorted(dirichlet), dtype=np.int64),
             np.asarray(iface, dtype=np.int64),
             np.asarray(facets, dtype=np.int64).reshape(-1, degree + 1))
 

@@ -100,6 +100,17 @@ def test_parse_bounds_sizes_at_their_limits(tmp_path):
         parse_config(str(shipped))
 
 
+def test_parse_rejects_zero_time_step(tmp_path):
+    """T over the convergence reference's steps (here 8 N 2^(dt_levels - 1)
+    = 256) must not round to zero; only the parser runs."""
+    for T in ("5e-324", "3e-323"):
+        with pytest.raises(ConfigError, match="key 'T'"):
+            parse_config(write_config(tmp_path / "t.cfg", T=T, N="8", dt_levels="3"))
+    cfg = parse_config(write_config(tmp_path / "t.cfg", T="1.3e-321", N="8",
+                                    dt_levels="3"))
+    assert cfg.t_final / 256 > 0.0
+
+
 def test_parse_rejects_duplicate_key(tmp_path):
     path = tmp_path / "dup.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in BASE.items())
@@ -235,6 +246,17 @@ def _decades(lo, hi):
          floats=tuple(float(ZERO_ERROR[k])
                       for k in ("rho_f", "rho_s", "mu", "l1", "lambda")),
          l2=0.0, T=float(ZERO_ERROR["T"]), seed=1)
+# interface edges whose squared lengths underflow: a zero interface mass
+@example(cells=(1, 1, 1, 2), m=1, lengths=(1e-200, 1.0, 1.0),
+         floats=(1.0, 1.0, 0.1, 1.0, 1.0), l2=1.0, T=0.25, seed=1)
+# lambda ** 2 overflows in the consistency terms
+@example(cells=(1, 1, 1, 2), m=1, lengths=(1.0, 1.0, 1.0),
+         floats=(1.0, 1.0, 0.1, 1.0, 1e158), l2=1.0, T=0.25, seed=1)
+# a zero time step: every command's, or only the convergence reference's
+@example(cells=(1, 1, 1, 2), m=1, lengths=(1.0, 1.0, 1.0),
+         floats=(1.0, 1.0, 0.1, 1.0, 1.0), l2=1.0, T=5e-324, seed=1)
+@example(cells=(1, 1, 1, 2), m=1, lengths=(1.0, 1.0, 1.0),
+         floats=(1.0, 1.0, 0.1, 1.0, 1.0), l2=1.0, T=3e-323, seed=1)
 def test_every_command_keeps_exit_code_contract(tmp_path_factory, cells, m,
                                                 lengths, floats, l2, T, seed):
     """Small configs across decades: every command exits 0, 2, 3 or 4, and

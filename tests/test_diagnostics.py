@@ -14,7 +14,7 @@ from fsisplit.diagnostics import (EnergyLedger, consistency_terms, energy_E,
 from fsisplit.experiments import convergence
 from fsisplit.initial_data import smooth_coupled_mode
 from fsisplit.monolithic import ReferenceTrajectory, run_reference
-from fsisplit.splitting import InterfaceData, WindowRecord, WindowSample
+from fsisplit.splitting import SplitState, WindowSample
 
 
 def interpolate(space, f):
@@ -45,9 +45,9 @@ def test_energy_constant_fluid_velocity(run_disc):
     assert energy_E(d, params, u, zeros, zeros) == pytest.approx(2.0, rel=1e-13)
 
 
-def _make_window(t, u, p, eta, etad, traction, iface):
-    s = WindowSample(t=t, u=u, p=p, eta=eta, etad=etad, traction=traction)
-    return WindowRecord(samples=[s], iface_used=iface)
+def _make_window(t, u, p, eta, etad, traction):
+    """The samples of a one-substep window."""
+    return [WindowSample(t=t, u=u, p=p, eta=eta, etad=etad, traction=traction)]
 
 
 def test_window_T_zero_and_matched(run_disc, params):
@@ -55,18 +55,15 @@ def test_window_T_zero_and_matched(run_disc, params):
     grid = TimeGrid(0.5, 4)
     zero = np.zeros(d.ifd_f.size)
     zero_w = _make_window(grid.dt, np.zeros(d.V_f.ndof), np.zeros(d.Q.ndof),
-                          np.zeros(d.V_s.ndof), np.zeros(d.V_s.ndof), zero,
-                          InterfaceData(zero, zero))
-    assert window_T(d, params, grid, zero_w) == 0.0
+                          np.zeros(d.V_s.ndof), np.zeros(d.V_s.ndof), zero)
+    assert window_T(d, params, grid, zero_w, zero) == 0.0
     # rigid fluid velocity, solid velocity matching the window-average trace
     u = interpolate(d.V_f, lambda x, y: (0.7, 0.0))
     etad = np.zeros(d.V_s.ndof)
     etad[d.ifd_s] = u[d.ifd_f]
-    iface = InterfaceData(u_avg=u[d.ifd_f].copy(),
-                          traction_avg=np.zeros(d.ifd_f.size))
     w = _make_window(grid.dt, u, np.zeros(d.Q.ndof), np.zeros(d.V_s.ndof),
-                     etad, np.zeros(d.ifd_f.size), iface)
-    assert window_T(d, params, grid, w) < 1e-13
+                     etad, np.zeros(d.ifd_f.size))
+    assert window_T(d, params, grid, w, u[d.ifd_f].copy()) < 1e-13
 
 
 def test_window_quantities_match_dense_oracle(small_disc, params, rng):
@@ -78,16 +75,15 @@ def test_window_quantities_match_dense_oracle(small_disc, params, rng):
     u = rng.standard_normal(d.V_f.ndof)
     etad = rng.standard_normal(d.V_s.ndof)
     traction = rng.standard_normal(d.ifd_f.size)
-    iface = InterfaceData(u_avg=rng.standard_normal(d.ifd_f.size),
-                          traction_avg=np.zeros(d.ifd_f.size))
+    u_avg = rng.standard_normal(d.ifd_f.size)
     w = _make_window(grid.dt, u, np.zeros(d.Q.ndof), np.zeros(d.V_s.ndof),
-                     etad, traction, iface)
+                     etad, traction)
 
     K_dense = oracles.dense_symgrad(d.V_f, params.mu)
     Mc_dense = oracles.dense_interface_mass(d.V_f)[np.ix_(d.ifd_f, d.ifd_f)]
-    diff = etad[d.ifd_s] - iface.u_avg
+    diff = etad[d.ifd_s] - u_avg
     want_T = grid.ddt * (u @ K_dense @ u + 0.5 * lam * diff @ Mc_dense @ diff)
-    got_T = window_T(d, params, grid, w)
+    got_T = window_T(d, params, grid, w, u_avg)
     assert got_T == pytest.approx(want_T, rel=1e-12)
 
     want_S = grid.ddt * (traction @ np.linalg.solve(Mc_dense, traction) / (2 * lam)
@@ -176,14 +172,16 @@ def test_ledger_residual_bookkeeping():
 
 
 def _reference_as_windows(traj):
-    """Wrap a reference trajectory as one-substep splitting windows."""
-    windows = []
+    """Wrap a reference trajectory as the states of one-substep splitting
+    windows."""
+    states = []
     for t in traj.times[1:]:
         ref, flux = traj.at(t)
         s = WindowSample(t=t, u=ref.u, p=ref.p, eta=ref.eta, etad=ref.etad,
                          traction=flux)
-        windows.append(WindowRecord(samples=[s], iface_used=None))
-    return windows
+        states.append(SplitState(t=t, u=ref.u, p=ref.p, eta=ref.eta,
+                                 etad=ref.etad, iface=None, samples=[s]))
+    return states
 
 
 def test_error_norms_reference_vs_itself(run_disc, params):

@@ -209,13 +209,11 @@ def test_numbering_matches_reference(mesh_name, domain, kind):
     """The array-built numbering is the cell-by-cell dict-built one, exactly."""
     mesh = _NUMBERING_MESHES[mesh_name]
     space = build_space(mesh, domain, kind)
-    coords, cell_nodes, boundary, iface, facets = oracles.reference_numbering(
+    coords, cell_nodes, dirichlet, iface, facets = oracles.reference_numbering(
         mesh, domain, space.degree)
     assert np.array_equal(space.node_coords, coords)
     assert np.array_equal(space.cell_nodes, cell_nodes)
-    assert space.boundary_nodes.keys() == boundary.keys()
-    for tag, nodes in boundary.items():
-        assert np.array_equal(space.boundary_nodes[tag], nodes)
+    assert dirichlet.size and np.array_equal(space.dirichlet_nodes, dirichlet)
     assert np.array_equal(space.interface_nodes, iface)
     assert np.array_equal(space.interface_facets, facets)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import facets_of
 from fsisplit.mesh import (FLUID, INTERFACE, SIGMA_F, SIGMA_S, SOLID,
                            ChannelGeometry, build_two_layer_mesh)
 from fsisplit.spaces import SCALAR_P1, build_space
@@ -19,7 +20,7 @@ def test_smallest_mesh_counts():
     mesh = build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), 1, 1, 1)
     assert mesh.cells_of(FLUID).size == 2
     assert mesh.cells_of(SOLID).size == 2
-    iface = mesh.facets_of(INTERFACE)
+    iface = facets_of(mesh, INTERFACE)
     assert iface.shape[0] == 1
     v0, v1 = iface[0]
     assert np.linalg.norm(mesh.vertices[v1] - mesh.vertices[v0]) == pytest.approx(1.0)
@@ -35,13 +36,13 @@ def test_interface_length_sums_to_L():
     mesh = build_two_layer_mesh(geom, 5, 2, 3)
     # direct summation oracle over tagged facets
     total = sum(np.linalg.norm(mesh.vertices[v1] - mesh.vertices[v0])
-                for v0, v1 in mesh.facets_of(INTERFACE))
+                for v0, v1 in facets_of(mesh, INTERFACE))
     assert total == pytest.approx(geom.length, rel=1e-14)
 
 
 def test_interface_normals_and_count():
     mesh = build_two_layer_mesh(ChannelGeometry(2.0, 0.5, 0.5), 6, 2, 2)
-    facets = mesh.facets_of(INTERFACE)
+    facets = facets_of(mesh, INTERFACE)
     assert facets.shape[0] == 6
     # a flat interface at y = H_f: unit normal (0, 1) out of the fluid below
     ends = mesh.vertices[facets]
@@ -57,7 +58,7 @@ def test_interface_normals_and_count():
 
 def test_interface_matches_bitwise():
     mesh = build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), 4, 3, 2)
-    iface_verts = np.unique(mesh.facets_of(INTERFACE))
+    iface_verts = np.unique(facets_of(mesh, INTERFACE))
     fluid_verts = np.unique(mesh.cells[mesh.cells_of(FLUID)])
     solid_verts = np.unique(mesh.cells[mesh.cells_of(SOLID)])
     from_fluid = np.intersect1d(iface_verts, fluid_verts)
@@ -87,9 +88,9 @@ def test_mesh_properties_hold_for_any_geometry(L, hf, hs, nx, nyf, nys):
     h2 = (L / nx) * (min(hf / nyf, hs / nys))
     assert np.all(areas > 1e-14 * h2)  # positive orientation, no slivers
     assert areas.sum() == pytest.approx(L * (hf + hs), rel=1e-12)
-    assert mesh.facets_of(INTERFACE).shape[0] == nx
+    assert facets_of(mesh, INTERFACE).shape[0] == nx
     total = sum(np.linalg.norm(mesh.vertices[v1] - mesh.vertices[v0])
-                for v0, v1 in mesh.facets_of(INTERFACE))
+                for v0, v1 in facets_of(mesh, INTERFACE))
     assert total == pytest.approx(L, rel=1e-12)
 
 

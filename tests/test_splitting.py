@@ -118,7 +118,7 @@ def test_fluid_steady_robin_limit(run_disc, params, rng):
 def test_divergence_constraint_every_substep(run_disc, params, rng):
     solver = RobinRobinSolver(run_disc, params, TimeGrid(0.2, 3, 2))
     for state in solver.run(random_state(run_disc, params, rng)):
-        for s in state.window.samples:
+        for s in state.samples:
             assert np.linalg.norm(run_disc.B @ s.u) <= 1e-9 * np.linalg.norm(s.u)
 
 
@@ -153,7 +153,7 @@ def test_traction_equals_interior_residual(run_disc, params, rng):
     state = random_state(d, params, rng)
     u_prev = state.u
     new = solver.advance(state)
-    for s in new.window.samples:
+    for s in new.samples:
         r = ((params.rho_f / grid.ddt) * (d.M_f @ (s.u - u_prev))
              + d.stiffness_fluid(params.mu) @ s.u - d.B.T @ s.p)[d.ifd_f]
         assert dual_norm(d, r - s.traction) <= 1e-10 * max(1.0, dual_norm(d, r))
@@ -167,7 +167,7 @@ def test_interface_algebra_identity(run_disc, params, rng):
     lam = params.lambda_robin
     state = random_state(d, params, rng)
     new = solver.advance(state)
-    for s in new.window.samples:
+    for s in new.samples:
         lhs = s.traction + lam * (d.M_c @ s.u[d.ifd_f])
         rhs = lam * (d.M_c @ s.etad[d.ifd_s]) + state.iface.traction_avg
         assert np.abs(lhs - rhs).max() <= 1e-13 * max(1.0, np.abs(rhs).max())
@@ -229,14 +229,14 @@ def test_stability_bound_property(lam, rho_f, ratio, t_final, m, L, H_f, H_s,
 
 
 def test_robin_robin_holds_one_window(run_disc, params, rng, monkeypatch):
-    """The ledger run streams its windows: once a window is built, only it
+    """The ledger run streams its states: once a state is built, only it
     and the one before it are alive."""
     refs = []
     advance = RobinRobinSolver.advance
 
     def tracked(self, state):
         new = advance(self, state)
-        refs.append(weakref.ref(new.window))
+        refs.append(weakref.ref(new))
         gc.collect()
         assert all(ref() is None for ref in refs[:-2]), len(refs)
         return new

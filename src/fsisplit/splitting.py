@@ -227,10 +227,8 @@ class RobinRobinSolver:
         ddt = self.grid.ddt
         lam = p.lambda_robin
 
-        u_embed = np.zeros(d.V_s.ndof)
-        u_embed[d.ifd_s] = iface.u_avg
-        robin_rhs = lam * (d.M_is @ u_embed)
-        robin_rhs[d.ifd_s] -= iface.traction_avg
+        robin_rhs = np.zeros(d.V_s.ndof)
+        robin_rhs[d.ifd_s] = lam * (d.M_c @ iface.u_avg) - iface.traction_avg
 
         samples = []
         for _ in range(self.grid.substeps):
@@ -250,10 +248,8 @@ class RobinRobinSolver:
 
         samples = []
         for _, etad in solid_samples:
-            etad_embed = np.zeros(d.V_f.ndof)
-            etad_embed[d.ifd_f] = etad[d.ifd_s]
-            rhs_u = (p.rho_f / ddt) * (d.M_f @ u) + lam * (d.M_if @ etad_embed)
-            rhs_u[d.ifd_f] += iface.traction_avg
+            rhs_u = (p.rho_f / ddt) * (d.M_f @ u)
+            rhs_u[d.ifd_f] += lam * (d.M_c @ etad[d.ifd_s]) + iface.traction_avg
             rhs_u[d.dir_f] = 0.0
             sol = self._fluid_lu.solve(np.concatenate([rhs_u, np.zeros(self._np)]))
             u, pres = sol[:self._nu], sol[self._nu:]

@@ -113,8 +113,7 @@ def parse_config(path) -> RunConfig:
                           f"would take more than {MAX_STEPS} steps")
     # the reference's step is the smallest any command takes
     if parsed["T"] / steps == 0.0:
-        raise ConfigError(f"key 'T': the convergence reference's step T / {steps} "
-                          f"is zero")
+        raise ConfigError(f"key 'T': the reference step T / {steps} is zero")
 
     return RunConfig(geometry=geometry, nx=parsed["nx"], ny_f=parsed["ny_f"],
                      ny_s=parsed["ny_s"], params=params, t_final=parsed["T"],

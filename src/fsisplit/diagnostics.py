@@ -66,8 +66,7 @@ def energy_E(disc: Discretization, params: PhysicalParams, u, etad, eta) -> floa
 def window_T(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
              samples, u_avg_prev, iface_weight: float = 0.5) -> float:
     """2 mu int ||eps(u)||^2 + (weight * lambda) int ||etad - u_avg_prev||^2
-    over the window of the given substep samples (rectangle rule), with
-    u_avg_prev the interface velocity average of the window before.
+    over the window of `samples` (rectangle rule over substeps).
 
     The interface weight is 1/2 for the stability ledger and 1/4 for the
     error quantities.
@@ -92,8 +91,7 @@ def _interface_S(disc: Discretization, lam: float, traction, u_trace) -> float:
 
 def window_S(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
              samples) -> float:
-    """The interface stock _interface_S integrated over the window of the
-    given substep samples."""
+    """The interface stock _interface_S integrated over the window's samples."""
     total = 0.0
     for s in samples:
         total += grid.ddt * _interface_S(disc, params.lambda_robin, s.traction,

@@ -76,8 +76,9 @@ def test_parse_rejects_and_names_key(tmp_path, overrides, needle):
 
 
 def test_parse_bounds_sizes_at_their_limits(tmp_path):
-    """The size bounds sit exactly at MAX_CELLS and MAX_STEPS; only the
-    parser runs, so no mesh is built."""
+    """The size bounds sit exactly at MAX_CELLS and MAX_STEPS, and the
+    smallest T at a non-zero reference step; only the parser runs, so no
+    mesh is built."""
     from fsisplit.config import MAX_CELLS, MAX_STEPS
 
     assert 2 * 128 * (256 + 256) == MAX_CELLS
@@ -95,20 +96,15 @@ def test_parse_bounds_sizes_at_their_limits(tmp_path):
                       {"N": "32768", "dt_levels": "4"}):
         with pytest.raises(ConfigError, match="reference"):
             parse_config(write_config(tmp_path / "d.cfg", **overrides))
+    # T / 256 reference steps (the base config's) rounds to zero for T at
+    # 128 units of the smallest subnormal, 5e-324, and below
+    assert parse_config(write_config(tmp_path / "e.cfg", T="6.37e-322")).t_final > 0
+    for T in ("6.3e-322", "5e-324"):
+        with pytest.raises(ConfigError, match="key 'T'"):
+            parse_config(write_config(tmp_path / "e.cfg", T=T))
     # the shipped configs all lie within the bounds
     for shipped in (Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"):
         parse_config(str(shipped))
-
-
-def test_parse_rejects_zero_time_step(tmp_path):
-    """T over the convergence reference's steps (here 8 N 2^(dt_levels - 1)
-    = 256) must not round to zero; only the parser runs."""
-    for T in ("5e-324", "3e-323"):
-        with pytest.raises(ConfigError, match="key 'T'"):
-            parse_config(write_config(tmp_path / "t.cfg", T=T, N="8", dt_levels="3"))
-    cfg = parse_config(write_config(tmp_path / "t.cfg", T="1.3e-321", N="8",
-                                    dt_levels="3"))
-    assert cfg.t_final / 256 > 0.0
 
 
 def test_parse_rejects_duplicate_key(tmp_path):

@@ -7,6 +7,8 @@ triangle rule runs once, at import, on the reference cell.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -17,7 +19,7 @@ from .spaces import Space
 __all__ = [
     "assemble_vector_mass", "assemble_symgrad", "assemble_divdiv",
     "assemble_elasticity", "assemble_divergence", "assemble_interface_mass",
-    "stack_saddle", "apply_dirichlet", "SingularSystemError",
+    "stack_saddle", "apply_dirichlet", "grid_dissection", "SingularSystemError",
 ]
 
 # Dunavant degree-4 rule, weights scaled to reference-triangle area 1/2.
@@ -291,43 +293,92 @@ class SingularSystemError(RuntimeError):
     """A singular pivot, or a first solve that fails its backward-error check."""
 
 
-def _is_symmetric(A: sp.csc_matrix) -> bool:
-    """Whether a canonical CSC matrix equals its transpose, stored zeros
-    included: the CSR arrays of A are the CSC arrays of A^T.  A NaN equals
-    nothing, so a matrix holding one reads as unsymmetric."""
-    T = A.tocsr()
-    return (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
-            and np.array_equal(A.data, T.data))
+_LEAF = 16  # unknowns in a block that is not dissected further
+
+
+def grid_dissection(coords: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of unknowns at coords (n, 2) on a structured
+    grid (George, SIAM J. Numer. Anal. 10, 1973).
+
+    The distinct x (y) values of coords, ascending, number the grid's
+    columns (rows): vertex lines at even positions, edge midpoints between
+    them at odd ones.  Each separator is a vertex line with every unknown on
+    it; no cell straddles one, so it cuts the block in two.  A block is split
+    across the side with more lines (lines, not length, so a stretched grid
+    splits alike), until it holds at most _LEAF unknowns or no line is left
+    inside.  Both halves come before their separator; within each block and
+    separator the unknowns keep ascending index, so velocity before pressure.
+    """
+    col, row = (np.unique(c, return_inverse=True)[1].ravel() for c in coords.T)
+    nx, ny = int(col.max()) + 1, int(row.max()) + 1
+    held = np.zeros((nx + 1, ny + 1), dtype=np.int64)  # summed-area table
+    held[1:, 1:] = np.bincount(col * ny + row, minlength=nx * ny).reshape(
+        nx, ny).cumsum(axis=0).cumsum(axis=1)
+    held = held.tolist()
+    block = np.empty((nx, ny), dtype=np.int64)
+    serial = itertools.count()
+
+    def dissect(x0, x1, y0, y1):
+        """Order the unknowns of lattice box [x0, x1) x [y0, y1)."""
+        nlx, nly = (x1 - 2) // 2 - x0 // 2, (y1 - 2) // 2 - y0 // 2  # lines inside
+        n = held[x1][y1] - held[x0][y1] - held[x1][y0] + held[x0][y0]
+        if n <= _LEAF or max(nlx, nly) <= 0:
+            block[x0:x1, y0:y1] = next(serial)
+        elif nlx > nly:
+            s = 2 * (x0 // 2 + 1 + nlx // 2)  # the middle line
+            dissect(x0, s, y0, y1)
+            dissect(s + 1, x1, y0, y1)
+            block[s, y0:y1] = next(serial)
+        else:
+            s = 2 * (y0 // 2 + 1 + nly // 2)
+            dissect(x0, x1, y0, s)
+            dissect(x0, x1, s + 1, y1)
+            block[x0:x1, s] = next(serial)
+
+    dissect(0, nx, 0, ny)
+    return np.argsort(block[col, row], kind="stable")
 
 
 class Factorization:
-    """LU factorization ordered to the matrix; safe for repeated solves.
+    """LU factorization, safe for repeated solves, of A or, given a
+    fill-reducing order, of A[order][:, order].
 
-    The column ordering follows from symmetry alone: minimum degree on
-    A + A^T for an exactly symmetric matrix (the solid operators and the
-    divergence-free projection), COLAMD otherwise (the fluid saddle points
-    and the monolithic matrix).
-    Threshold pivoting keeps more of that ordering than partial pivoting
-    does; the normwise backward error of the first solve with b != 0 is
-    checked to make it safe.
+    The saddle points and the monolithic matrix pass their grid dissection
+    (`grid_dissection`) and keep it as it is.  Rows and columns are permuted
+    alike, because threshold pivoting prefers the diagonal of the matrix it
+    factors.  Without an order, minimum degree on A + A^T orders the
+    symmetric operators (the solid operators, the solid extension and the
+    divergence-free projection).  Threshold pivoting keeps more of either
+    order than partial pivoting does; the normwise backward error of the
+    first solve with b != 0 is checked to make it safe.
     """
 
-    def __init__(self, A: sp.spmatrix):
+    def __init__(self, A: sp.spmatrix, order: np.ndarray | None = None):
         A = A.tocsc()
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
         if not A.has_canonical_format:
             A = A.copy()
             A.sum_duplicates()
-        order = "MMD_AT_PLUS_A" if _is_symmetric(A) else "COLAMD"
+        spec = "MMD_AT_PLUS_A"
+        if order is not None:
+            position = np.empty_like(order)
+            position[order] = np.arange(order.size)
+            A = sp.csc_matrix((A.data, position[A.indices], A.indptr),
+                              shape=A.shape)[:, order]
+            A.sort_indices()
+            spec = "NATURAL"
         try:
-            self._lu = spla.splu(A, permc_spec=order, diag_pivot_thresh=0.01)
+            self._lu = spla.splu(A, permc_spec=spec, diag_pivot_thresh=0.01)
         except RuntimeError as exc:
             raise SingularSystemError(str(exc)) from exc
-        self._unchecked = A  # dropped once the first solve is checked
+        self._order = order
+        self._unchecked = A  # as factored; dropped once the first solve is checked
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
+        if self._order is not None:
+            b = b[self._order]
         x = self._lu.solve(b)
         if self._unchecked is not None and b.any():
             A, self._unchecked = self._unchecked, None
@@ -335,5 +386,7 @@ class Factorization:
             eta = np.abs(b - A @ x).max() / scale
             if not eta <= 1e-10:
                 raise SingularSystemError(f"solve backward error {eta:.3e} > 1e-10")
+        if self._order is not None:
+            x, xp = np.empty_like(x), x
+            x[self._order] = xp
         return x
-

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import Factorization, apply_dirichlet
+from .assembly import Factorization, apply_dirichlet, grid_dissection
 from .splitting import CoupledState, Discretization, PhysicalParams
 
 
@@ -88,7 +88,10 @@ class MonolithicSolver:
 
         self.dirichlet = np.unique(np.concatenate([d.dir_f, solid_map[d.dir_s]]))
         A, _ = apply_dirichlet(A, np.zeros(self.ncomb), self.dirichlet)
-        self._lu = Factorization(A)
+        coords = np.empty((self.ncomb, 2))
+        coords[:nu + npr] = np.vstack([d.V_f.dof_coords, d.Q.dof_coords])
+        coords[solid_map] = d.V_s.dof_coords  # the interface dofs: the same points
+        self._lu = Factorization(A, grid_dissection(coords))
 
     def step(self, state: CoupledState) -> CoupledState:
         """One backward-Euler step of the coupled system."""
@@ -170,7 +173,7 @@ class DirichletNeumannExplicit:
         self.constrained = np.unique(np.concatenate(
             [d.dir_f, d.ifd_f, np.array([nu], dtype=np.int64)]))
         Fc, _ = apply_dirichlet(self._F_full, np.zeros(nu + npr), self.constrained)
-        self._fluid_lu = Factorization(Fc)
+        self._fluid_lu = Factorization(Fc, d.fluid_order)
 
     def step(self, state: CoupledState, traction: np.ndarray):
         """One explicit window; returns (new state, new fluid traction)."""

@@ -85,6 +85,11 @@ class Space:
         return dofs.reshape(nodes.shape[:-1] + (-1,))
 
     @property
+    def dof_coords(self) -> np.ndarray:
+        """(ndof, 2) coordinates of each dof's node."""
+        return np.repeat(self.node_coords, self.ncomp, axis=0)
+
+    @property
     def interface_dofs(self) -> np.ndarray:
         return self.expand(self.interface_nodes)
 

@@ -19,7 +19,7 @@ from . import mesh as msh
 from .assembly import (Factorization, SingularSystemError, apply_dirichlet,
                        assemble_divergence, assemble_elasticity,
                        assemble_interface_mass, assemble_symgrad,
-                       assemble_vector_mass, stack_saddle)
+                       assemble_vector_mass, grid_dissection, stack_saddle)
 from .mesh import ChannelGeometry, build_two_layer_mesh
 from .spaces import SCALAR_P1, VECTOR_P2, build_space
 
@@ -137,6 +137,9 @@ class Discretization:
             self._M_c_inv = np.linalg.inv(self.M_c)
         except np.linalg.LinAlgError:  # e.g. edge lengths that underflow to 0
             raise SingularSystemError("the interface mass is singular") from None
+        # fill-reducing order of the fluid saddle points' unknowns: V_f, then Q
+        self.fluid_order = grid_dissection(np.vstack([self.V_f.dof_coords,
+                                                      self.Q.dof_coords]))
         # matrices by coefficients; held per instance, not by a functools
         # cache, so that a Discretization can be freed
         self._memo = {}
@@ -215,7 +218,7 @@ class RobinRobinSolver:
         nu, npr = d.V_f.ndof, d.Q.ndof
         F, _ = apply_dirichlet(d.fluid_saddle(p, ddt, lam), np.zeros(nu + npr),
                                d.dir_f)
-        self._fluid_lu = Factorization(F)
+        self._fluid_lu = Factorization(F, d.fluid_order)
         self._nu, self._np = nu, npr
 
     # -- subproblem solves ------------------------------------------------

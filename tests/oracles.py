@@ -4,7 +4,9 @@ Basis functions are reconstructed from monomial Vandermonde systems at the
 element nodes and integrated with a high-order Gauss rule mapped to the
 triangle by the Duffy transform, so nothing here shares code or quadrature
 with the package's assembly path.  `reference_numbering` is the original
-dict-based node numbering of the spaces, kept to pin the array-built one.
+dict-based node numbering of the spaces, kept to pin the array-built one;
+`dissection_blocks` splits index sets by coordinate masks, where the package
+splits a grid of lattice positions.
 """
 
 import numpy as np
@@ -271,3 +273,32 @@ def dense_reduced_solve(A, b, dofs):
     x = np.zeros(n)
     x[free] = np.linalg.solve(A[np.ix_(free, free)], np.asarray(b)[free])
     return x
+
+
+def dissection_blocks(coords, xs, ys, leaf=16):
+    """Nested dissection by masks on the coordinates themselves: the blocks
+    of unknown indices in order, each with None for a leaf or, for a
+    separator, the index sets of the two halves it separates.
+
+    xs and ys are the grid's vertex lines; a separator is the middle one of
+    the lines strictly inside the box, on the side with more of them.
+    """
+    blocks = []
+
+    def dissect(idx, box):
+        inner = [lines[1:-1][(lines[1:-1] > box[2 * a]) & (lines[1:-1] < box[2 * a + 1])]
+                 for a, lines in enumerate((xs, ys))]
+        if idx.size <= leaf or not (inner[0].size or inner[1].size):
+            blocks.append((idx, None))
+            return
+        a = 0 if inner[0].size > inner[1].size else 1
+        s = inner[a][inner[a].size // 2]
+        c = coords[idx, a]
+        low, high = list(box), list(box)
+        low[2 * a + 1] = high[2 * a] = s
+        dissect(idx[c < s], low)
+        dissect(idx[c > s], high)
+        blocks.append((idx[c == s], (idx[c < s], idx[c > s])))
+
+    dissect(np.arange(len(coords)), [-np.inf, np.inf, -np.inf, np.inf])
+    return blocks

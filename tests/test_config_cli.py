@@ -248,6 +248,10 @@ def _decades(lo, hi):
 # lambda ** 2 overflows in the consistency terms
 @example(cells=(1, 1, 1, 2), m=1, lengths=(1.0, 1.0, 1.0),
          floats=(1.0, 1.0, 0.1, 1.0, 1e158), l2=1.0, T=0.25, seed=1)
+# lambda M_if swamps rho_f / ddt M_f: at ddt = 0.0625 the Robin-Robin fluid
+# saddle point loses its pressure constant, and `converge` exits 3
+@example(cells=(1, 1, 1, 2), m=1, lengths=(1.0, 1.0, 1.0),
+         floats=(1.0, 1.0, 0.1, 1.0, 1e20), l2=1.0, T=0.25, seed=1)
 # a zero time step: every command's, or only the convergence reference's
 @example(cells=(1, 1, 1, 2), m=1, lengths=(1.0, 1.0, 1.0),
          floats=(1.0, 1.0, 0.1, 1.0, 1.0), l2=1.0, T=5e-324, seed=1)

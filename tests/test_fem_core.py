@@ -7,14 +7,15 @@ import scipy.sparse.linalg as spla
 
 import oracles
 from fsisplit import (ChannelGeometry, Discretization, RobinRobinSolver,
-                      TimeGrid, initial_data, splitting)
+                      TimeGrid, initial_data, monolithic, splitting)
 from fsisplit.assembly import (Factorization, SingularSystemError,
                                apply_dirichlet, assemble_divdiv,
                                assemble_divergence, assemble_elasticity,
                                assemble_interface_mass, assemble_symgrad,
-                               assemble_vector_mass)
+                               assemble_vector_mass, grid_dissection)
 from fsisplit.mesh import (FLUID, SOLID, ChannelGeometry, Mesh,
                            build_two_layer_mesh)
+from fsisplit.monolithic import DirichletNeumannExplicit, MonolithicSolver
 from fsisplit.spaces import SCALAR_P1, VECTOR_P2, build_space
 
 
@@ -365,31 +366,100 @@ def test_operators_store_no_zeros(small_disc, params):
 
 def test_factorization_orders_to_structure(params, monkeypatch):
     """The symmetric operators (solid, extension, projection) have less fill
-    than COLAMD gives them, the fluid saddle less than partially pivoted
-    COLAMD."""
+    under minimum degree than under COLAMD, and the fluid saddle points and
+    the monolithic matrix less under their grid dissection than under
+    COLAMD with the same threshold pivoting."""
     made = []
 
     class Recording(Factorization):
-        def __init__(self, A):
-            super().__init__(A)
+        def __init__(self, A, order=None):
+            super().__init__(A, order)
             made.append((A.tocsc(), self))
 
-    monkeypatch.setattr(splitting, "Factorization", Recording)
-    monkeypatch.setattr(initial_data, "Factorization", Recording)
+    for module in (splitting, initial_data, monolithic):
+        monkeypatch.setattr(module, "Factorization", Recording)
     d = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 16, 16, 16)
     RobinRobinSolver(d, params, TimeGrid(0.5, 64, 2))
     initial_data.solid_extension(d, np.ones(d.ifd_s.size))
     initial_data.project_divergence_free(d, np.ones(d.V_f.ndof))
-    (S, solid), (F, fluid), (E, extension), (P, projection) = made
+    MonolithicSolver(d, params, 1.0 / 256)
+    DirichletNeumannExplicit(d, params, 1.0 / 128)
+    ((S, solid), (F, fluid), (E, extension), (P, projection), (A, mono),
+     (_, dn_solid), (G, dn_fluid)) = made
     assert abs(S - S.T).max() == 0 and abs(F - F.T).max() > 0
     assert abs(P - P.T).max() == 0
-    for A, fac in ((S, solid), (E, extension)):
-        assert _fill(fac._lu) < _fill(spla.splu(A, permc_spec="COLAMD"))
-    assert _fill(fluid._lu) < _fill(spla.splu(F, permc_spec="COLAMD"))
-    # the zero block of the projection's saddle point does not send it to
-    # COLAMD: minimum degree beats it under the same pivoting
+    for A_, fac in ((S, solid), (E, extension)):
+        assert fac._order is None
+        assert _fill(fac._lu) < _fill(spla.splu(A_, permc_spec="COLAMD"))
+    # the zero block of the projection's saddle point: minimum degree still
+    # beats COLAMD under the same pivoting
+    assert projection._order is None and dn_solid._order is None
     assert _fill(projection._lu) < _fill(
         spla.splu(P, permc_spec="COLAMD", diag_pivot_thresh=0.01))
+    for A_, fac in ((F, fluid), (A, mono), (G, dn_fluid)):
+        assert fac._order is not None
+        assert _fill(fac._lu) < _fill(
+            spla.splu(A_, permc_spec="COLAMD", diag_pivot_thresh=0.01))
+
+
+_DISSECTED = {"1x1x1": ((1.0, 1.0, 1.0), 1, 1, 1),
+              "2x32x32": ((1.0, 1.0, 1.0), 2, 32, 32),
+              "32x4x4": ((1.0, 1.0, 1.0), 32, 4, 4),
+              "stretched": ((3.0, 0.2, 0.5), 16, 16, 16)}
+
+
+@pytest.mark.parametrize("name", list(_DISSECTED))
+def test_grid_dissection(params, name):
+    """The fluid order and the order of all of a mesh's unknowns are a
+    deterministic nested dissection: the mask oracle's blocks, in which every
+    separator is a vertex line that decouples its two halves, and every block
+    keeps ascending index (so velocity before pressure)."""
+    geom, *cells = _DISSECTED[name]
+    d = Discretization(ChannelGeometry(*geom), *cells)
+    F = d.fluid_saddle(params, 0.1, 1.0)
+    nf = F.shape[0]
+    every = np.vstack([d.V_f.dof_coords, d.Q.dof_coords, d.V_s.dof_coords])
+    for coords, order in ((every[:nf], d.fluid_order),
+                          (every, grid_dissection(every))):
+        assert np.array_equal(np.sort(order), np.arange(len(coords)))
+        assert np.array_equal(grid_dissection(coords.copy()), order)
+        xs, ys = (np.unique(d.mesh.vertices[:, a]) for a in (0, 1))
+        ys = ys[ys <= coords[:, 1].max()]
+        blocks = oracles.dissection_blocks(coords, xs, ys)
+        assert np.array_equal(np.concatenate([b for b, _ in blocks]), order)
+        for block, halves in blocks:
+            assert np.all(np.diff(block) > 0)
+            if halves is None:
+                continue
+            on_x = np.isin(coords[block, 0], xs).all() and np.ptp(coords[block, 0]) == 0
+            on_y = np.isin(coords[block, 1], ys).all() and np.ptp(coords[block, 1]) == 0
+            assert on_x or on_y
+            if len(coords) == nf:  # no fluid saddle entry couples the halves
+                assert F[halves[0]][:, halves[1]].nnz == 0
+
+
+def _robin_fluid_saddle(d, params):
+    n = d.V_f.ndof + d.Q.ndof
+    return apply_dirichlet(d.fluid_saddle(params, 0.1, 1.0), np.zeros(n), d.dir_f)[0]
+
+
+def test_ordered_solve_matches_dense(run_disc, params, rng):
+    d = run_disc
+    F = _robin_fluid_saddle(d, params)
+    b = rng.standard_normal(F.shape[0])
+    b[d.dir_f] = 0.0
+    fac = Factorization(F, d.fluid_order)
+    assert not np.array_equal(d.fluid_order, np.arange(F.shape[0]))
+    x = fac.solve(b)
+    want = np.linalg.solve(F.toarray(), b)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+    assert fac._unchecked is None  # checked once, in the factored order
+
+
+def test_ordered_nan_raises(run_disc, params):
+    F = _robin_fluid_saddle(run_disc, params)
+    with pytest.raises(SingularSystemError):  # SuperLU reads the NaN pivot as singular
+        Factorization(_nan_on_diagonal(F), run_disc.fluid_order)
 
 
 def test_symmetric_path_pivots_tiny_diagonal(monkeypatch):
@@ -419,13 +489,14 @@ def _nan_on_diagonal(A):
     return A
 
 
-@pytest.mark.parametrize("perturb,order", [
-    (lambda A: _unsorted(A, "csc"), "MMD_AT_PLUS_A"),
-    (lambda A: _unsorted(A, "csr"), "MMD_AT_PLUS_A"),
-    (_one_ulp_off, "COLAMD"),
-    (_nan_on_diagonal, "COLAMD"),
+@pytest.mark.parametrize("perturb", [
+    lambda A: _unsorted(A, "csc"), lambda A: _unsorted(A, "csr"),
+    _one_ulp_off, _nan_on_diagonal,
 ], ids=["unsorted_csc", "unsorted_csr", "one_ulp", "nan"])
-def test_ordering_follows_exact_symmetry(small_disc, params, monkeypatch, perturb, order):
+def test_ordering_follows_exact_symmetry(small_disc, params, monkeypatch, rng, perturb):
+    """Without an order, every matrix takes minimum degree, whether it is
+    exactly symmetric or not; the solve of a matrix one ulp off symmetric
+    still passes the backward-error check."""
     used = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda A, **kw: used.append(kw) or splu(A, **kw))
@@ -437,8 +508,12 @@ def test_ordering_follows_exact_symmetry(small_disc, params, monkeypatch, pertur
         with pytest.raises(SingularSystemError):  # SuperLU reads the NaN pivot as singular
             Factorization(A)
     else:
-        Factorization(A)
-    assert used == [{"permc_spec": order, "diag_pivot_thresh": 0.01}]
+        fac = Factorization(A)
+        b = rng.standard_normal(A.shape[0])
+        b[small_disc.dir_s] = 0.0
+        fac.solve(b)
+        assert fac._unchecked is None
+    assert used == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01}]
     assert np.array_equal(A.indices, indices)  # the caller's matrix is not sorted in place
     assert np.array_equal(A.data, data, equal_nan=True)
 

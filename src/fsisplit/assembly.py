@@ -386,7 +386,8 @@ class Factorization:
             eta = np.abs(b - A @ x).max() / scale
             if not eta <= 1e-10:
                 raise SingularSystemError(f"solve backward error {eta:.3e} > 1e-10")
-        if self._order is not None:
-            x, xp = np.empty_like(x), x
-            x[self._order] = xp
-        return x
+        if self._order is None:
+            return x
+        out = np.empty_like(x)
+        out[self._order] = x  # back to the caller's numbering
+        return out

@@ -388,18 +388,18 @@ def test_factorization_orders_to_structure(params, monkeypatch):
      (_, dn_solid), (G, dn_fluid)) = made
     assert abs(S - S.T).max() == 0 and abs(F - F.T).max() > 0
     assert abs(P - P.T).max() == 0
-    for A_, fac in ((S, solid), (E, extension)):
+    for M, fac in ((S, solid), (E, extension)):
         assert fac._order is None
-        assert _fill(fac._lu) < _fill(spla.splu(A_, permc_spec="COLAMD"))
+        assert _fill(fac._lu) < _fill(spla.splu(M, permc_spec="COLAMD"))
     # the zero block of the projection's saddle point: minimum degree still
     # beats COLAMD under the same pivoting
     assert projection._order is None and dn_solid._order is None
     assert _fill(projection._lu) < _fill(
         spla.splu(P, permc_spec="COLAMD", diag_pivot_thresh=0.01))
-    for A_, fac in ((F, fluid), (A, mono), (G, dn_fluid)):
+    for M, fac in ((F, fluid), (A, mono), (G, dn_fluid)):
         assert fac._order is not None
         assert _fill(fac._lu) < _fill(
-            spla.splu(A_, permc_spec="COLAMD", diag_pivot_thresh=0.01))
+            spla.splu(M, permc_spec="COLAMD", diag_pivot_thresh=0.01))
 
 
 _DISSECTED = {"1x1x1": ((1.0, 1.0, 1.0), 1, 1, 1),
@@ -419,12 +419,12 @@ def test_grid_dissection(params, name):
     F = d.fluid_saddle(params, 0.1, 1.0)
     nf = F.shape[0]
     every = np.vstack([d.V_f.dof_coords, d.Q.dof_coords, d.V_s.dof_coords])
+    xs, all_ys = (np.unique(d.mesh.vertices[:, a]) for a in (0, 1))
     for coords, order in ((every[:nf], d.fluid_order),
                           (every, grid_dissection(every))):
         assert np.array_equal(np.sort(order), np.arange(len(coords)))
         assert np.array_equal(grid_dissection(coords.copy()), order)
-        xs, ys = (np.unique(d.mesh.vertices[:, a]) for a in (0, 1))
-        ys = ys[ys <= coords[:, 1].max()]
+        ys = all_ys[all_ys <= coords[:, 1].max()]
         blocks = oracles.dissection_blocks(coords, xs, ys)
         assert np.array_equal(np.concatenate([b for b, _ in blocks]), order)
         for block, halves in blocks:

@@ -46,21 +46,25 @@ class RunConfig:
 def parse_config(path) -> RunConfig:
     """Parse a `key = value` file; unknown keys and violated invariants are
     rejected with a message naming the offending key."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: byte {exc.start}: {exc.reason}") from None
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in KEYS:
-                raise ConfigError(f"unknown key '{key}'")
-            if key in values:
-                raise ConfigError(f"duplicate key '{key}'")
-            values[key] = val
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in KEYS:
+            raise ConfigError(f"unknown key '{key}'")
+        if key in values:
+            raise ConfigError(f"duplicate key '{key}'")
+        values[key] = val
 
     missing = [k for k in KEYS if k not in values]
     if missing:

@@ -153,6 +153,11 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     path = write_config(tmp_path / "nan.cfg", l2="nan")
     assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 2
     assert "'l2'" in capsys.readouterr().err
+    # bytes that are not UTF-8 once escaped main as a UnicodeDecodeError
+    path = tmp_path / "bytes.cfg"
+    path.write_bytes(b"L = 1.0\xff\n")
+    assert main(["stability", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -270,6 +275,72 @@ def test_every_command_keeps_exit_code_contract(tmp_path_factory, cells, m,
     for command in ("stability", "converge", "lambda-sweep", "dn-compare"):
         assert main([command, "--config", path,
                      "--out", str(tmp / command)]) in (0, 2, 3, 4)
+
+
+_SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+# mutations of a config's lines; none writes a decimal digit, so no value
+# grows into a long run
+_LINE = st.integers(0, 17)
+_GARBLE = st.text(st.characters(exclude_categories=("Cs", "Nd")), max_size=4)
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), _LINE),
+    st.tuples(st.just("duplicate"), _LINE),
+    st.tuples(st.just("garble"), _LINE, st.integers(0, 12), st.integers(0, 3), _GARBLE),
+    st.tuples(st.just("bytes"), _LINE, st.integers(0, 12),
+              st.binary(min_size=1, max_size=4).filter(
+                  lambda b: not any(c.isdecimal() for c in b.decode(errors="ignore")))),
+    st.tuples(st.just("bom")),
+    st.tuples(st.just("unknown"), _LINE, st.sampled_from(["bogus", "Nx", "lambda_", "mode2"])),
+    st.tuples(st.just("value"), _LINE,
+              st.sampled_from(["nan", "-nan", "1e400", "-1e400", "1e300", "1e-300", "-0",
+                               "9" * 5000, "1" + "0" * 4999])),
+)
+
+
+def _mutate(lines, mutation):
+    """Apply one mutation to a config's lines (bytes, each without its
+    newline)."""
+    kind, *args = mutation
+    if kind == "bom":
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+        return
+    i = args[0] % len(lines)
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "garble":
+        start, width, text = args[1:]
+        lines[i] = lines[i][:start] + text.encode() + lines[i][start + width:]
+    elif kind == "bytes":
+        lines[i] = lines[i][:args[1]] + args[2] + lines[i][args[1]:]
+    elif kind == "unknown":
+        lines.insert(i, args[1].encode() + b" = 1")
+    else:
+        lines[i] = lines[i].partition(b"=")[0] + b"= " + args[1].encode()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["stability", "converge", "lambda-sweep",
+                                "dn-compare", "dump-config"]),
+       mutations=st.lists(_MUTATIONS, max_size=3))
+def test_mutated_shipped_config_keeps_exit_code_contract(tmp_path_factory, command,
+                                                         mutations):
+    """A shipped config, shrunk to a 2x2x2 mesh and two short levels, then
+    with lines dropped, duplicated or garbled, raw bytes, a byte-order mark,
+    unknown keys or non-finite and 5000-digit values: every command exits 0,
+    2, 3 or 4, and no exception escapes main."""
+    name = "stability" if command == "dump-config" else command
+    text = (_SHIPPED / f"{name.replace('-', '_')}.cfg").read_text()
+    small = {"nx": "2", "ny_f": "2", "ny_s": "2", "N": "2", "dt_levels": "2"}
+    lines = [f"{k} = {small.get(k, v)}".encode()
+             for k, v in (line.split(" = ") for line in text.splitlines())]
+    for mutation in mutations:
+        _mutate(lines, mutation)
+    tmp = tmp_path_factory.mktemp("mutated")
+    path = tmp / "m.cfg"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert main([command, "--config", str(path), "--out", str(tmp / "o")]) in (0, 2, 3, 4)
 
 
 def test_dn_compare_without_blowup_exits_4(tmp_path, capsys):
@@ -446,8 +517,8 @@ def test_inaccurate_solve_exits_3(tmp_path, monkeypatch):
         def __init__(self, lu):
             self._lu = lu
 
-        def solve(self, b):
-            return 1.001 * self._lu.solve(b)
+        def solve(self, b, trans="N"):
+            return 1.001 * self._lu.solve(b, trans)
 
     monkeypatch.setattr(spla, "splu", lambda A, **kw: Perturbed(splu(A, **kw)))
     path = write_config(tmp_path / "a.cfg")

@@ -456,6 +456,19 @@ def test_ordered_solve_matches_dense(run_disc, params, rng):
     assert fac._unchecked is None  # checked once, in the factored order
 
 
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+def test_unordered_nonsymmetric_solve_matches_dense(rng, fmt):
+    """Solves A x = b, not A^T x = b, for a matrix far from symmetric."""
+    n = 80
+    A = (sp.diags([-1.0, 4.0, -2.5], [-1, 0, 1], shape=(n, n))
+         + sp.random(n, n, density=0.05, random_state=rng)).asformat(fmt)
+    assert abs(A - A.T).max() >= 1.0
+    b = rng.standard_normal(n)
+    x = Factorization(A).solve(b)
+    want = np.linalg.solve(A.toarray(), b)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_ordered_nan_raises(run_disc, params):
     F = _robin_fluid_saddle(run_disc, params)
     with pytest.raises(SingularSystemError):  # SuperLU reads the NaN pivot as singular
@@ -526,8 +539,8 @@ def test_first_solve_checks_backward_error(small_disc, rng, perturb):
     lu = fac._lu
 
     class Perturbed:
-        def solve(self, b):
-            return perturb(lu.solve(b))
+        def solve(self, b, trans="N"):
+            return perturb(lu.solve(b, trans))
 
     fac._lu = Perturbed()
     fac.solve(np.zeros(A.shape[0]))  # a zero right-hand side is not checked

@@ -87,19 +87,22 @@ def _tables(basis):
 
 def _integrate(a, b):
     """Reference-cell integrals (m, n) of a[:, k] b[:, l], from tables (nq, m)
-    and (nq, n) at the triangle quadrature points."""
-    # A BLAS product, not einsum: einsum sums two mirror-image entries of
-    # DIV_REF to equal bits, which then cancel exactly on right-angled cells;
-    # the divergence matrix loses those round-off entries, and the
-    # projection's minimum-degree fill grows by 15% at n = 16.
-    return (TRI_WEIGHTS[:, None] * a).T @ b
+    and (nq, n) at the triangle quadrature points, rounded to their exact
+    values.  Each is an integer combination of the monomial integrals
+    a! b! / (a + b + 2)! with a + b <= 4, so a multiple of 1/720; an exact
+    zero then stays zero in every cell matrix."""
+    quad = (TRI_WEIGHTS[:, None] * a).T @ b
+    exact = np.round(720.0 * quad) / 720.0
+    if not np.abs(exact - quad).max() <= 1e-13:
+        raise ArithmeticError("a reference integral is not a multiple of 1/720")
+    return exact
 
 
 # Tensor representation of the forms on affine cells (Kirby & Logg, ACM TOMS
 # 2006): each cell matrix is the cell's geometry contracted with a constant
 # reference-cell integral, so no form runs quadrature per cell.  The rule is
-# exact for these products, so the tables hold the exact integrals, up to
-# rounding.  Keyed by degree.
+# exact for these products, and `_integrate` rounds away its error.  Keyed
+# by degree.
 _TABLES = {1: _tables(p1_basis), 2: _tables(p2_basis)}
 # [i, j]: integral of phi_i phi_j
 MASS_REF = {deg: _integrate(v, v) for deg, (v, _) in _TABLES.items()}
@@ -340,52 +343,43 @@ def grid_dissection(coords: np.ndarray) -> np.ndarray:
 
 
 class Factorization:
-    """LU factorization, safe for repeated solves, of A or, given a
-    fill-reducing order, of A[order][:, order].
+    """LU factorization, safe for repeated solves, of A[order][:, order].
 
-    The saddle points and the monolithic matrix pass their grid dissection
-    (`grid_dissection`) and keep it as it is.  Rows and columns are permuted
+    Every caller passes the grid dissection (`grid_dissection`) of its
+    unknowns, and SuperLU keeps it as it is.  Rows and columns are permuted
     alike, because threshold pivoting prefers the diagonal of the matrix it
-    factors.  Without an order, minimum degree on A + A^T orders the
-    symmetric operators (the solid operators, the solid extension and the
-    divergence-free projection).  Threshold pivoting keeps more of either
-    order than partial pivoting does; the normwise backward error of the
-    first solve with b != 0 is checked to make it safe.
+    factors.  Threshold pivoting keeps more of the order than partial
+    pivoting does; the normwise backward error of the first solve with
+    b != 0 is checked to make it safe.
 
     SuperLU factors A^T, the CSR arrays of A read as CSC with no copy, and
     each solve is its transposed solve, (A^T)^T x = A x = b: on one factor
     of these matrices, at n = 16 and 32, that solve is 12-28% faster than
-    the plain one.  Either order is the same for A^T, and a symmetric A
-    keeps its factor.
+    the plain one.  A symmetric A keeps its factor.
     """
 
-    def __init__(self, A: sp.spmatrix, order: np.ndarray | None = None):
+    def __init__(self, A: sp.spmatrix, order: np.ndarray):
         A = A.tocsr()
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
         if not A.has_canonical_format:
             A = A.copy()
             A.sum_duplicates()
-        spec = "MMD_AT_PLUS_A"
-        if order is not None:
-            position = np.empty_like(order)
-            position[order] = np.arange(order.size)
-            A = sp.csr_matrix((A.data, position[A.indices], A.indptr),
-                              shape=A.shape)[order]
-            A.sort_indices()
-            spec = "NATURAL"
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        A = sp.csr_matrix((A.data, position[A.indices], A.indptr),
+                          shape=A.shape)[order]
+        A.sort_indices()
         At = sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
         try:
-            self._lu = spla.splu(At, permc_spec=spec, diag_pivot_thresh=0.01)
+            self._lu = spla.splu(At, permc_spec="NATURAL", diag_pivot_thresh=0.01)
         except RuntimeError as exc:
             raise SingularSystemError(str(exc)) from exc
-        self._order = order
+        self._order, self._position = order, position
         self._unchecked = A  # as solved; dropped once the first solve is checked
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if self._order is not None:
-            b = b[self._order]
+        b = np.asarray(b, dtype=float)[self._order]
         x = self._lu.solve(b, trans="T")
         if self._unchecked is not None and b.any():
             A, self._unchecked = self._unchecked, None
@@ -393,8 +387,4 @@ class Factorization:
             eta = np.abs(b - A @ x).max() / scale
             if not eta <= 1e-10:
                 raise SingularSystemError(f"solve backward error {eta:.3e} > 1e-10")
-        if self._order is None:
-            return x
-        out = np.empty_like(x)
-        out[self._order] = x  # back to the caller's numbering
-        return out
+        return x[self._position]  # back to the caller's numbering

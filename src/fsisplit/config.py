@@ -24,6 +24,11 @@ MAX_CELLS = 2 ** 17
 MAX_STEPS = 2 ** 20
 
 
+def _shown(raw: str) -> str:
+    """A rejected value as a message quotes it, cut to 20 characters."""
+    return raw if len(raw) <= 20 else raw[:20] + "..."
+
+
 class ConfigError(ValueError):
     """Invalid or missing configuration; the message names the key."""
 
@@ -47,7 +52,7 @@ def parse_config(path) -> RunConfig:
     """Parse a `key = value` file; unknown keys and violated invariants are
     rejected with a message naming the offending key."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading mark is dropped
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"not UTF-8 text: byte {exc.start}: {exc.reason}") from None
@@ -81,9 +86,9 @@ def parse_config(path) -> RunConfig:
             else:
                 parsed[key] = raw
         except ValueError:
-            raise ConfigError(f"key '{key}': cannot parse value '{raw}'") from None
+            raise ConfigError(f"key '{key}': cannot parse value '{_shown(raw)}'") from None
         if key in _FLOAT_KEYS and not math.isfinite(parsed[key]):
-            raise ConfigError(f"key '{key}': must be finite, got '{raw}'")
+            raise ConfigError(f"key '{key}': must be finite, got '{_shown(raw)}'")
 
     if parsed["mode"] not in MODES:
         raise ConfigError(f"key 'mode': must be one of {', '.join(MODES)}")
@@ -99,7 +104,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("key 'nx'/'ny_f'/'ny_s': cell counts must be >= 1")
     cells = 2 * parsed["nx"] * (parsed["ny_f"] + parsed["ny_s"])
     if cells > MAX_CELLS:
-        raise ConfigError(f"key 'nx'/'ny_f'/'ny_s': {cells} mesh cells exceed "
+        shown = cells if cells < 10 ** 20 else "more than 1e20"  # str() refuses 4300 digits
+        raise ConfigError(f"key 'nx'/'ny_f'/'ny_s': {shown} mesh cells exceed "
                           f"the bound of {MAX_CELLS}")
     try:
         params = PhysicalParams(parsed["rho_f"], parsed["rho_s"], parsed["mu"],

@@ -24,7 +24,7 @@ def project_divergence_free(disc: Discretization, u_raw: np.ndarray) -> np.ndarr
     A = stack_saddle(d.M_f, d.BT, d.B)
     b = np.concatenate([d.M_f @ u_raw, np.zeros(npr)])
     A, b = apply_dirichlet(A, b, d.dir_f)
-    u = Factorization(A).solve(b)[:nu].copy()  # not a view of the solve vector
+    u = Factorization(A, d.fluid_order).solve(b)[:nu].copy()  # not a view of the solve vector
     res = np.linalg.norm(d.B @ u)
     if not res <= 1e-8 * max(1.0, np.linalg.norm(u)):  # NaN fails too
         raise RuntimeError(f"divergence-free projection failed, |Bu| = {res:.3e}")
@@ -39,7 +39,7 @@ def solid_extension(disc: Discretization, trace: np.ndarray) -> np.ndarray:
     fixed = np.concatenate([d.dir_s, d.ifd_s])
     values = np.concatenate([np.zeros(d.dir_s.size), trace])
     A, b = apply_dirichlet(A, np.zeros(d.V_s.ndof), fixed, values)
-    out = Factorization(A).solve(b)
+    out = Factorization(A, d.solid_order).solve(b)
     out[d.ifd_s] = trace  # exact, not up to solver tolerance
     out[d.dir_s] = 0.0
     return out

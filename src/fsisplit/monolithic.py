@@ -165,7 +165,7 @@ class DirichletNeumannExplicit:
 
         S, _ = apply_dirichlet(d.solid_operator(p, dt), np.zeros(d.V_s.ndof),
                                d.dir_s)
-        self._solid_lu = Factorization(S)
+        self._solid_lu = Factorization(S, d.solid_order)
 
         nu, npr = d.V_f.ndof, d.Q.ndof
         self._nu, self._np = nu, npr

@@ -137,9 +137,11 @@ class Discretization:
             self._M_c_inv = np.linalg.inv(self.M_c)
         except np.linalg.LinAlgError:  # e.g. edge lengths that underflow to 0
             raise SingularSystemError("the interface mass is singular") from None
-        # fill-reducing order of the fluid saddle points' unknowns: V_f, then Q
+        # fill-reducing orders of the fluid saddle points' unknowns (V_f, then
+        # Q) and of the solid operators' (V_s)
         self.fluid_order = grid_dissection(np.vstack([self.V_f.dof_coords,
                                                       self.Q.dof_coords]))
+        self.solid_order = grid_dissection(self.V_s.dof_coords)
         # matrices by coefficients; held per instance, not by a functools
         # cache, so that a Discretization can be freed
         self._memo = {}
@@ -213,7 +215,7 @@ class RobinRobinSolver:
 
         S, _ = apply_dirichlet(d.solid_operator(p, ddt, lam),
                                np.zeros(d.V_s.ndof), d.dir_s)
-        self._solid_lu = Factorization(S)
+        self._solid_lu = Factorization(S, d.solid_order)
 
         nu, npr = d.V_f.ndof, d.Q.ndof
         F, _ = apply_dirichlet(d.fluid_saddle(p, ddt, lam), np.zeros(nu + npr),

@@ -33,6 +33,12 @@ def run_disc(unit_geom):
     return Discretization(unit_geom, 4, 4, 4)
 
 
+@pytest.fixture(scope="session")
+def shipped_disc(unit_geom):
+    """16x16 cells per subdomain: the mesh of the shipped configs."""
+    return Discretization(unit_geom, 16, 16, 16)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fsisplit import initial_data
 from fsisplit.cli import main
 from fsisplit.config import ConfigError, dump_config, parse_config
 
+_SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 BASE = {
     "L": "1.0", "H_f": "1.0", "H_s": "1.0",
     "nx": "4", "ny_f": "4", "ny_s": "4",
@@ -115,6 +117,26 @@ def test_parse_rejects_duplicate_key(tmp_path):
         parse_config(str(path))
 
 
+def test_byte_order_mark_is_dropped(tmp_path):
+    """Some editors start a UTF-8 file with a byte-order mark; it is not
+    part of the first key."""
+    shipped = _SHIPPED / "stability.cfg"
+    path = tmp_path / "bom.cfg"
+    path.write_text("\ufeff" + shipped.read_text(), encoding="utf-8")
+    assert dump_config(parse_config(str(path))) == dump_config(parse_config(str(shipped)))
+
+
+@pytest.mark.parametrize("digits", [4000, 4300, 5000])
+def test_long_value_is_not_echoed(tmp_path, capsys, digits):
+    """A huge nx is named, not written out: at 4000 digits the mesh-size
+    bound rejects it, at 4300 its cell count has more digits than str()
+    writes, and at 5000 int() refuses it."""
+    path = write_config(tmp_path / "long.cfg", nx="9" * digits)
+    assert main(["dump-config", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200 and "'nx'" in err
+
+
 def test_dump_round_trips_byte_identically(tmp_path):
     cfg = parse_config(write_config(tmp_path / "a.cfg"))
     text = dump_config(cfg)
@@ -193,9 +215,9 @@ def test_converge_command(tmp_path):
     assert (out / "consistency.csv").exists()
 
 
-# One cell per subdomain: both levels' errors are exactly 0, so the pairwise
-# rate is 0/0.
-ZERO_ERROR = {
+# One cell per subdomain, with lengths and coefficients across decades: the
+# smooth mode is round-off there (E0 about 1e-47).
+ONE_CELL = {
     "L": "0.016872741291426623", "H_f": "0.27597765877611896",
     "H_s": "0.09954209598476502", "nx": "1", "ny_f": "1", "ny_s": "1",
     "rho_f": "4330.093984177311", "rho_s": "0.00015949890968342694",
@@ -205,8 +227,13 @@ ZERO_ERROR = {
 }
 
 
-def test_converge_zero_error_exits_4(tmp_path, capsys):
-    path = write_config(tmp_path / "z.cfg", mode="converge", **ZERO_ERROR)
+def test_converge_zero_error_exits_4(tmp_path, capsys, monkeypatch):
+    """A smooth mode built from a zero stream-function velocity is exactly
+    zero: both levels' errors are 0, so the pairwise rate is 0/0, and the
+    zero initial energy fails the round-off verdict."""
+    monkeypatch.setattr(initial_data, "stream_function_velocity",
+                        lambda disc: np.zeros(disc.V_f.ndof))
+    path = write_config(tmp_path / "z.cfg", mode="converge", **ONE_CELL)
     out = tmp_path / "o"
     assert main(["converge", "--config", path, "--out", str(out)]) == 4
     assert "rate = nan" in capsys.readouterr().out
@@ -217,8 +244,9 @@ def test_converge_zero_error_exits_4(tmp_path, capsys):
 
 # The shipped converge config on one cell per subdomain.  That mesh holds no
 # divergence-free velocity of the stream function's shape: the smooth mode is
-# exactly zero on the unit channel and round-off (E0 about 7e-32) on the long
-# one, whose errors of about 1e-29 used to fit a rate of 0.546 and exit 0.
+# round-off, E0 about 3e-31 on the unit channel and 2e-24 on the long one.
+# Their errors fit rates of 0.575 and 0.547, which would pass the rate
+# threshold: only the round-off verdict makes the run exit 4.
 @pytest.mark.parametrize("command", ["converge", "lambda-sweep"])
 @pytest.mark.parametrize("geometry", [{}, {"L": "3.0", "H_f": "0.2", "H_s": "0.5"}],
                          ids=["unit", "long"])
@@ -243,10 +271,10 @@ def _decades(lo, hi):
        l2=st.one_of(st.just(0.0), _decades(-4, 4)), T=_decades(-2, 0),
        seed=st.integers(-2, 3))
 @example(cells=(1, 1, 1, 1), m=4,
-         lengths=tuple(float(ZERO_ERROR[k]) for k in ("L", "H_f", "H_s")),
-         floats=tuple(float(ZERO_ERROR[k])
+         lengths=tuple(float(ONE_CELL[k]) for k in ("L", "H_f", "H_s")),
+         floats=tuple(float(ONE_CELL[k])
                       for k in ("rho_f", "rho_s", "mu", "l1", "lambda")),
-         l2=0.0, T=float(ZERO_ERROR["T"]), seed=1)
+         l2=0.0, T=float(ONE_CELL["T"]), seed=1)
 # interface edges whose squared lengths underflow: a zero interface mass
 @example(cells=(1, 1, 1, 2), m=1, lengths=(1e-200, 1.0, 1.0),
          floats=(1.0, 1.0, 0.1, 1.0, 1.0), l2=1.0, T=0.25, seed=1)
@@ -277,7 +305,6 @@ def test_every_command_keeps_exit_code_contract(tmp_path_factory, cells, m,
                      "--out", str(tmp / command)]) in (0, 2, 3, 4)
 
 
-_SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 # mutations of a config's lines; none writes a decimal digit, so no value
 # grows into a long run
 _LINE = st.integers(0, 17)

@@ -248,7 +248,7 @@ def test_apply_dirichlet_all_dofs(tiny_disc, rng):
     A = tiny_disc.M_f
     b = rng.standard_normal(A.shape[0])
     A2, b2 = apply_dirichlet(A, b, np.arange(A.shape[0]))
-    assert np.abs(Factorization(A2).solve(b2)).max() == 0.0
+    assert np.abs(Factorization(A2, _natural(A2)).solve(b2)).max() == 0.0
 
 
 def test_apply_dirichlet_matches_reduced_dense(small_disc, rng):
@@ -257,7 +257,7 @@ def test_apply_dirichlet_matches_reduced_dense(small_disc, rng):
     dofs = small_disc.dir_f
     A2, b2 = apply_dirichlet(A, b, dofs)
     assert abs(A2 - A2.T).max() < 1e-14  # symmetric elimination
-    x = Factorization(A2).solve(b2)
+    x = Factorization(A2, _natural(A2)).solve(b2)
     want = oracles.dense_reduced_solve(A, b, dofs)
     assert np.abs(x - want).max() < 1e-12
 
@@ -268,13 +268,19 @@ def test_apply_dirichlet_nonhomogeneous(small_disc, rng):
     dofs = small_disc.dir_f
     vals = rng.standard_normal(dofs.size)
     A2, b2 = apply_dirichlet(A, b, dofs, vals)
-    x = Factorization(A2).solve(b2)
+    x = Factorization(A2, _natural(A2)).solve(b2)
     assert np.abs(x[dofs] - vals).max() < 1e-14
     # free part solves the lifted reduced system
     lift = np.zeros(A.shape[0])
     lift[dofs] = vals
     want = oracles.dense_reduced_solve(A, b - A @ lift, dofs) + lift
     assert np.abs(x - want).max() < 1e-12
+
+
+def _natural(A):
+    """The natural order of A's unknowns, for a matrix that no
+    `Discretization` order covers."""
+    return np.arange(A.shape[0])
 
 
 def _unsorted(A, fmt="csr"):
@@ -324,16 +330,17 @@ def test_apply_dirichlet_matches_dense_oracle(small_disc, rng, case):
 
 def test_solve_identity_and_diagonal():
     b = np.array([3.0, -1.0])
-    assert np.array_equal(Factorization(sp.identity(2, format="csr")).solve(b), b)
+    identity = sp.identity(2, format="csr")
+    assert np.array_equal(Factorization(identity, _natural(identity)).solve(b), b)
     A = sp.csr_matrix(np.diag([2.0, 4.0]))
-    assert np.allclose(Factorization(A).solve(np.array([2.0, 8.0])), [1.0, 2.0])
+    assert np.allclose(Factorization(A, _natural(A)).solve(np.array([2.0, 8.0])), [1.0, 2.0])
 
 
 def test_solve_random_spd_vs_dense(rng):
     G = rng.standard_normal((50, 50))
     dense = G @ G.T + 50 * np.eye(50)
     b = rng.standard_normal(50)
-    x = Factorization(sp.csr_matrix(dense)).solve(b)
+    x = Factorization(sp.csr_matrix(dense), np.arange(50)).solve(b)
     want = np.linalg.solve(dense, b)
     assert np.linalg.norm(x - want) < 1e-10 * np.linalg.norm(want)
     resid = np.linalg.norm(dense @ x - b)
@@ -345,61 +352,58 @@ def test_solve_random_spd_vs_dense(rng):
 def test_solve_deterministic(small_disc, rng):
     A = (small_disc.M_f + assemble_symgrad(small_disc.V_f, 1.0)).tocsr()
     b = rng.standard_normal(A.shape[0])
-    lu = Factorization(A)
+    lu = Factorization(A, _natural(A))
     x1 = lu.solve(b)
     assert np.array_equal(lu.solve(b), x1)
-    assert np.array_equal(Factorization(A).solve(b), x1)
+    assert np.array_equal(Factorization(A, _natural(A)).solve(b), x1)
 
 
 def _fill(lu):
     return lu.L.nnz + lu.U.nnz
 
 
-def test_operators_store_no_zeros(small_disc, params):
+def test_operators_store_no_zeros(small_disc, shipped_disc, params):
     d = small_disc
     for A in (d.M_f, d.M_s, d.B, d.M_if, d.M_is, d.stiffness_fluid(params.mu),
               d.stiffness_solid(params.l1, params.l2)):
         assert A.nnz > 0 and np.all(A.data != 0)
     # the mass forms couple no x component with a y component
     assert d.M_f[0::2, 1::2].nnz == 0
+    # nor round-off where the exact integral is 0
+    d = shipped_disc
+    for A in (d.M_f, d.M_s, d.B, d.stiffness_fluid(params.mu),
+              d.stiffness_solid(params.l1, params.l2)):
+        assert np.abs(A.data).min() > 1e-12 * np.abs(A.data).max()
 
 
-def test_factorization_orders_to_structure(params, monkeypatch):
-    """The symmetric operators (solid, extension, projection) have less fill
-    under minimum degree than under COLAMD, and the fluid saddle points and
-    the monolithic matrix less under their grid dissection than under
-    COLAMD with the same threshold pivoting."""
+def test_factorization_orders_to_structure(shipped_disc, params, monkeypatch):
+    """Every factorization the program makes keeps its grid dissection, and
+    has less fill under it than under minimum degree on A + A^T or COLAMD
+    with the same threshold pivoting."""
     made = []
 
     class Recording(Factorization):
-        def __init__(self, A, order=None):
+        def __init__(self, A, order):
             super().__init__(A, order)
             made.append((A.tocsc(), self))
 
     for module in (splitting, initial_data, monolithic):
         monkeypatch.setattr(module, "Factorization", Recording)
-    d = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 16, 16, 16)
+    d = shipped_disc
     RobinRobinSolver(d, params, TimeGrid(0.5, 64, 2))
     initial_data.solid_extension(d, np.ones(d.ifd_s.size))
     initial_data.project_divergence_free(d, np.ones(d.V_f.ndof))
     MonolithicSolver(d, params, 1.0 / 256)
     DirichletNeumannExplicit(d, params, 1.0 / 128)
-    ((S, solid), (F, fluid), (E, extension), (P, projection), (A, mono),
-     (_, dn_solid), (G, dn_fluid)) = made
-    assert abs(S - S.T).max() == 0 and abs(F - F.T).max() > 0
-    assert abs(P - P.T).max() == 0
-    for M, fac in ((S, solid), (E, extension)):
-        assert fac._order is None
-        assert _fill(fac._lu) < _fill(spla.splu(M, permc_spec="COLAMD"))
-    # the zero block of the projection's saddle point: minimum degree still
-    # beats COLAMD under the same pivoting
-    assert projection._order is None and dn_solid._order is None
-    assert _fill(projection._lu) < _fill(
-        spla.splu(P, permc_spec="COLAMD", diag_pivot_thresh=0.01))
-    for M, fac in ((F, fluid), (A, mono), (G, dn_fluid)):
-        assert fac._order is not None
-        assert _fill(fac._lu) < _fill(
-            spla.splu(M, permc_spec="COLAMD", diag_pivot_thresh=0.01))
+    orders = [d.solid_order, d.fluid_order, d.solid_order, d.fluid_order, None,
+              d.solid_order, d.fluid_order]
+    assert len(made) == len(orders)
+    for (M, fac), order in zip(made, orders):
+        if order is not None:  # the monolithic matrix orders its own unknowns
+            assert fac._order is order
+        for spec in ("MMD_AT_PLUS_A", "COLAMD"):
+            assert _fill(fac._lu) < _fill(
+                spla.splu(M, permc_spec=spec, diag_pivot_thresh=0.01))
 
 
 _DISSECTED = {"1x1x1": ((1.0, 1.0, 1.0), 1, 1, 1),
@@ -410,21 +414,23 @@ _DISSECTED = {"1x1x1": ((1.0, 1.0, 1.0), 1, 1, 1),
 
 @pytest.mark.parametrize("name", list(_DISSECTED))
 def test_grid_dissection(params, name):
-    """The fluid order and the order of all of a mesh's unknowns are a
-    deterministic nested dissection: the mask oracle's blocks, in which every
-    separator is a vertex line that decouples its two halves, and every block
-    keeps ascending index (so velocity before pressure)."""
+    """The fluid order, the solid order and the order of all of a mesh's
+    unknowns are a deterministic nested dissection: the mask oracle's blocks,
+    in which every separator is a vertex line that decouples its two halves,
+    and every block keeps ascending index (so velocity before pressure)."""
     geom, *cells = _DISSECTED[name]
     d = Discretization(ChannelGeometry(*geom), *cells)
     F = d.fluid_saddle(params, 0.1, 1.0)
+    S = d.solid_operator(params, 0.1, 1.0)
     nf = F.shape[0]
     every = np.vstack([d.V_f.dof_coords, d.Q.dof_coords, d.V_s.dof_coords])
     xs, all_ys = (np.unique(d.mesh.vertices[:, a]) for a in (0, 1))
-    for coords, order in ((every[:nf], d.fluid_order),
-                          (every, grid_dissection(every))):
+    for coords, order, matrix in ((every[:nf], d.fluid_order, F),
+                                  (d.V_s.dof_coords, d.solid_order, S),
+                                  (every, grid_dissection(every), None)):
         assert np.array_equal(np.sort(order), np.arange(len(coords)))
         assert np.array_equal(grid_dissection(coords.copy()), order)
-        ys = all_ys[all_ys <= coords[:, 1].max()]
+        ys = all_ys[(all_ys >= coords[:, 1].min()) & (all_ys <= coords[:, 1].max())]
         blocks = oracles.dissection_blocks(coords, xs, ys)
         assert np.array_equal(np.concatenate([b for b, _ in blocks]), order)
         for block, halves in blocks:
@@ -434,8 +440,8 @@ def test_grid_dissection(params, name):
             on_x = np.isin(coords[block, 0], xs).all() and np.ptp(coords[block, 0]) == 0
             on_y = np.isin(coords[block, 1], ys).all() and np.ptp(coords[block, 1]) == 0
             assert on_x or on_y
-            if len(coords) == nf:  # no fluid saddle entry couples the halves
-                assert F[halves[0]][:, halves[1]].nnz == 0
+            if matrix is not None:  # no entry couples the halves
+                assert matrix[halves[0]][:, halves[1]].nnz == 0
 
 
 def _robin_fluid_saddle(d, params):
@@ -464,7 +470,7 @@ def test_unordered_nonsymmetric_solve_matches_dense(rng, fmt):
          + sp.random(n, n, density=0.05, random_state=rng)).asformat(fmt)
     assert abs(A - A.T).max() >= 1.0
     b = rng.standard_normal(n)
-    x = Factorization(A).solve(b)
+    x = Factorization(A, _natural(A)).solve(b)
     want = np.linalg.solve(A.toarray(), b)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -483,8 +489,8 @@ def test_symmetric_path_pivots_tiny_diagonal(monkeypatch):
     monkeypatch.setattr(spla, "splu", lambda A, **kw: used.append(kw) or splu(A, **kw))
     A = sp.csr_matrix(np.array([[1e-17, 1.0], [1.0, 1e-17]]))
     b = np.array([1.0, 2.0])
-    x = Factorization(A).solve(b)
-    assert used == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01}]
+    x = Factorization(A, _natural(A)).solve(b)
+    assert used == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.01}]
     assert np.array_equal(x, [2.0, 1.0])
     assert np.abs(b - A @ x).max() == 0.0
 
@@ -507,9 +513,9 @@ def _nan_on_diagonal(A):
     _one_ulp_off, _nan_on_diagonal,
 ], ids=["unsorted_csc", "unsorted_csr", "one_ulp", "nan"])
 def test_ordering_follows_exact_symmetry(small_disc, params, monkeypatch, rng, perturb):
-    """Without an order, every matrix takes minimum degree, whether it is
-    exactly symmetric or not; the solve of a matrix one ulp off symmetric
-    still passes the backward-error check."""
+    """Every matrix keeps the order it is given, whether it is exactly
+    symmetric or not; the solve of a matrix one ulp off symmetric still
+    passes the backward-error check."""
     used = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda A, **kw: used.append(kw) or splu(A, **kw))
@@ -519,14 +525,14 @@ def test_ordering_follows_exact_symmetry(small_disc, params, monkeypatch, rng, p
     indices, data = A.indices.copy(), A.data.copy()
     if np.isnan(A.data).any():
         with pytest.raises(SingularSystemError):  # SuperLU reads the NaN pivot as singular
-            Factorization(A)
+            Factorization(A, small_disc.solid_order)
     else:
-        fac = Factorization(A)
+        fac = Factorization(A, small_disc.solid_order)
         b = rng.standard_normal(A.shape[0])
         b[small_disc.dir_s] = 0.0
         fac.solve(b)
         assert fac._unchecked is None
-    assert used == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01}]
+    assert used == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.01}]
     assert np.array_equal(A.indices, indices)  # the caller's matrix is not sorted in place
     assert np.array_equal(A.data, data, equal_nan=True)
 
@@ -535,7 +541,7 @@ def test_ordering_follows_exact_symmetry(small_disc, params, monkeypatch, rng, p
                          ids=["scaled", "nan"])
 def test_first_solve_checks_backward_error(small_disc, rng, perturb):
     A = (small_disc.M_f + assemble_symgrad(small_disc.V_f, 1.0)).tocsr()
-    fac = Factorization(A)
+    fac = Factorization(A, _natural(A))
     lu = fac._lu
 
     class Perturbed:
@@ -551,4 +557,4 @@ def test_first_solve_checks_backward_error(small_disc, rng, perturb):
 def test_singular_matrix_raises():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(SingularSystemError):
-        Factorization(A)
+        Factorization(A, _natural(A))

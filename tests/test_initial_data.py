@@ -62,7 +62,7 @@ def test_divergence_free_projection(run_disc, rng):
 
 def test_divergence_free_projection_rejects_nan(run_disc, monkeypatch):
     class NaNSolve:
-        def __init__(self, A):
+        def __init__(self, A, order):
             self.n = A.shape[0]
 
         def solve(self, b):

@@ -259,27 +259,17 @@ def stack_saddle(A: sp.csr_matrix, Bt: sp.csr_matrix, B: sp.csr_matrix) -> sp.cs
                       sp.hstack([B, zero], format="csr")], format="csr")
 
 
-def apply_dirichlet(A: sp.spmatrix, b: np.ndarray, dofs, values=None):
-    """Symmetric elimination of the given dofs.
-
-    Rows and columns are zeroed and replaced by the identity; for homogeneous
-    conditions (the default) the RHS entries are simply zeroed, otherwise the
-    lifting of the prescribed values is subtracted from the RHS first.  The
-    result is D A D + I_fixed, D the identity on the free dofs, built from
-    masked CSR arrays with no stored zeros.
-    """
+def apply_dirichlet(A: sp.spmatrix, dofs) -> sp.csr_matrix:
+    """Symmetric elimination of the given dofs: D A D + I_fixed, D the
+    identity on the free dofs, built from masked CSR arrays with no stored
+    zeros.  Callers set the right-hand side at the fixed dofs: 0, or the
+    prescribed values after subtracting their lifting."""
     dofs = np.asarray(dofs, dtype=np.int64)
     A = A.tocsr()
-    b = np.array(b, dtype=float)
     if dofs.size == 0:
-        return A, b
-    n = A.shape[0]
-    free = np.ones(n, dtype=bool)
+        return A
+    free = np.ones(A.shape[0], dtype=bool)
     free[dofs] = False
-    lift = np.zeros(n)
-    if values is not None:
-        lift[dofs] = values
-        b = b - A @ lift
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
@@ -289,7 +279,7 @@ def apply_dirichlet(A: sp.spmatrix, b: np.ndarray, dofs, values=None):
     indices = np.insert(A.indices[kept], before[fixed], fixed)
     data = np.insert(A.data[kept], before[fixed], 1.0)
     indptr = before + np.concatenate(([0], np.cumsum(~free)))
-    return sp.csr_matrix((data, indices, indptr), shape=A.shape), free * b + lift
+    return sp.csr_matrix((data, indices, indptr), shape=A.shape)
 
 
 class SingularSystemError(RuntimeError):

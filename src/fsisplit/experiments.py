@@ -17,7 +17,7 @@ def initial_state(disc: Discretization, params: PhysicalParams, seed: int):
     """Random data drawn from `seed`, or the pressure pulse for seed 0."""
     if seed != 0:
         return random_state(disc, params, np.random.default_rng(seed))
-    return pressure_pulse(disc, params, amplitude=1.0, width=disc.geom.length / 4.0)
+    return pressure_pulse(disc, params)
 
 
 def robin_robin(disc: Discretization, params: PhysicalParams, grid: TimeGrid, state0):

@@ -21,9 +21,9 @@ def project_divergence_free(disc: Discretization, u_raw: np.ndarray) -> np.ndarr
     nu, npr = d.V_f.ndof, d.Q.ndof
     u_raw = u_raw.copy()
     u_raw[d.dir_f] = 0.0
-    A = stack_saddle(d.M_f, d.BT, d.B)
+    A = apply_dirichlet(stack_saddle(d.M_f, d.BT, d.B), d.dir_f)
     b = np.concatenate([d.M_f @ u_raw, np.zeros(npr)])
-    A, b = apply_dirichlet(A, b, d.dir_f)
+    b[d.dir_f] = 0.0
     u = Factorization(A, d.fluid_order).solve(b)[:nu].copy()  # not a view of the solve vector
     res = np.linalg.norm(d.B @ u)
     if not res <= 1e-8 * max(1.0, np.linalg.norm(u)):  # NaN fails too
@@ -36,9 +36,12 @@ def solid_extension(disc: Discretization, trace: np.ndarray) -> np.ndarray:
     the outer solid boundary; interface dofs carry the trace bitwise."""
     d = disc
     A = (d.M_s + d.stiffness_solid(1.0, 0.0)).tocsr()
-    fixed = np.concatenate([d.dir_s, d.ifd_s])
-    values = np.concatenate([np.zeros(d.dir_s.size), trace])
-    A, b = apply_dirichlet(A, np.zeros(d.V_s.ndof), fixed, values)
+    lift = np.zeros(d.V_s.ndof)
+    lift[d.ifd_s] = trace
+    b = np.zeros(d.V_s.ndof) - A @ lift
+    b[d.dir_s] = 0.0
+    b[d.ifd_s] = trace
+    A = apply_dirichlet(A, np.concatenate([d.dir_s, d.ifd_s]))
     out = Factorization(A, d.solid_order).solve(b)
     out[d.ifd_s] = trace  # exact, not up to solver tolerance
     out[d.dir_s] = 0.0
@@ -68,19 +71,15 @@ def pressure_traction_load(disc: Discretization, pressure) -> np.ndarray:
     return load.ravel()[disc.ifd_f]
 
 
-def pressure_pulse(disc: Discretization, params: PhysicalParams,
-                   amplitude: float, width: float) -> SplitState:
-    """Zero velocity and displacement; a Gaussian pressure bump centred on the
-    channel seeds the initial interface traction."""
-    if not np.isfinite(amplitude):
-        raise ValueError("amplitude must be finite")
-    if not 0.0 < width < disc.geom.length:
-        raise ValueError("width must lie in (0, L)")
+def pressure_pulse(disc: Discretization, params: PhysicalParams) -> SplitState:
+    """Zero velocity and displacement; a Gaussian pressure bump of amplitude
+    1 and width L/4, centred on the channel, seeds the initial interface
+    traction."""
     d = disc
     L = d.geom.length
 
     def p0(x, y):
-        return amplitude * np.exp(-((x - L / 2.0) ** 2) / width ** 2)
+        return np.exp(-((x - L / 2.0) ** 2) / (L / 4.0) ** 2)
 
     iface = InterfaceData(u_avg=np.zeros(d.ifd_f.size),
                           traction_avg=pressure_traction_load(d, p0))

@@ -87,7 +87,7 @@ class MonolithicSolver:
              + _remap(d.solid_operator(p, ddt), solid_map, solid_map, shape)).tocsr()
 
         self.dirichlet = np.unique(np.concatenate([d.dir_f, solid_map[d.dir_s]]))
-        A, _ = apply_dirichlet(A, np.zeros(self.ncomb), self.dirichlet)
+        A = apply_dirichlet(A, self.dirichlet)
         coords = np.empty((self.ncomb, 2))
         coords[:nu + npr] = np.vstack([d.V_f.dof_coords, d.Q.dof_coords])
         coords[solid_map] = d.V_s.dof_coords  # the interface dofs: the same points
@@ -163,17 +163,16 @@ class DirichletNeumannExplicit:
 
         self.A_s = d.stiffness_solid(p.l1, p.l2)
 
-        S, _ = apply_dirichlet(d.solid_operator(p, dt), np.zeros(d.V_s.ndof),
-                               d.dir_s)
-        self._solid_lu = Factorization(S, d.solid_order)
+        self._solid_lu = Factorization(
+            apply_dirichlet(d.solid_operator(p, dt), d.dir_s), d.solid_order)
 
         nu, npr = d.V_f.ndof, d.Q.ndof
         self._nu, self._np = nu, npr
         self._F_full = d.fluid_saddle(p, dt)
         self.constrained = np.unique(np.concatenate(
             [d.dir_f, d.ifd_f, np.array([nu], dtype=np.int64)]))
-        Fc, _ = apply_dirichlet(self._F_full, np.zeros(nu + npr), self.constrained)
-        self._fluid_lu = Factorization(Fc, d.fluid_order)
+        self._fluid_lu = Factorization(
+            apply_dirichlet(self._F_full, self.constrained), d.fluid_order)
 
     def step(self, state: CoupledState, traction: np.ndarray):
         """One explicit window; returns (new state, new fluid traction)."""

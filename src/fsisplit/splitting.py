@@ -213,53 +213,34 @@ class RobinRobinSolver:
 
         self.A_s = d.stiffness_solid(p.l1, p.l2)
 
-        S, _ = apply_dirichlet(d.solid_operator(p, ddt, lam),
-                               np.zeros(d.V_s.ndof), d.dir_s)
-        self._solid_lu = Factorization(S, d.solid_order)
-
-        nu, npr = d.V_f.ndof, d.Q.ndof
-        F, _ = apply_dirichlet(d.fluid_saddle(p, ddt, lam), np.zeros(nu + npr),
-                               d.dir_f)
-        self._fluid_lu = Factorization(F, d.fluid_order)
-        self._nu, self._np = nu, npr
+        self._solid_lu = Factorization(
+            apply_dirichlet(d.solid_operator(p, ddt, lam), d.dir_s), d.solid_order)
+        self._fluid_lu = Factorization(
+            apply_dirichlet(d.fluid_saddle(p, ddt, lam), d.dir_f), d.fluid_order)
+        self._nu, self._np = d.V_f.ndof, d.Q.ndof
 
     # -- subproblem solves ------------------------------------------------
 
     def solid_step(self, eta: np.ndarray, etad: np.ndarray, iface: InterfaceData):
-        """Backward-Euler substeps of the solid Robin subproblem over one
-        window; returns per-substep (eta, etad) samples."""
+        """One backward-Euler substep of the solid Robin subproblem; returns
+        (eta, etad)."""
         d, p = self.disc, self.params
         ddt = self.grid.ddt
-        lam = p.lambda_robin
+        rhs = (p.rho_s / ddt) * (d.M_s @ etad) - self.A_s @ eta
+        rhs[d.ifd_s] += p.lambda_robin * (d.M_c @ iface.u_avg) - iface.traction_avg
+        rhs[d.dir_s] = 0.0
+        etad = self._solid_lu.solve(rhs)
+        return eta + ddt * etad, etad
 
-        robin_rhs = np.zeros(d.V_s.ndof)
-        robin_rhs[d.ifd_s] = lam * (d.M_c @ iface.u_avg) - iface.traction_avg
-
-        samples = []
-        for _ in range(self.grid.substeps):
-            rhs = (p.rho_s / ddt) * (d.M_s @ etad) - self.A_s @ eta + robin_rhs
-            rhs[d.dir_s] = 0.0
-            etad = self._solid_lu.solve(rhs)
-            eta = eta + ddt * etad
-            samples.append((eta, etad))
-        return samples
-
-    def fluid_step(self, u: np.ndarray, solid_samples, iface: InterfaceData):
-        """Backward-Euler substeps of the fluid Robin subproblem, using the
-        new solid velocity at the matching substep times."""
+    def fluid_step(self, u: np.ndarray, etad: np.ndarray, iface: InterfaceData):
+        """One backward-Euler substep of the fluid Robin subproblem, with the
+        solid velocity etad of the same substep; returns (u, p)."""
         d, p = self.disc, self.params
-        ddt = self.grid.ddt
-        lam = p.lambda_robin
-
-        samples = []
-        for _, etad in solid_samples:
-            rhs_u = (p.rho_f / ddt) * (d.M_f @ u)
-            rhs_u[d.ifd_f] += lam * (d.M_c @ etad[d.ifd_s]) + iface.traction_avg
-            rhs_u[d.dir_f] = 0.0
-            sol = self._fluid_lu.solve(np.concatenate([rhs_u, np.zeros(self._np)]))
-            u, pres = sol[:self._nu], sol[self._nu:]
-            samples.append((u, pres))
-        return samples
+        rhs_u = (p.rho_f / self.grid.ddt) * (d.M_f @ u)
+        rhs_u[d.ifd_f] += p.lambda_robin * (d.M_c @ etad[d.ifd_s]) + iface.traction_avg
+        rhs_u[d.dir_f] = 0.0
+        sol = self._fluid_lu.solve(np.concatenate([rhs_u, np.zeros(self._np)]))
+        return sol[:self._nu], sol[self._nu:]
 
     def extract_fluid_traction(self, u: np.ndarray, etad: np.ndarray,
                                iface: InterfaceData) -> np.ndarray:
@@ -279,23 +260,26 @@ class RobinRobinSolver:
     # -- orchestration -----------------------------------------------------
 
     def advance(self, state: SplitState) -> SplitState:
-        """One window: solid solve, fluid solve, traction extraction, average
-        update.  Records the substep samples needed by the diagnostics."""
-        grid = self.grid
+        """One window of m substeps, each a solid solve, a fluid solve and a
+        traction extraction; then the average update.  Records the substep
+        samples needed by the diagnostics.
+
+        The paper solves the solid over the whole window before the fluid.
+        Interleaving the substeps gives the same arrays bitwise: the solid
+        substeps read only the interface data of the window's start, never
+        the fluid, so every solve gets the same inputs and runs the same
+        array operations as in that order."""
         iface = state.iface
-
-        solid = self.solid_step(state.eta, state.etad, iface)
-        fluid = self.fluid_step(state.u, solid, iface)
-
+        eta, etad, u = state.eta, state.etad, state.u
         samples = []
-        for k, ((eta, etad), (u, pres)) in enumerate(zip(solid, fluid)):
-            traction = self.extract_fluid_traction(u, etad, iface)
+        for k in range(1, self.grid.substeps + 1):
+            eta, etad = self.solid_step(eta, etad, iface)
+            u, pres = self.fluid_step(u, etad, iface)
             samples.append(WindowSample(
-                t=state.t + (k + 1) * grid.ddt, u=u, p=pres, eta=eta, etad=etad,
-                traction=traction))
-        last = samples[-1]
+                t=state.t + k * self.grid.ddt, u=u, p=pres, eta=eta, etad=etad,
+                traction=self.extract_fluid_traction(u, etad, iface)))
         return SplitState(
-            t=last.t, u=last.u, p=last.p, eta=last.eta, etad=last.etad,
+            t=samples[-1].t, u=u, p=pres, eta=eta, etad=etad,
             iface=self.update_interface_average(self.disc, samples),
             samples=samples)
 

@@ -251,18 +251,14 @@ def reference_numbering(mesh, domain, degree):
             np.asarray(facets, dtype=np.int64).reshape(-1, degree + 1))
 
 
-def dense_dirichlet(A, b, dofs, values=None):
+def dense_dirichlet(A, dofs):
     """Symmetric elimination on a dense copy: D A D + I on the fixed dofs,
-    D the identity on the free ones, and keep * (b - A lift) + lift."""
+    D the identity on the free ones."""
     A = np.asarray(A.todense())
-    n = A.shape[0]
-    keep = np.ones(n)
+    keep = np.ones(A.shape[0])
     keep[dofs] = 0.0
-    lift = np.zeros(n)
-    if values is not None:
-        lift[dofs] = values
     D = np.diag(keep)
-    return D @ A @ D + np.diag(1.0 - keep), keep * (np.asarray(b) - A @ lift) + lift
+    return D @ A @ D + np.diag(1.0 - keep)
 
 
 def dense_reduced_solve(A, b, dofs):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fsisplit import (ChannelGeometry, Discretization, InterfaceData,
                       PhysicalParams, RobinRobinSolver, SplitState, TimeGrid)
 from fsisplit.experiments import robin_robin
@@ -71,12 +72,11 @@ def test_solid_energy_decay_with_zero_interface_data(run_disc, params, rng):
                 + 0.5 * eta @ (solver.A_s @ eta))
 
     e_prev = energy(eta, etad)
-    for _ in range(4):
-        samples = solver.solid_step(eta, etad, zero_iface(d))
-        for eta, etad in samples:
-            e = energy(eta, etad)
-            assert e <= e_prev * (1.0 + 1e-12)
-            e_prev = e
+    for _ in range(4 * solver.grid.substeps):
+        eta, etad = solver.solid_step(eta, etad, zero_iface(d))
+        e = energy(eta, etad)
+        assert e <= e_prev * (1.0 + 1e-12)
+        e_prev = e
 
 
 def test_solid_robin_residual(run_disc, params, rng):
@@ -84,10 +84,11 @@ def test_solid_robin_residual(run_disc, params, rng):
     solver = RobinRobinSolver(run_disc, params, grid)
     d = run_disc
     state = random_state(d, params, rng)
-    samples = solver.solid_step(state.eta, state.etad, state.iface)
     lam = params.lambda_robin
-    etad_prev = state.etad
-    for eta, etad in samples:
+    eta, etad = state.eta, state.etad
+    for _ in range(grid.substeps):
+        etad_prev = etad
+        eta, etad = solver.solid_step(eta, etad, state.iface)
         # interior residual at interface rows recovers <sigma_s n_s, w>
         r = ((params.rho_s / grid.ddt) * (d.M_s @ (etad - etad_prev))
              + solver.A_s @ eta)[d.ifd_s]
@@ -95,7 +96,6 @@ def test_solid_robin_residual(run_disc, params, rng):
                  + state.iface.traction_avg)
         scale = max(1.0, dual_norm(d, state.iface.traction_avg))
         assert dual_norm(d, robin) <= 1e-10 * scale
-        etad_prev = etad
 
 
 def test_fluid_steady_robin_limit(run_disc, params, rng):
@@ -106,13 +106,51 @@ def test_fluid_steady_robin_limit(run_disc, params, rng):
     c = rng.standard_normal(d.ifd_f.size)
     etad = np.zeros(d.V_s.ndof)
     etad[d.ifd_s] = c
-    samples = solver.fluid_step(np.zeros(d.V_f.ndof), [(None, etad)],
-                                zero_iface(d))
-    u, p = samples[0]
+    u, p = solver.fluid_step(np.zeros(d.V_f.ndof), etad, zero_iface(d))
     flux = ((params.rho_f / grid.ddt) * (d.M_f @ u)
             + d.stiffness_fluid(params.mu) @ u - d.B.T @ p)[d.ifd_f]
     resid = flux + params.lambda_robin * (d.M_c @ (u[d.ifd_f] - c))
     assert dual_norm(d, resid) <= 1e-10 * max(1.0, dual_norm(d, flux))
+
+
+def test_window_matches_solid_then_fluid_dense_oracle(run_disc, params, rng):
+    """The paper's order on dense Dirichlet-eliminated matrices: all the
+    solid substeps of a window, then all the fluid substeps.  advance
+    interleaves them, which is exact because the solid reads only the
+    interface data of the window's start."""
+    d, p = run_disc, params
+    grid = TimeGrid(0.1, 1, 2)
+    ddt, lam, nu = grid.ddt, p.lambda_robin, d.V_f.ndof
+    S = oracles.dense_dirichlet(d.solid_operator(p, ddt, lam), d.dir_s)
+    F = oracles.dense_dirichlet(d.fluid_saddle(p, ddt, lam), d.dir_f)
+    A_s = d.stiffness_solid(p.l1, p.l2)
+    state = random_state(d, p, rng)
+    iface = state.iface
+
+    eta, etad, solid = state.eta, state.etad, []
+    for _ in range(grid.substeps):
+        rhs = (p.rho_s / ddt) * (d.M_s @ etad) - A_s @ eta
+        rhs[d.ifd_s] += lam * (d.M_c @ iface.u_avg) - iface.traction_avg
+        rhs[d.dir_s] = 0.0
+        etad = np.linalg.solve(S, rhs)
+        eta = eta + ddt * etad
+        solid.append((eta, etad))
+    u, want = state.u, []
+    for eta, etad in solid:
+        rhs = np.zeros(F.shape[0])
+        rhs[:nu] = (p.rho_f / ddt) * (d.M_f @ u)
+        rhs[d.ifd_f] += lam * (d.M_c @ etad[d.ifd_s]) + iface.traction_avg
+        rhs[d.dir_f] = 0.0
+        x = np.linalg.solve(F, rhs)
+        u = x[:nu]
+        traction = lam * (d.M_c @ (etad[d.ifd_s] - u[d.ifd_f])) + iface.traction_avg
+        want.append((eta, etad, u, x[nu:], traction))
+
+    got = RobinRobinSolver(d, p, grid).advance(state).samples
+    assert len(got) == grid.substeps
+    for s, fields in zip(got, want):
+        for g, w in zip((s.eta, s.etad, s.u, s.p, s.traction), fields):
+            assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 def test_divergence_constraint_every_substep(run_disc, params, rng):

@@ -114,13 +114,16 @@ GRAD_REF = {deg: _integrate(g, g).reshape(2, v.shape[1], 2, -1)
 DIV_REF = {(dq, dv): _integrate(vq, gv).reshape(vq.shape[1], 2, -1)
            .transpose(1, 0, 2).reshape(2, -1)
            for dq, (vq, _) in _TABLES.items() for dv, (_, gv) in _TABLES.items()}
+# [i, j]: integral over [0, 1] of the edge basis products by the 3-point
+# rule, not rounded; a facet's block is its length times this table
+EDGE_MASS_REF = sum(w * np.outer(v, v)
+                    for v, w in zip(edge_basis(EDGE_POINTS), EDGE_WEIGHTS))
 
 
 def _scatter(shape, row_dofs, col_dofs, blocks):
     """Sum (c, i, j) local blocks into a CSR matrix at rows row_dofs[c, i]
     and columns col_dofs[c, j]; entries go in cell-major order.  Exact zeros
-    (the x-y couplings of the mass forms) are not stored, so that no matvec
-    multiplies them."""
+    are not stored, so that no matvec multiplies them."""
     rows = np.broadcast_to(row_dofs[:, :, None], blocks.shape)
     cols = np.broadcast_to(col_dofs[:, None, :], blocks.shape)
     mat = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
@@ -131,26 +134,24 @@ def _scatter(shape, row_dofs, col_dofs, blocks):
     return mat
 
 
-def _on_diagonal(m, ncomp):
-    """(c, nl, nl) scalar blocks -> (c, ncomp, ncomp, nl, nl) component blocks
-    acting on each component alone."""
-    out = np.zeros((m.shape[0], ncomp, ncomp) + m.shape[1:])
-    for c in range(ncomp):
-        out[:, c, c] = m
-    return out
-
-
-def _interleave(blocks):
-    """(c, ncomp, ncomp, nl, nl) component blocks -> (c, ncomp*nl, ncomp*nl)
-    with vector dofs interleaved like Space.expand."""
-    c, n, _, nl, _ = blocks.shape
-    return blocks.transpose(0, 3, 1, 4, 2).reshape(c, n * nl, n * nl)
+def _scatter_per_component(space: Space, nodes, blocks):
+    """Assembly of a form that couples each component only with itself:
+    (c, k, k) scalar blocks on (c, k) nodes, each scattered once per
+    component at that component's dofs.  This is the scalar node matrix x
+    I_ncomp in the interleaved dof order, with none of the x-y zeros a
+    per-cell vector block would carry."""
+    k = nodes.shape[1]
+    dofs = space.expand(nodes).reshape(-1, k, space.ncomp)
+    dofs = dofs.transpose(0, 2, 1).reshape(-1, k)  # [(block, component), node]
+    blocks = np.repeat(blocks, space.ncomp, axis=0)
+    return _scatter((space.ndof, space.ndof), dofs, dofs, blocks)
 
 
 def _assemble_cellwise(space: Space, blocks):
     """Symmetric assembly of (c, ncomp, ncomp, nl, nl) component blocks, one
-    per cell of the space."""
-    blocks = _interleave(blocks)
+    per cell of the space, with vector dofs interleaved like Space.expand."""
+    c, n, _, nl, _ = blocks.shape
+    blocks = blocks.transpose(0, 3, 1, 4, 2).reshape(c, n * nl, n * nl)
     blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))  # all forms here are symmetric; make it exact
     dofs = space.expand(space.cell_nodes)
     return _scatter((space.ndof, space.ndof), dofs, dofs, blocks)
@@ -163,8 +164,8 @@ def assemble_vector_mass(space: Space, density: float) -> sp.csr_matrix:
     if space.ncomp != 2:
         raise ValueError("vector mass requires a vector-valued space")
     det, _ = _geometry(space.mesh, space.cells)
-    mass = np.abs(det)[:, None, None] * MASS_REF[space.degree]
-    return _assemble_cellwise(space, density * _on_diagonal(mass, 2))
+    mass = density * (np.abs(det)[:, None, None] * MASS_REF[space.degree])
+    return _scatter_per_component(space, space.cell_nodes, mass)
 
 
 def _gradient_pairs(space: Space):
@@ -243,12 +244,7 @@ def assemble_interface_mass(space: Space) -> sp.csr_matrix:
         raise ValueError("space has no P2 interface facets")
     ends = space.node_coords[facets[:, :2]]
     length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
-    m = np.zeros((facets.shape[0],) + 2 * facets.shape[1:])
-    for vals, w in zip(edge_basis(EDGE_POINTS), EDGE_WEIGHTS):
-        m += (w * length)[:, None, None] * np.outer(vals, vals)
-    dofs = space.expand(facets)
-    return _scatter((space.ndof, space.ndof), dofs, dofs,
-                    _interleave(_on_diagonal(m, space.ncomp)))
+    return _scatter_per_component(space, facets, length[:, None, None] * EDGE_MASS_REF)
 
 
 def stack_saddle(A: sp.csr_matrix, Bt: sp.csr_matrix, B: sp.csr_matrix) -> sp.csr_matrix:

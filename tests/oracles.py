@@ -6,10 +6,15 @@ triangle by the Duffy transform, so nothing here shares code or quadrature
 with the package's assembly path.  `reference_numbering` is the original
 dict-based node numbering of the spaces, kept to pin the array-built one;
 `dissection_blocks` splits index sets by coordinate masks, where the package
-splits a grid of lattice positions.
+splits a grid of lattice positions.  `cellwise_vector_mass` and
+`cellwise_interface_mass` are the mass forms' former per-cell vector
+construction, one interleaved block of vector dofs per cell or facet: they
+share the package's geometry, reference mass table and edge rule, so that
+they pin its scalar-node assembly bit for bit on the unit channel.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 # package-local node order: v0 v1 v2 m12 m20 m01
 P2_NODES = np.array([[0, 0], [1, 0], [0, 1], [0.5, 0.5], [0, 0.5], [0.5, 0]],
@@ -298,3 +303,43 @@ def dissection_blocks(coords, xs, ys, leaf=16):
 
     dissect(np.arange(len(coords)), [-np.inf, np.inf, -np.inf, np.inf])
     return blocks
+
+
+def _cellwise(space, nodes, blocks):
+    """Scatter (c, k, k) scalar blocks as (c, 2k, 2k) vector blocks at the
+    interleaved dofs of nodes (c, k), with zero x-y couplings; exact zeros
+    are dropped again after summing."""
+    c, k, _ = blocks.shape
+    vec = np.zeros((c, k, 2, k, 2))
+    for comp in range(2):
+        vec[:, :, comp, :, comp] = blocks
+    vec = vec.reshape(c, 2 * k, 2 * k)
+    dofs = (2 * nodes[:, :, None] + np.arange(2)).reshape(c, 2 * k)
+    rows = np.broadcast_to(dofs[:, :, None], vec.shape)
+    cols = np.broadcast_to(dofs[:, None, :], vec.shape)
+    mat = sp.coo_matrix((vec.ravel(), (rows.ravel(), cols.ravel())),
+                        shape=(space.ndof, space.ndof)).tocsr()
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    mat.sort_indices()
+    return mat
+
+
+def cellwise_vector_mass(space, density):
+    from fsisplit.assembly import MASS_REF, _geometry
+
+    det, _ = _geometry(space.mesh, space.cells)
+    mass = np.abs(det)[:, None, None] * MASS_REF[space.degree]
+    return _cellwise(space, space.cell_nodes, density * mass)
+
+
+def cellwise_interface_mass(space):
+    from fsisplit.assembly import EDGE_POINTS, EDGE_WEIGHTS, edge_basis
+
+    facets = space.interface_facets
+    ends = space.node_coords[facets[:, :2]]
+    length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    m = np.zeros((facets.shape[0], 3, 3))
+    for vals, w in zip(edge_basis(EDGE_POINTS), EDGE_WEIGHTS):
+        m += (w * length)[:, None, None] * np.outer(vals, vals)
+    return _cellwise(space, facets, m)

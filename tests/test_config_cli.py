@@ -260,6 +260,20 @@ def test_roundoff_smooth_mode_exits_4(tmp_path, capsys, command, geometry):
     assert "round-off" in capsys.readouterr().err
 
 
+# One cell per subdomain, T = 0.25, N = 2 (ddt = 0.125 and 0.0625): once
+# lambda M_if swamps rho_f / ddt M_f, the Robin-Robin fluid saddle point loses
+# its pressure constant and is singular, for every lambda from 10^16.9
+# (ddt = 0.125) or 10^17.3 (ddt = 0.0625) up to the largest double.
+@pytest.mark.parametrize("lam", ["1e18", "1e40", "1e158"])
+def test_extreme_lambda_converge_exits_3(tmp_path, capsys, lam):
+    path = write_config(tmp_path / "x.cfg", nx="1", ny_f="1", ny_s="1", N="2",
+                        T="0.25", mode="converge", dt_levels="2", seed="1",
+                        **{"lambda": lam})
+    assert main(["converge", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "Traceback" not in err
+
+
 def _decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
@@ -281,8 +295,8 @@ def _decades(lo, hi):
 # lambda ** 2 overflows in the consistency terms
 @example(cells=(1, 1, 1, 2), m=1, lengths=(1.0, 1.0, 1.0),
          floats=(1.0, 1.0, 0.1, 1.0, 1e158), l2=1.0, T=0.25, seed=1)
-# lambda M_if swamps rho_f / ddt M_f: at ddt = 0.0625 the Robin-Robin fluid
-# saddle point loses its pressure constant, and `converge` exits 3
+# lambda M_if swamps rho_f / ddt M_f: the Robin-Robin fluid saddle point
+# loses its pressure constant, and `converge` exits 3
 @example(cells=(1, 1, 1, 2), m=1, lengths=(1.0, 1.0, 1.0),
          floats=(1.0, 1.0, 0.1, 1.0, 1e20), l2=1.0, T=0.25, seed=1)
 # a zero time step: every command's, or only the convergence reference's

@@ -157,6 +157,33 @@ def test_oracle_interface_mass(oracle_disc):
     assert _max_err(got, oracles.dense_interface_mass(oracle_disc.V_f)) < 1e-13
 
 
+_MASS_MESHES = {"16x16x16": ((1.0, 1.0, 1.0), 16, 16, 16),
+                "2x32x32": ((1.0, 1.0, 1.0), 2, 32, 32),
+                "stretched": ((3.0, 0.2, 0.5), 16, 16, 16)}
+
+
+@pytest.mark.parametrize("name", list(_MASS_MESHES))
+def test_mass_forms_match_cellwise_vector_assembly(name):
+    """The mass forms scattered once per component are the per-cell vector
+    construction: bit for bit on the unit channel, where every cell has the
+    same |det J| and every edge a power-of-two length, and to round-off
+    elsewhere."""
+    geom, *cells = _MASS_MESHES[name]
+    d = Discretization(ChannelGeometry(*geom), *cells)
+    for got, want in ((d.M_f, oracles.cellwise_vector_mass(d.V_f, 1.0)),
+                      (d.M_s, oracles.cellwise_vector_mass(d.V_s, 1.0)),
+                      (d.M_if, oracles.cellwise_interface_mass(d.V_f)),
+                      (d.M_is, oracles.cellwise_interface_mass(d.V_s))):
+        assert got.has_canonical_format and np.all(got.data != 0)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        if name == "stretched":
+            scale = np.abs(want.data).max()
+            assert np.abs(got.data - want.data).max() <= 1e-15 * scale
+        else:
+            assert np.array_equal(got.data, want.data)
+
+
 # -- assembly invariances and error handling -----------------------------
 
 
@@ -347,7 +374,8 @@ def test_operators_store_no_zeros(small_disc, shipped_disc, params):
               d.stiffness_solid(params.l1, params.l2)):
         assert A.nnz > 0 and np.all(A.data != 0)
     # the mass forms couple no x component with a y component
-    assert d.M_f[0::2, 1::2].nnz == 0
+    for M in (d.M_f, d.M_s, d.M_if, d.M_is):
+        assert M[0::2, 1::2].nnz == 0 and M[1::2, 0::2].nnz == 0
     # nor round-off where the exact integral is 0
     d = shipped_disc
     for A in (d.M_f, d.M_s, d.B, d.stiffness_fluid(params.mu),

@@ -1,7 +1,7 @@
 """Command line: `fsi-robin <command> --config <path> [--out <dir>]`.
 
 Commands: stability, converge, lambda-sweep, dn-compare, dump-config.  Each
-runs one study of `experiments`, writes its CSVs and checks its thresholds.
+runs one study of `experiments`, writes its CSVs and returns its failed checks.
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 acceptance threshold
 not met.  CSV floats carry 17 significant digits so reruns diff bitwise.
 """
@@ -34,10 +34,6 @@ LAMBDA_SWEEP = (0.1, 1.0, 10.0)
 ROUNDOFF_SHARE = 1e-20
 
 
-class ThresholdError(RuntimeError):
-    """An acceptance threshold of the experiment was not met."""
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         for row in (header, *rows):
@@ -53,10 +49,32 @@ def _roundoff_floor(disc: Discretization, params: PhysicalParams) -> float:
     return ROUNDOFF_SHARE * energy_E(disc, params, u, zero, zero)
 
 
-def cmd_stability(cfg: RunConfig, out_dir: str) -> None:
-    disc = Discretization(cfg.geometry, cfg.nx, cfg.ny_f, cfg.ny_s)
+def _stability_failures(resid: float, scale: float) -> list:
+    """The stability claim: a residual at most STABILITY_TOL (E0 + S0)."""
+    bound = STABILITY_TOL * scale
+    if not (resid <= bound):
+        return [f"stability residual {resid:.3e} above {bound:.3e}"]
+    return []
+
+
+def _convergence_verdict(dts, reports, residuals, floor: float):
+    """(fitted rate, failure messages) of one convergence study: every level
+    stable, an initial energy above the round-off floor, and the rate."""
+    rate = fit_rate(dts, [r.total for r in reports])
+    failures = [f for resid, scale in residuals
+                for f in _stability_failures(resid, scale)]
+    scale = residuals[0][1]
+    if not (scale >= floor):
+        failures.append(f"initial energy {scale:.3e} is round-off "
+                        f"(below {floor:.3e}); no rate is measured")
+    if not (rate >= RATE_THRESHOLD):
+        failures.append(f"convergence rate {rate:.3f} below {RATE_THRESHOLD}")
+    return rate, failures
+
+
+def cmd_stability(cfg: RunConfig, disc: Discretization, out_dir: str) -> list:
     grid = TimeGrid(cfg.t_final, cfg.num_windows, cfg.substeps)
-    state0 = experiments.initial_state(disc, cfg.params, cfg.seed)
+    state0 = experiments.initial_state(disc, cfg.seed)
     ledger = experiments.robin_robin(disc, cfg.params, grid, state0)
     residuals = ledger.residuals()
     rows = [(0, 0.0, ledger.E[0], 0.0, ledger.S0, 0.0)]
@@ -65,15 +83,12 @@ def cmd_stability(cfg: RunConfig, out_dir: str) -> None:
                      ledger.S[n - 1], residuals[n - 1]))
     _write_csv(os.path.join(out_dir, "stability.csv"),
                ("step", "t", "E", "T", "S", "stability_residual"), rows)
-    scale = ledger.E[0] + ledger.S0
-    worst = float(residuals.max())
+    scale, worst = ledger.E[0] + ledger.S0, ledger.stability_residual()
     print(f"stability residual max = {worst:.3e} (scale {scale:.3e})")
-    if not (worst <= STABILITY_TOL * scale):
-        raise ThresholdError("stability residual exceeds tolerance")
+    return _stability_failures(worst, scale)
 
 
-def cmd_converge(cfg: RunConfig, out_dir: str) -> None:
-    disc = Discretization(cfg.geometry, cfg.nx, cfg.ny_f, cfg.ny_s)
+def cmd_converge(cfg: RunConfig, disc: Discretization, out_dir: str) -> list:
     dts, reports, residuals, ref = experiments.convergence(
         disc, cfg.params, cfg.t_final, cfg.num_windows, cfg.dt_levels, cfg.substeps)
     totals = [r.total for r in reports]
@@ -95,47 +110,34 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> None:
     _write_csv(os.path.join(out_dir, "consistency.csv"),
                ("dt", "window", "g3_sq", "g2_sq"), crows)
 
-    slope = fit_rate(dts, totals)
-    print(f"fitted energy-norm rate = {slope:.3f}")
-    scale, floor = residuals[0][1], _roundoff_floor(disc, cfg.params)
-    if not (scale >= floor):
-        raise ThresholdError(f"initial energy {scale:.3e} is round-off "
-                             f"(below {floor:.3e}); no rate is measured")
-    if not (slope >= RATE_THRESHOLD):
-        raise ThresholdError(f"convergence rate {slope:.3f} below {RATE_THRESHOLD}")
+    rate, failures = _convergence_verdict(dts, reports, residuals,
+                                          _roundoff_floor(disc, cfg.params))
+    print(f"fitted energy-norm rate = {rate:.3f}")
+    return failures
 
 
-def cmd_lambda_sweep(cfg: RunConfig, out_dir: str) -> None:
-    disc = Discretization(cfg.geometry, cfg.nx, cfg.ny_f, cfg.ny_s)
-    rows = []
-    failed = []
+def cmd_lambda_sweep(cfg: RunConfig, disc: Discretization, out_dir: str) -> list:
+    rows, failures = [], []
     floor = _roundoff_floor(disc, cfg.params)
     for lam in LAMBDA_SWEEP:
         params = replace(cfg.params, lambda_robin=lam)
         # [:3] frees this lambda's reference before the next one is built
         dts, reports, residuals = experiments.convergence(
             disc, params, cfg.t_final, cfg.num_windows, cfg.dt_levels, cfg.substeps)[:3]
-        slope = fit_rate(dts, [r.total for r in reports])
-        for dt, rep, (resid, scale) in zip(dts, reports, residuals):
-            rows.append((lam, dt, rep.total, resid, slope))
-            if not (resid <= STABILITY_TOL * scale):
-                failed.append(f"lambda={lam}: residual {resid:.3e}")
-        print(f"lambda = {lam}: rate = {slope:.3f}")
-        if not (residuals[0][1] >= floor):
-            failed.append(f"lambda={lam}: initial energy at round-off")
-        if not (slope >= RATE_THRESHOLD):
-            failed.append(f"lambda={lam}: rate {slope:.3f}")
+        rate, failed = _convergence_verdict(dts, reports, residuals, floor)
+        rows += [(lam, dt, rep.total, resid, rate)
+                 for dt, rep, (resid, _) in zip(dts, reports, residuals)]
+        failures += [f"lambda={lam}: {f}" for f in failed]
+        print(f"lambda = {lam}: rate = {rate:.3f}")
     _write_csv(os.path.join(out_dir, "lambda_sweep.csv"),
                ("lambda", "dt", "err_total", "stability_residual", "rate"),
                rows)
-    if failed:
-        raise ThresholdError("; ".join(failed))
+    return failures
 
 
-def cmd_dn_compare(cfg: RunConfig, out_dir: str) -> None:
-    disc = Discretization(cfg.geometry, cfg.nx, cfg.ny_f, cfg.ny_s)
+def cmd_dn_compare(cfg: RunConfig, disc: Discretization, out_dir: str) -> list:
     grid = TimeGrid(cfg.t_final, cfg.num_windows, 1)
-    state0 = experiments.initial_state(disc, cfg.params, cfg.seed)
+    state0 = experiments.initial_state(disc, cfg.seed)
     ledger = experiments.robin_robin(disc, cfg.params, grid, state0)
     residuals = ledger.residuals()
     energies, growth = experiments.dirichlet_neumann(
@@ -146,14 +148,12 @@ def cmd_dn_compare(cfg: RunConfig, out_dir: str) -> None:
     _write_csv(os.path.join(out_dir, "dn_compare.csv"),
                ("step", "t", "energy_dn", "energy_rr", "residual_rr"), rows)
 
-    scale = ledger.E[0] + ledger.S0
-    worst = float(residuals.max())
+    worst = ledger.stability_residual()
     print(f"dn energy growth = {growth:.3e}, "
           f"robin-robin residual max = {worst:.3e}")
-    if not (growth >= DN_BLOWUP_FACTOR):
-        raise ThresholdError("Dirichlet-Neumann run did not exhibit blow-up")
-    if not (worst <= STABILITY_TOL * scale):
-        raise ThresholdError("Robin-Robin residual exceeds tolerance")
+    failures = [] if growth >= DN_BLOWUP_FACTOR else [
+        f"Dirichlet-Neumann energy growth {growth:.3e} below {DN_BLOWUP_FACTOR:.0e}"]
+    return failures + _stability_failures(worst, ledger.E[0] + ledger.S0)
 
 
 COMMANDS = {
@@ -183,13 +183,14 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     try:
-        COMMANDS[args.command](cfg, args.out)
-    except ThresholdError as exc:
-        print(f"threshold failure: {exc}", file=sys.stderr)
-        return 4
+        disc = Discretization(cfg.geometry, cfg.nx, cfg.ny_f, cfg.ny_s)
+        failures = COMMANDS[args.command](cfg, disc, args.out)
     except (SingularSystemError, RuntimeError, MemoryError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    if failures:
+        print("threshold failure: " + "; ".join(failures), file=sys.stderr)
+        return 4
     return 0
 
 

@@ -11,11 +11,11 @@ from .splitting import PhysicalParams, TimeGrid
 
 MODES = ("stability", "converge", "lambda-sweep", "dn-compare")
 
-_FLOAT_KEYS = ("L", "H_f", "H_s", "rho_f", "rho_s", "mu", "l1", "l2",
-               "lambda", "T")
-_INT_KEYS = ("nx", "ny_f", "ny_s", "N", "m", "dt_levels", "seed")
-_STR_KEYS = ("mode",)
-KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
+# Every key and the type of its value, in the canonical order of dump_config.
+KEYS = {**dict.fromkeys(("L", "H_f", "H_s", "rho_f", "rho_s", "mu", "l1", "l2",
+                         "lambda", "T"), float),
+        **dict.fromkeys(("nx", "ny_f", "ny_s", "N", "m", "dt_levels", "seed"), int),
+        "mode": str}
 # Size bounds, so that no config reaches an allocation that cannot succeed:
 # mesh triangles (a 128 x (128 + 128) channel has 65,536; the benchmark's
 # largest has 4,096) and the convergence reference's time steps, which bound
@@ -46,6 +46,7 @@ class RunConfig:
     mode: str
     dt_levels: int
     seed: int
+    values: tuple  # the parsed (key, value) pairs, in the order of KEYS
 
 
 def parse_config(path) -> RunConfig:
@@ -76,18 +77,13 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"missing key '{missing[0]}'")
 
     parsed = {}
-    for key in KEYS:
+    for key, kind in KEYS.items():
         raw = values[key]
         try:
-            if key in _FLOAT_KEYS:
-                parsed[key] = float(raw)
-            elif key in _INT_KEYS:
-                parsed[key] = int(raw)
-            else:
-                parsed[key] = raw
+            parsed[key] = kind(raw)
         except ValueError:
             raise ConfigError(f"key '{key}': cannot parse value '{_shown(raw)}'") from None
-        if key in _FLOAT_KEYS and not math.isfinite(parsed[key]):
+        if kind is float and not math.isfinite(parsed[key]):
             raise ConfigError(f"key '{key}': must be finite, got '{_shown(raw)}'")
 
     if parsed["mode"] not in MODES:
@@ -129,19 +125,9 @@ def parse_config(path) -> RunConfig:
                      ny_s=parsed["ny_s"], params=params, t_final=parsed["T"],
                      num_windows=parsed["N"], substeps=parsed["m"],
                      mode=parsed["mode"], dt_levels=parsed["dt_levels"],
-                     seed=parsed["seed"])
+                     seed=parsed["seed"], values=tuple(parsed.items()))
 
 
 def dump_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(dump(cfg)) round-trips byte-identically."""
-    g, p = cfg.geometry, cfg.params
-    vals = {
-        "L": g.length, "H_f": g.fluid_height, "H_s": g.solid_height,
-        "nx": cfg.nx, "ny_f": cfg.ny_f, "ny_s": cfg.ny_s,
-        "rho_f": p.rho_f, "rho_s": p.rho_s, "mu": p.mu,
-        "l1": p.l1, "l2": p.l2, "lambda": p.lambda_robin,
-        "T": cfg.t_final, "N": cfg.num_windows, "m": cfg.substeps,
-        "mode": cfg.mode, "dt_levels": cfg.dt_levels, "seed": cfg.seed,
-    }
-    return "".join(f"{k} = {vals[k]!r}\n" if isinstance(vals[k], float)
-                   else f"{k} = {vals[k]}\n" for k in KEYS)
+    return "".join(f"{k} = {v}\n" for k, v in cfg.values)

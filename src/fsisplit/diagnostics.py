@@ -23,7 +23,7 @@ from .splitting import (Discretization, PhysicalParams, RobinRobinSolver,
 class EnergyLedger:
     """Per-window stability bookkeeping.
 
-    stability_residual[n] = E_n + sum_{k<=n} T_k + S_n - (E_0 + S_0); the
+    residuals()[n - 1] = E_n + sum_{k<=n} T_k + S_n - (E_0 + S_0); the
     scheme is stable when every entry is <= tolerance.
     """
 
@@ -32,13 +32,12 @@ class EnergyLedger:
     S: list = field(default_factory=list)        # S[n] for n >= 1; S0 held separately
     S0: float = 0.0
 
-    def stability_residual(self, upto: int | None = None) -> float:
-        """E_N + sum T_n + S_N - (E_0 + S_0) for N = upto (default: last)."""
-        n = len(self.T) if upto is None else upto
-        return float(self.residuals()[n - 1]) if n else 0.0
+    def stability_residual(self) -> float:
+        """The worst residual over the windows."""
+        return float(self.residuals().max())
 
     def residuals(self) -> np.ndarray:
-        """stability_residual(n) for n = 1 .. N, from one running sum of T."""
+        """The residual of each window n = 1 .. N, from one running sum of T."""
         n = len(self.T)
         return (np.asarray(self.E[1:n + 1]) + np.cumsum(self.T)
                 + np.asarray(self.S[:n]) - (self.E[0] + self.S0))

@@ -71,7 +71,7 @@ def pressure_traction_load(disc: Discretization, pressure) -> np.ndarray:
     return load.ravel()[disc.ifd_f]
 
 
-def pressure_pulse(disc: Discretization, params: PhysicalParams) -> SplitState:
+def pressure_pulse(disc: Discretization) -> SplitState:
     """Zero velocity and displacement; a Gaussian pressure bump of amplitude
     1 and width L/4, centred on the channel, seeds the initial interface
     traction."""
@@ -119,8 +119,7 @@ def smooth_coupled_mode(disc: Discretization, params: PhysicalParams) -> SplitSt
                       eta=np.zeros(d.V_s.ndof), etad=etad, iface=iface)
 
 
-def random_state(disc: Discretization, params: PhysicalParams,
-                 rng: np.random.Generator) -> SplitState:
+def random_state(disc: Discretization, rng: np.random.Generator) -> SplitState:
     """Random nonzero initial data for the stability sweep: random nodal
     fields (divergence-free fluid velocity, solid displacement and velocity)
     and a random initial interface traction."""

@@ -57,7 +57,7 @@ def test_criterion_1_energy_stability(disc16):
                 ratio = rng.uniform(0.5, 2.0)
                 params = PhysicalParams(rho_f=1.0, rho_s=ratio, mu=0.1,
                                         l1=1.0, l2=1.0, lambda_robin=lam)
-                state0 = random_state(disc16, params, rng)
+                state0 = random_state(disc16, rng)
                 ledger = robin_robin(disc16, params, TimeGrid(0.5, 64, m),
                                      state0)
                 scale = ledger.E[0] + ledger.S0
@@ -151,7 +151,7 @@ def test_criterion_5_assembly_oracle():
 
 def test_criterion_6_added_mass_contrast(disc16, base_params):
     T, N = 0.5, 200
-    state0 = initial_state(disc16, base_params, 7)
+    state0 = initial_state(disc16, 7)
     _, growth = dirichlet_neumann(disc16, base_params, T / N, N, state0)
     ledger = robin_robin(disc16, base_params, TimeGrid(T, N, 1), state0)
     scale = ledger.E[0] + ledger.S0
@@ -164,7 +164,7 @@ def test_criterion_6_added_mass_contrast(disc16, base_params):
 
 def test_criterion_7_monolithic_dissipation(disc16, base_params):
     solver = MonolithicSolver(disc16, base_params, 0.01)
-    state = random_state(disc16, base_params, np.random.default_rng(3))
+    state = random_state(disc16, np.random.default_rng(3))
     e0 = energy_E(disc16, base_params, state.u, state.etad, state.eta)
     e_prev = e0
     worst = -np.inf

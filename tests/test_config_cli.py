@@ -158,6 +158,31 @@ def test_dump_parse_fixed_point(tmp_path_factory, L, mu, lam, T):
     assert dump_config(parse_config(str(path2))) == text
 
 
+def test_dump_of_shipped_config_is_canonical():
+    """Floats, then ints, then mode, whatever the file's order: the
+    benchmark hashes this text into each run's metadata."""
+    assert dump_config(parse_config(str(_SHIPPED / "stability.cfg"))) == """\
+L = 1.0
+H_f = 1.0
+H_s = 1.0
+rho_f = 1.0
+rho_s = 1.0
+mu = 0.1
+l1 = 1.0
+l2 = 1.0
+lambda = 1.0
+T = 0.5
+nx = 16
+ny_f = 16
+ny_s = 16
+N = 64
+m = 1
+dt_levels = 4
+seed = 7
+mode = stability
+"""
+
+
 # -- CLI exit codes and outputs ----------------------------------------------
 
 
@@ -466,6 +491,30 @@ def test_nan_result_fails_threshold(tmp_path, monkeypatch, command):
 
 
 @pytest.mark.parametrize("command", ["converge", "lambda-sweep"])
+def test_unstable_level_fails_convergence_verdict(tmp_path, monkeypatch, capsys,
+                                                  command):
+    """A level whose stability residual exceeds 1e-8 (E0 + S0) fails both
+    convergence commands, though the rate passes; the message names it."""
+    from fsisplit import experiments
+
+    convergence, named = experiments.convergence, []
+
+    def unstable(*args):
+        result = convergence(*args)
+        scale = result[2][-1][1]
+        result[2][-1] = (2e-8 * scale, scale)
+        named.append(f"stability residual {2e-8 * scale:.3e}")
+        return result
+
+    monkeypatch.setattr(experiments, "convergence", unstable)
+    path = write_config(tmp_path / "u.cfg", mode=command, N="4", seed="0")
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert named and all(n in err for n in named)
+
+
+@pytest.mark.parametrize("command", ["converge", "lambda-sweep"])
 def test_substeps_not_dividing_reference_refinement(tmp_path, command):
     # m = 3 does not divide the 8 reference steps per finest window
     path = write_config(tmp_path / "m3.cfg", mode=command, N="2", m="3",
@@ -530,7 +579,7 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
     from fsisplit import cli
     from fsisplit.assembly import SingularSystemError
 
-    def boom(cfg, out_dir):
+    def boom(cfg, disc, out_dir):
         raise SingularSystemError("pivot")
 
     monkeypatch.setitem(cli.COMMANDS, "stability", boom)

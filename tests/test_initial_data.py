@@ -26,7 +26,7 @@ def test_constant_pressure_traction_load(small_disc):
 def test_pulse_S0_matches_1d_quadrature(params):
     disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 16, 2, 2)
     a, width = 1.0, 0.25
-    st = pressure_pulse(disc, params)
+    st = pressure_pulse(disc)
     grid = TimeGrid(0.5, 4)
     got = initial_S0(disc, params, grid, st.iface.u_avg, st.iface.traction_avg)
     g, gw = np.polynomial.legendre.leggauss(50)
@@ -98,7 +98,7 @@ def test_initial_fields_match_nodewise_loops(params):
     bit, on a non-unit channel."""
     d = Discretization(ChannelGeometry(2.0, 0.7, 1.3), 5, 3, 4)
     L, width = d.geom.length, 0.5
-    pulse = pressure_pulse(d, params)
+    pulse = pressure_pulse(d)
     want_p = [np.exp(-((x - L / 2.0) ** 2) / width ** 2)
               for x, _ in d.Q.node_coords]
     assert np.array_equal(pulse.p, want_p)
@@ -111,16 +111,16 @@ def test_initial_fields_match_nodewise_loops(params):
     assert np.array_equal(smooth_coupled_mode(d, params).u, want_u)
 
 
-def test_random_state_invariants(run_disc, params, rng):
-    st = random_state(run_disc, params, rng)
+def test_random_state_invariants(run_disc, rng):
+    st = random_state(run_disc, rng)
     d = run_disc
     assert np.linalg.norm(d.B @ st.u) <= 1e-9 * np.linalg.norm(st.u)
     assert np.abs(st.u[d.dir_f]).max() == 0.0
     assert np.abs(st.eta[d.dir_s]).max() == 0.0
     assert np.array_equal(st.iface.u_avg, st.u[d.ifd_f])
     # deterministic per seed
-    a = random_state(run_disc, params, np.random.default_rng(9))
-    b = random_state(run_disc, params, np.random.default_rng(9))
+    a = random_state(run_disc, np.random.default_rng(9))
+    b = random_state(run_disc, np.random.default_rng(9))
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.iface.traction_avg, b.iface.traction_avg)
 
@@ -132,6 +132,6 @@ def test_initial_interface_data_rules(run_disc, params, rng):
     assert np.abs(load).max() == 0.0
     # the first window's velocity average is the initial trace, held in an
     # array of its own
-    for st in (smooth_coupled_mode(d, params), random_state(d, params, rng)):
+    for st in (smooth_coupled_mode(d, params), random_state(d, rng)):
         assert np.array_equal(st.iface.u_avg, st.u[d.ifd_f])
         assert not np.shares_memory(st.iface.u_avg, st.u)

@@ -23,7 +23,7 @@ def test_zero_state_fixed_point(run_disc, params):
 
 def test_interface_velocities_shared_bitwise(run_disc, params, rng):
     solver = MonolithicSolver(run_disc, params, 0.05)
-    state = random_state(run_disc, params, rng)
+    state = random_state(run_disc, rng)
     for _ in range(3):
         state = solver.step(state)
         assert np.array_equal(state.u[run_disc.ifd_f], state.etad[run_disc.ifd_s])
@@ -77,7 +77,7 @@ def test_coupled_matrix_matches_dense_hand_assembly(params, rng):
 
 def test_energy_non_increasing_random_steps(run_disc, params, rng):
     solver = MonolithicSolver(run_disc, params, 0.02)
-    state = random_state(run_disc, params, rng)
+    state = random_state(run_disc, rng)
     e0 = energy_E(run_disc, params, state.u, state.etad, state.eta)
     e_prev = e0
     for _ in range(100):
@@ -92,7 +92,7 @@ def test_interface_flux_balance(run_disc, params, rng):
     d = run_disc
     solver = MonolithicSolver(d, params, dt)
     A_s = d.stiffness_solid(params.l1, params.l2)
-    state = random_state(d, params, rng)
+    state = random_state(d, rng)
     for _ in range(3):
         new = solver.step(state)
         tf = solver.fluid_flux(new.u, state.u, new.p)
@@ -184,7 +184,7 @@ def test_dirichlet_neumann_added_mass_contrast(run_disc, rng):
 
     def growth(rho_s):
         params = PhysicalParams(1.0, rho_s, 0.1, 1.0, 1.0, 1.0)
-        state0 = initial_state(run_disc, params, 5)
+        state0 = initial_state(run_disc, 5)
         state0.iface.traction_avg = rng.standard_normal(run_disc.ifd_f.size)
         return dirichlet_neumann(run_disc, params, 0.01, 200, state0)[1]
 

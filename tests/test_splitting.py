@@ -83,7 +83,7 @@ def test_solid_robin_residual(run_disc, params, rng):
     grid = TimeGrid(0.1, 2)
     solver = RobinRobinSolver(run_disc, params, grid)
     d = run_disc
-    state = random_state(d, params, rng)
+    state = random_state(d, rng)
     lam = params.lambda_robin
     eta, etad = state.eta, state.etad
     for _ in range(grid.substeps):
@@ -124,7 +124,7 @@ def test_window_matches_solid_then_fluid_dense_oracle(run_disc, params, rng):
     S = oracles.dense_dirichlet(d.solid_operator(p, ddt, lam), d.dir_s)
     F = oracles.dense_dirichlet(d.fluid_saddle(p, ddt, lam), d.dir_f)
     A_s = d.stiffness_solid(p.l1, p.l2)
-    state = random_state(d, p, rng)
+    state = random_state(d, rng)
     iface = state.iface
 
     eta, etad, solid = state.eta, state.etad, []
@@ -155,14 +155,14 @@ def test_window_matches_solid_then_fluid_dense_oracle(run_disc, params, rng):
 
 def test_divergence_constraint_every_substep(run_disc, params, rng):
     solver = RobinRobinSolver(run_disc, params, TimeGrid(0.2, 3, 2))
-    for state in solver.run(random_state(run_disc, params, rng)):
+    for state in solver.run(random_state(run_disc, rng)):
         for s in state.samples:
             assert np.linalg.norm(run_disc.B @ s.u) <= 1e-9 * np.linalg.norm(s.u)
 
 
 def test_dirichlet_dofs_exactly_zero(run_disc, params, rng):
     solver = RobinRobinSolver(run_disc, params, TimeGrid(0.2, 3))
-    *_, state = solver.run(random_state(run_disc, params, rng))
+    *_, state = solver.run(random_state(run_disc, rng))
     assert np.abs(state.u[run_disc.dir_f]).max() == 0.0
     assert np.abs(state.eta[run_disc.dir_s]).max() == 0.0
     assert np.abs(state.etad[run_disc.dir_s]).max() == 0.0
@@ -188,7 +188,7 @@ def test_traction_equals_interior_residual(run_disc, params, rng):
     grid = TimeGrid(0.2, 2, 2)
     solver = RobinRobinSolver(run_disc, params, grid)
     d = run_disc
-    state = random_state(d, params, rng)
+    state = random_state(d, rng)
     u_prev = state.u
     new = solver.advance(state)
     for s in new.samples:
@@ -203,7 +203,7 @@ def test_interface_algebra_identity(run_disc, params, rng):
     solver = RobinRobinSolver(run_disc, params, TimeGrid(0.2, 2, 2))
     d = run_disc
     lam = params.lambda_robin
-    state = random_state(d, params, rng)
+    state = random_state(d, rng)
     new = solver.advance(state)
     for s in new.samples:
         lhs = s.traction + lam * (d.M_c @ s.u[d.ifd_f])
@@ -233,7 +233,7 @@ def test_window_averages(run_disc):
 
 
 def test_per_window_stability_inequality(run_disc, params, rng):
-    state0 = random_state(run_disc, params, rng)
+    state0 = random_state(run_disc, rng)
     ledger = robin_robin(run_disc, params, TimeGrid(0.3, 6, 2), state0)
     scale = ledger.E[0] + ledger.S0
     prev = scale
@@ -261,7 +261,7 @@ def test_stability_bound_property(lam, rho_f, ratio, t_final, m, L, H_f, H_s,
     disc = Discretization(ChannelGeometry(L, H_f, H_s), nx, ny_f, ny_s)
     params = PhysicalParams(rho_f=rho_f, rho_s=ratio * rho_f, mu=0.1, l1=1.0,
                             l2=1.0, lambda_robin=lam)
-    state0 = random_state(disc, params, np.random.default_rng(seed))
+    state0 = random_state(disc, np.random.default_rng(seed))
     ledger = robin_robin(disc, params, TimeGrid(t_final, 4, m), state0)
     assert ledger.residuals().max() <= 1e-8 * (ledger.E[0] + ledger.S0)
 
@@ -281,13 +281,13 @@ def test_robin_robin_holds_one_window(run_disc, params, rng, monkeypatch):
 
     monkeypatch.setattr(RobinRobinSolver, "advance", tracked)
     ledger = robin_robin(run_disc, params, TimeGrid(0.3, 6, 2),
-                         random_state(run_disc, params, rng))
+                         random_state(run_disc, rng))
     assert len(refs) == len(ledger.T) == 6
 
 
 def test_advance_deterministic(run_disc, params):
     grid = TimeGrid(0.2, 3)
-    state0 = random_state(run_disc, params, np.random.default_rng(7))
+    state0 = random_state(run_disc, np.random.default_rng(7))
     runs = []
     for _ in range(2):
         solver = RobinRobinSolver(run_disc, params, grid)

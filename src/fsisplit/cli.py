@@ -104,7 +104,7 @@ def cmd_converge(cfg: RunConfig, disc: Discretization, out_dir: str) -> list:
 
     crows = []
     for dt in dts:
-        g3, g2 = consistency_terms(disc, ref, dt, cfg.params.lambda_robin, cfg.t_final)
+        g3, g2 = consistency_terms(disc, ref, dt, cfg.params.lambda_robin)
         for n, (a, b) in enumerate(zip(g3, g2)):
             crows.append((dt, n, float(a), float(b)))
     _write_csv(os.path.join(out_dir, "consistency.csv"),

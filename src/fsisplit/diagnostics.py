@@ -108,15 +108,15 @@ def build_ledger(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
                  states, state0) -> EnergyLedger:
     """Assemble the full stability ledger from the SplitStates of a
     splitting run that starts from the SplitState state0."""
-    iface = state0.iface
     ledger = EnergyLedger(
-        S0=initial_S0(disc, params, grid, iface.u_avg, iface.traction_avg))
+        S0=initial_S0(disc, params, grid, state0.u_avg, state0.traction_avg))
     ledger.E.append(energy_E(disc, params, state0.u, state0.etad, state0.eta))
+    prev = state0
     for state in states:
         ledger.E.append(energy_E(disc, params, state.u, state.etad, state.eta))
-        ledger.T.append(window_T(disc, params, grid, state.samples, iface.u_avg))
+        ledger.T.append(window_T(disc, params, grid, state.samples, prev.u_avg))
         ledger.S.append(window_S(disc, params, grid, state.samples))
-        iface = state.iface
+        prev = state
     return ledger
 
 
@@ -147,7 +147,7 @@ def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
                 etad=ref.etad - s.etad, traction=flux - s.traction))
         T_windows.append(window_T(disc, params, grid, samples, u_avg,
                                   iface_weight=0.25))
-        u_avg = RobinRobinSolver.update_interface_average(disc, samples).u_avg
+        u_avg, _ = RobinRobinSolver.update_interface_average(disc, samples)
 
     last = samples[-1]
     return ErrorReport(E_final=energy_E(disc, params, last.u, last.etad, last.eta),
@@ -155,20 +155,19 @@ def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
                        S_final=window_S(disc, params, grid, samples))
 
 
-def consistency_terms(disc: Discretization, reference, dt: float,
-                      lam: float, t_final: float):
+def consistency_terms(disc: Discretization, reference, dt: float, lam: float):
     """Per-window squared interface norms of the averaging consistency terms.
 
     g3 = lambda (U - window-average of previous U); g2 is the analogous
     difference of fluid traction loads (dual norm).  Returns (g3, g2) arrays,
-    one entry per window of size dt; the sums scale like dt for smooth
-    reference trajectories.
+    one entry per window of size dt up to the reference's final time; the
+    sums scale like dt for smooth reference trajectories.
     """
     ref_dt = reference.ddt
     per = int(round(dt / ref_dt))
     if abs(per * ref_dt - dt) > 1e-9 * dt:
         raise ValueError("window size is not a multiple of the reference step")
-    n_win = int(round(t_final / dt))
+    n_win = int(round(reference.times[-1] / dt))
 
     g3 = np.zeros(n_win)
     g2 = np.zeros(n_win)

@@ -50,7 +50,7 @@ def convergence(disc: Discretization, params: PhysicalParams, t_final: float,
     for n_win in n_levels:
         grid = TimeGrid(t_final, n_win, substeps)
         s0 = smooth_coupled_mode(disc, params)
-        s0.iface.traction_avg = ref.flux[0]
+        s0.traction_avg = ref.flux[0]
         # kept, since the error report and the ledger both read them
         states = list(RobinRobinSolver(disc, params, grid).run(s0))
         reports.append(error_norms(disc, params, grid, states, ref, s0))
@@ -70,7 +70,7 @@ def dirichlet_neumann(disc: Discretization, params: PhysicalParams, dt: float,
     that never leaves zero, infinite for a non-finite energy.  The run stops
     at a non-finite energy or a 1e9-fold growth."""
     dn = DirichletNeumannExplicit(disc, params, dt)
-    state, traction, e0, energies = state0, state0.iface.traction_avg, 0.0, []
+    state, traction, e0, energies = state0, state0.traction_avg, 0.0, []
     for _ in range(num_steps):
         state, traction = dn.step(state, traction)
         e = energy_E(disc, params, state.u, state.etad, state.eta)

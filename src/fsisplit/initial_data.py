@@ -11,7 +11,7 @@ import numpy as np
 
 from .assembly import (EDGE_POINTS, EDGE_WEIGHTS, Factorization,
                        apply_dirichlet, edge_basis, stack_saddle)
-from .splitting import Discretization, InterfaceData, PhysicalParams, SplitState
+from .splitting import Discretization, PhysicalParams, SplitState
 
 
 def project_divergence_free(disc: Discretization, u_raw: np.ndarray) -> np.ndarray:
@@ -81,11 +81,10 @@ def pressure_pulse(disc: Discretization) -> SplitState:
     def p0(x, y):
         return np.exp(-((x - L / 2.0) ** 2) / (L / 4.0) ** 2)
 
-    iface = InterfaceData(u_avg=np.zeros(d.ifd_f.size),
-                          traction_avg=pressure_traction_load(d, p0))
     return SplitState(t=0.0, u=np.zeros(d.V_f.ndof), p=p0(*d.Q.node_coords.T),
                       eta=np.zeros(d.V_s.ndof), etad=np.zeros(d.V_s.ndof),
-                      iface=iface)
+                      u_avg=np.zeros(d.ifd_f.size),
+                      traction_avg=pressure_traction_load(d, p0))
 
 
 def stream_function_velocity(disc: Discretization) -> np.ndarray:
@@ -107,16 +106,15 @@ def smooth_coupled_mode(disc: Discretization, params: PhysicalParams) -> SplitSt
     discretely divergence-free subspace.  The solid velocity extends the
     fluid trace (shared interface values bitwise); displacement starts at
     zero.  The initial traction is zero here: the caller sets
-    iface.traction_avg (e.g. to the monolithic-consistent flux).
+    traction_avg (e.g. to the monolithic-consistent flux).
     """
     d = disc
     u = project_divergence_free(d, stream_function_velocity(d))
 
     etad = solid_extension(d, u[d.ifd_f])
-    iface = InterfaceData(u_avg=u[d.ifd_f].copy(),
-                          traction_avg=np.zeros(d.ifd_f.size))
     return SplitState(t=0.0, u=u, p=np.zeros(d.Q.ndof),
-                      eta=np.zeros(d.V_s.ndof), etad=etad, iface=iface)
+                      eta=np.zeros(d.V_s.ndof), etad=etad,
+                      u_avg=u[d.ifd_f].copy(), traction_avg=np.zeros(d.ifd_f.size))
 
 
 def random_state(disc: Discretization, rng: np.random.Generator) -> SplitState:
@@ -130,6 +128,5 @@ def random_state(disc: Discretization, rng: np.random.Generator) -> SplitState:
     eta[d.dir_s] = 0.0
     etad[d.dir_s] = 0.0
     traction = d.M_c @ rng.standard_normal(d.ifd_f.size)
-    iface = InterfaceData(u_avg=u[d.ifd_f].copy(), traction_avg=traction)
     return SplitState(t=0.0, u=u, p=np.zeros(d.Q.ndof), eta=eta, etad=etad,
-                      iface=iface)
+                      u_avg=u[d.ifd_f].copy(), traction_avg=traction)

@@ -67,19 +67,6 @@ class TimeGrid:
 
 
 @dataclass
-class InterfaceData:
-    """Window-averaged interface data in the canonical interface ordering.
-
-    u_avg holds velocity trace coefficients; traction_avg is the load vector
-    of the averaged variational fluid traction (v -> <sigma_f n, v> on the
-    interface test dofs).
-    """
-
-    u_avg: np.ndarray
-    traction_avg: np.ndarray
-
-
-@dataclass
 class CoupledState:
     """The fields every scheme advances, at time t."""
 
@@ -100,11 +87,15 @@ class WindowSample(CoupledState):
 
 @dataclass
 class SplitState(CoupledState):
-    """The fields plus the interface data for the next window and the
-    substep samples of the window that produced them (none for initial
-    data); the fields are those of the last sample."""
+    """The fields plus the interface data for the next window, in the
+    canonical interface ordering, and the substep samples of the window that
+    produced them (none for initial data); the fields are those of the last
+    sample.  u_avg is the window-averaged velocity trace and traction_avg the
+    load vector of the averaged variational fluid traction
+    (v -> <sigma_f n, v> on the interface test dofs)."""
 
-    iface: InterfaceData
+    u_avg: np.ndarray
+    traction_avg: np.ndarray
     samples: list = field(default_factory=list)
 
 
@@ -221,41 +212,42 @@ class RobinRobinSolver:
 
     # -- subproblem solves ------------------------------------------------
 
-    def solid_step(self, eta: np.ndarray, etad: np.ndarray, iface: InterfaceData):
+    def solid_step(self, eta: np.ndarray, etad: np.ndarray, u_avg: np.ndarray,
+                   traction_avg: np.ndarray):
         """One backward-Euler substep of the solid Robin subproblem; returns
         (eta, etad)."""
         d, p = self.disc, self.params
         ddt = self.grid.ddt
         rhs = (p.rho_s / ddt) * (d.M_s @ etad) - self.A_s @ eta
-        rhs[d.ifd_s] += p.lambda_robin * (d.M_c @ iface.u_avg) - iface.traction_avg
+        rhs[d.ifd_s] += p.lambda_robin * (d.M_c @ u_avg) - traction_avg
         rhs[d.dir_s] = 0.0
         etad = self._solid_lu.solve(rhs)
         return eta + ddt * etad, etad
 
-    def fluid_step(self, u: np.ndarray, etad: np.ndarray, iface: InterfaceData):
+    def fluid_step(self, u: np.ndarray, etad: np.ndarray, traction_avg: np.ndarray):
         """One backward-Euler substep of the fluid Robin subproblem, with the
         solid velocity etad of the same substep; returns (u, p)."""
         d, p = self.disc, self.params
         rhs_u = (p.rho_f / self.grid.ddt) * (d.M_f @ u)
-        rhs_u[d.ifd_f] += p.lambda_robin * (d.M_c @ etad[d.ifd_s]) + iface.traction_avg
+        rhs_u[d.ifd_f] += p.lambda_robin * (d.M_c @ etad[d.ifd_s]) + traction_avg
         rhs_u[d.dir_f] = 0.0
         sol = self._fluid_lu.solve(np.concatenate([rhs_u, np.zeros(self._np)]))
         return sol[:self._nu], sol[self._nu:]
 
     def extract_fluid_traction(self, u: np.ndarray, etad: np.ndarray,
-                               iface: InterfaceData) -> np.ndarray:
+                               traction_avg: np.ndarray) -> np.ndarray:
         """Variational fluid traction implied by the discrete Robin condition:
         <sigma_f n, v> = lambda <etad - u, v> + <traction_avg, v>."""
         d = self.disc
         diff = etad[d.ifd_s] - u[d.ifd_f]
-        return self.params.lambda_robin * (d.M_c @ diff) + iface.traction_avg
+        return self.params.lambda_robin * (d.M_c @ diff) + traction_avg
 
     @staticmethod
-    def update_interface_average(disc: Discretization, samples) -> InterfaceData:
-        """Rectangle-rule average of the substep traces and tractions."""
-        u_avg = np.mean([s.u[disc.ifd_f] for s in samples], axis=0)
-        t_avg = np.mean([s.traction for s in samples], axis=0)
-        return InterfaceData(u_avg, t_avg)
+    def update_interface_average(disc: Discretization, samples):
+        """Rectangle-rule averages (u_avg, traction_avg) of the substep
+        traces and tractions."""
+        return (np.mean([s.u[disc.ifd_f] for s in samples], axis=0),
+                np.mean([s.traction for s in samples], axis=0))
 
     # -- orchestration -----------------------------------------------------
 
@@ -269,19 +261,17 @@ class RobinRobinSolver:
         substeps read only the interface data of the window's start, never
         the fluid, so every solve gets the same inputs and runs the same
         array operations as in that order."""
-        iface = state.iface
         eta, etad, u = state.eta, state.etad, state.u
         samples = []
         for k in range(1, self.grid.substeps + 1):
-            eta, etad = self.solid_step(eta, etad, iface)
-            u, pres = self.fluid_step(u, etad, iface)
+            eta, etad = self.solid_step(eta, etad, state.u_avg, state.traction_avg)
+            u, pres = self.fluid_step(u, etad, state.traction_avg)
             samples.append(WindowSample(
                 t=state.t + k * self.grid.ddt, u=u, p=pres, eta=eta, etad=etad,
-                traction=self.extract_fluid_traction(u, etad, iface)))
-        return SplitState(
-            t=samples[-1].t, u=u, p=pres, eta=eta, etad=etad,
-            iface=self.update_interface_average(self.disc, samples),
-            samples=samples)
+                traction=self.extract_fluid_traction(u, etad, state.traction_avg)))
+        u_avg, traction_avg = self.update_interface_average(self.disc, samples)
+        return SplitState(t=samples[-1].t, u=u, p=pres, eta=eta, etad=etad,
+                          u_avg=u_avg, traction_avg=traction_avg, samples=samples)
 
     def run(self, state0: SplitState):
         """Advance all windows, yielding each new state with its samples; no

@@ -3,6 +3,8 @@
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,11 +80,11 @@ def test_criterion_2_convergence_rate(convergence_study):
 def test_criterion_3_consistency_scaling(disc16, base_params, convergence_study):
     """Summed g3/g2 interface norms shrink like dt after compensating for the
     doubling window count (per-window mass scales like dt^3, count like 1/dt)."""
-    T, dts, _, ref = convergence_study
+    _, dts, _, ref = convergence_study
     lam = base_params.lambda_robin
     comp3, comp2 = [], []
     for dt in dts:
-        g3, g2 = consistency_terms(disc16, ref, dt, lam, T)
+        g3, g2 = consistency_terms(disc16, ref, dt, lam)
         comp3.append(float(np.sum(g3)) / dt)
         comp2.append(float(np.sum(g2)) / dt)
     r3 = [a / b for a, b in zip(comp3, comp3[1:])]
@@ -150,16 +152,30 @@ def test_criterion_5_assembly_oracle():
 
 
 def test_criterion_6_added_mass_contrast(disc16, base_params):
+    """Explicit DN blows up at matched densities from random data, and in the
+    shipped dn_compare shape (the pressure pulse) at n = 8 for a light, a
+    matched and a heavy solid; only a solid 1000 times the fluid's density
+    keeps it bounded.  Robin-Robin stays stable on every run."""
     T, N = 0.5, 200
-    state0 = initial_state(disc16, 7)
-    _, growth = dirichlet_neumann(disc16, base_params, T / N, N, state0)
-    ledger = robin_robin(disc16, base_params, TimeGrid(T, N, 1), state0)
-    scale = ledger.E[0] + ledger.S0
-    resid = float(ledger.residuals().max()) / scale
-    ok = growth >= 1e6 and resid <= STABILITY_TOL
-    report("criterion 6, added-mass contrast at matched densities", ok,
-           f"explicit DN energy growth {growth:.2e}, "
-           f"Robin-Robin relative residual {resid:.2e}")
+    discs = {16: disc16, 8: Discretization(ChannelGeometry(1.0, 1.0, 1.0), 8, 8, 8)}
+    # (cells per side, seed, rho_s, whether DN blows up)
+    cases = [(16, 7, 1.0, True), (8, 0, 0.01, True), (8, 0, 1.0, True),
+             (8, 0, 100.0, True), (8, 0, 1000.0, False)]
+    ok, details = True, []
+    for n, seed, rho_s, blows_up in cases:
+        disc = discs[n]
+        params = replace(base_params, rho_s=rho_s)
+        state0 = initial_state(disc, seed)
+        _, growth = dirichlet_neumann(disc, params, T / N, N, state0)
+        ledger = robin_robin(disc, params, TimeGrid(T, N, 1), state0)
+        resid = float(ledger.residuals().max()) / (ledger.E[0] + ledger.S0)
+        ok = (ok and (growth >= 1e6 if blows_up else growth < 1e3)
+              and resid <= STABILITY_TOL)
+        details.append(f"n = {n}, rho_s = {rho_s:g}: explicit DN "
+                       f"energy growth {growth:.2e}, Robin-Robin relative "
+                       f"residual {resid:.2e}")
+    report("criterion 6, added-mass contrast across density ratios", ok,
+           "; ".join(details))
 
 
 def test_criterion_7_monolithic_dissipation(disc16, base_params):

@@ -180,7 +180,8 @@ def _reference_as_windows(traj):
         s = WindowSample(t=t, u=ref.u, p=ref.p, eta=ref.eta, etad=ref.etad,
                          traction=flux)
         states.append(SplitState(t=t, u=ref.u, p=ref.p, eta=ref.eta,
-                                 etad=ref.etad, iface=None, samples=[s]))
+                                 etad=ref.etad, u_avg=None, traction_avg=None,
+                                 samples=[s]))
     return states
 
 
@@ -222,6 +223,20 @@ def test_error_grows_at_most_like_final_time(params):
         assert dts[0] == dt
         C[T] = reports[0].total / (T * dt)
     assert max(C.values()) <= 2 * C[0.125], C
+
+
+@pytest.mark.parametrize("lam", [1.0, 10.0])
+def test_error_does_not_grow_at_large_final_time(params, lam):
+    """The bound O(sqrt(T dt)) has no exponential factor in T: at fixed
+    dt = 1/32 the error total over E0 + S0 levels off, and at T = 8 it is at
+    most 1.5 times its largest value over T in {1/4, 1}."""
+    disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 8, 8, 8)
+    params = replace(params, lambda_robin=lam)
+    rel = {}
+    for T in (0.25, 1.0, 8.0):
+        _, (report,), ((_, scale),), _ = convergence(disc, params, T, round(32 * T), 1, 1)
+        rel[T] = report.total / scale
+    assert rel[8.0] <= 1.5 * max(rel[0.25], rel[1.0]), rel
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -275,7 +290,7 @@ def test_consistency_constant_trace(run_disc, params):
     d = run_disc
     c = np.linspace(1.0, 2.0, d.ifd_f.size)
     traj = _synthetic_trajectory(1.0, 32, lambda t: c, lambda t: d.M_c @ c)
-    g3, g2 = consistency_terms(d, traj, 0.25, params.lambda_robin, 1.0)
+    g3, g2 = consistency_terms(d, traj, 0.25, params.lambda_robin)
     assert np.abs(g3).max() < 1e-13
     assert np.abs(g2).max() < 1e-13
 
@@ -291,7 +306,7 @@ def test_consistency_linear_trace_closed_form(run_disc, params):
     dt, T, per = 0.25, 1.0, 64
     traj = _synthetic_trajectory(T, int(T / dt) * per, lambda t: t * c,
                               lambda t: np.zeros(d.ifd_f.size))
-    g3, _ = consistency_terms(d, traj, dt, lam, T)
+    g3, _ = consistency_terms(d, traj, dt, lam)
     assert g3[0] == pytest.approx(lam ** 2 * dt ** 3 / 3.0 * c_sq, rel=0.05)
     for val in g3[1:]:
         assert val == pytest.approx(13.0 / 12.0 * lam ** 2 * dt ** 3 * c_sq,
@@ -303,7 +318,7 @@ def test_consistency_rejects_incompatible_window(run_disc, params):
     traj = _synthetic_trajectory(1.0, 30, lambda t: np.zeros(d.ifd_f.size),
                               lambda t: np.zeros(d.ifd_f.size))
     with pytest.raises(ValueError):
-        consistency_terms(d, traj, 0.25, params.lambda_robin, 1.0)
+        consistency_terms(d, traj, 0.25, params.lambda_robin)
 
 
 # -- rate fitting -------------------------------------------------------------

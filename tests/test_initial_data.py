@@ -28,7 +28,7 @@ def test_pulse_S0_matches_1d_quadrature(params):
     a, width = 1.0, 0.25
     st = pressure_pulse(disc)
     grid = TimeGrid(0.5, 4)
-    got = initial_S0(disc, params, grid, st.iface.u_avg, st.iface.traction_avg)
+    got = initial_S0(disc, params, grid, st.u_avg, st.traction_avg)
     g, gw = np.polynomial.legendre.leggauss(50)
     x, wts = 0.5 * (g + 1.0), 0.5 * gw
     p_sq = float(np.sum(wts * (a * np.exp(-((x - 0.5) ** 2) / width ** 2)) ** 2))
@@ -117,12 +117,12 @@ def test_random_state_invariants(run_disc, rng):
     assert np.linalg.norm(d.B @ st.u) <= 1e-9 * np.linalg.norm(st.u)
     assert np.abs(st.u[d.dir_f]).max() == 0.0
     assert np.abs(st.eta[d.dir_s]).max() == 0.0
-    assert np.array_equal(st.iface.u_avg, st.u[d.ifd_f])
+    assert np.array_equal(st.u_avg, st.u[d.ifd_f])
     # deterministic per seed
     a = random_state(run_disc, np.random.default_rng(9))
     b = random_state(run_disc, np.random.default_rng(9))
     assert np.array_equal(a.u, b.u)
-    assert np.array_equal(a.iface.traction_avg, b.iface.traction_avg)
+    assert np.array_equal(a.traction_avg, b.traction_avg)
 
 
 def test_initial_interface_data_rules(run_disc, params, rng):
@@ -133,5 +133,5 @@ def test_initial_interface_data_rules(run_disc, params, rng):
     # the first window's velocity average is the initial trace, held in an
     # array of its own
     for st in (smooth_coupled_mode(d, params), random_state(d, rng)):
-        assert np.array_equal(st.iface.u_avg, st.u[d.ifd_f])
-        assert not np.shares_memory(st.iface.u_avg, st.u)
+        assert np.array_equal(st.u_avg, st.u[d.ifd_f])
+        assert not np.shares_memory(st.u_avg, st.u)

@@ -185,7 +185,7 @@ def test_dirichlet_neumann_added_mass_contrast(run_disc, rng):
     def growth(rho_s):
         params = PhysicalParams(1.0, rho_s, 0.1, 1.0, 1.0, 1.0)
         state0 = initial_state(run_disc, 5)
-        state0.iface.traction_avg = rng.standard_normal(run_disc.ifd_f.size)
+        state0.traction_avg = rng.standard_normal(run_disc.ifd_f.size)
         return dirichlet_neumann(run_disc, params, 0.01, 200, state0)[1]
 
     assert growth(1.0) >= 1e6

@@ -7,21 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fsisplit import (ChannelGeometry, Discretization, InterfaceData,
-                      PhysicalParams, RobinRobinSolver, SplitState, TimeGrid)
+from fsisplit import (ChannelGeometry, Discretization, PhysicalParams,
+                      RobinRobinSolver, SplitState, TimeGrid)
 from fsisplit.experiments import robin_robin
 from fsisplit.initial_data import random_state
 from fsisplit.splitting import WindowSample
 
 
-def zero_iface(disc):
-    return InterfaceData(np.zeros(disc.ifd_f.size), np.zeros(disc.ifd_f.size))
+def zero_trace(disc):
+    return np.zeros(disc.ifd_f.size)
 
 
 def zero_state(disc):
     return SplitState(t=0.0, u=np.zeros(disc.V_f.ndof), p=np.zeros(disc.Q.ndof),
                       eta=np.zeros(disc.V_s.ndof), etad=np.zeros(disc.V_s.ndof),
-                      iface=zero_iface(disc))
+                      u_avg=zero_trace(disc), traction_avg=zero_trace(disc))
 
 
 def dual_norm(disc, load):
@@ -54,7 +54,7 @@ def test_zero_state_is_fixed_point(run_disc, params):
     grid = TimeGrid(0.1, 2)
     *_, state = RobinRobinSolver(run_disc, params, grid).run(zero_state(run_disc))
     for field in (state.u, state.p, state.eta, state.etad,
-                  state.iface.u_avg, state.iface.traction_avg):
+                  state.u_avg, state.traction_avg):
         assert np.abs(field).max() == 0.0
     ledger = robin_robin(run_disc, params, grid, zero_state(run_disc))
     assert ledger.residuals().max() == 0.0
@@ -73,7 +73,7 @@ def test_solid_energy_decay_with_zero_interface_data(run_disc, params, rng):
 
     e_prev = energy(eta, etad)
     for _ in range(4 * solver.grid.substeps):
-        eta, etad = solver.solid_step(eta, etad, zero_iface(d))
+        eta, etad = solver.solid_step(eta, etad, zero_trace(d), zero_trace(d))
         e = energy(eta, etad)
         assert e <= e_prev * (1.0 + 1e-12)
         e_prev = e
@@ -88,13 +88,13 @@ def test_solid_robin_residual(run_disc, params, rng):
     eta, etad = state.eta, state.etad
     for _ in range(grid.substeps):
         etad_prev = etad
-        eta, etad = solver.solid_step(eta, etad, state.iface)
+        eta, etad = solver.solid_step(eta, etad, state.u_avg, state.traction_avg)
         # interior residual at interface rows recovers <sigma_s n_s, w>
         r = ((params.rho_s / grid.ddt) * (d.M_s @ (etad - etad_prev))
              + solver.A_s @ eta)[d.ifd_s]
-        robin = (r + lam * (d.M_c @ (etad[d.ifd_s] - state.iface.u_avg))
-                 + state.iface.traction_avg)
-        scale = max(1.0, dual_norm(d, state.iface.traction_avg))
+        robin = (r + lam * (d.M_c @ (etad[d.ifd_s] - state.u_avg))
+                 + state.traction_avg)
+        scale = max(1.0, dual_norm(d, state.traction_avg))
         assert dual_norm(d, robin) <= 1e-10 * scale
 
 
@@ -106,7 +106,7 @@ def test_fluid_steady_robin_limit(run_disc, params, rng):
     c = rng.standard_normal(d.ifd_f.size)
     etad = np.zeros(d.V_s.ndof)
     etad[d.ifd_s] = c
-    u, p = solver.fluid_step(np.zeros(d.V_f.ndof), etad, zero_iface(d))
+    u, p = solver.fluid_step(np.zeros(d.V_f.ndof), etad, zero_trace(d))
     flux = ((params.rho_f / grid.ddt) * (d.M_f @ u)
             + d.stiffness_fluid(params.mu) @ u - d.B.T @ p)[d.ifd_f]
     resid = flux + params.lambda_robin * (d.M_c @ (u[d.ifd_f] - c))
@@ -125,12 +125,11 @@ def test_window_matches_solid_then_fluid_dense_oracle(run_disc, params, rng):
     F = oracles.dense_dirichlet(d.fluid_saddle(p, ddt, lam), d.dir_f)
     A_s = d.stiffness_solid(p.l1, p.l2)
     state = random_state(d, rng)
-    iface = state.iface
 
     eta, etad, solid = state.eta, state.etad, []
     for _ in range(grid.substeps):
         rhs = (p.rho_s / ddt) * (d.M_s @ etad) - A_s @ eta
-        rhs[d.ifd_s] += lam * (d.M_c @ iface.u_avg) - iface.traction_avg
+        rhs[d.ifd_s] += lam * (d.M_c @ state.u_avg) - state.traction_avg
         rhs[d.dir_s] = 0.0
         etad = np.linalg.solve(S, rhs)
         eta = eta + ddt * etad
@@ -139,11 +138,11 @@ def test_window_matches_solid_then_fluid_dense_oracle(run_disc, params, rng):
     for eta, etad in solid:
         rhs = np.zeros(F.shape[0])
         rhs[:nu] = (p.rho_f / ddt) * (d.M_f @ u)
-        rhs[d.ifd_f] += lam * (d.M_c @ etad[d.ifd_s]) + iface.traction_avg
+        rhs[d.ifd_f] += lam * (d.M_c @ etad[d.ifd_s]) + state.traction_avg
         rhs[d.dir_f] = 0.0
         x = np.linalg.solve(F, rhs)
         u = x[:nu]
-        traction = lam * (d.M_c @ (etad[d.ifd_s] - u[d.ifd_f])) + iface.traction_avg
+        traction = lam * (d.M_c @ (etad[d.ifd_s] - u[d.ifd_f])) + state.traction_avg
         want.append((eta, etad, u, x[nu:], traction))
 
     got = RobinRobinSolver(d, p, grid).advance(state).samples
@@ -174,11 +173,10 @@ def test_traction_extraction_passthroughs(run_disc, params, rng):
     u = rng.standard_normal(d.V_f.ndof)
     etad = np.zeros(d.V_s.ndof)
     etad[d.ifd_s] = u[d.ifd_f]
-    assert np.abs(solver.extract_fluid_traction(u, etad, zero_iface(d))).max() < 1e-14
+    assert np.abs(solver.extract_fluid_traction(u, etad, zero_trace(d))).max() < 1e-14
     sig = rng.standard_normal(d.ifd_f.size)
-    iface = InterfaceData(np.zeros(d.ifd_f.size), sig)
     got = solver.extract_fluid_traction(np.zeros(d.V_f.ndof),
-                                        np.zeros(d.V_s.ndof), iface)
+                                        np.zeros(d.V_s.ndof), sig)
     assert np.array_equal(got, sig)
 
 
@@ -207,7 +205,7 @@ def test_interface_algebra_identity(run_disc, params, rng):
     new = solver.advance(state)
     for s in new.samples:
         lhs = s.traction + lam * (d.M_c @ s.u[d.ifd_f])
-        rhs = lam * (d.M_c @ s.etad[d.ifd_s]) + state.iface.traction_avg
+        rhs = lam * (d.M_c @ s.etad[d.ifd_s]) + state.traction_avg
         assert np.abs(lhs - rhs).max() <= 1e-13 * max(1.0, np.abs(rhs).max())
 
 
@@ -219,17 +217,18 @@ def test_window_averages(run_disc):
                             eta=None, etad=None,
                             traction=np.full(d.ifd_f.size, 2.0 * u))
 
-    one = RobinRobinSolver.update_interface_average(d, [sample(5.0, 1.0)])
-    assert np.all(one.u_avg == 5.0) and np.all(one.traction_avg == 10.0)
-    two = RobinRobinSolver.update_interface_average(
+    u_avg, traction_avg = RobinRobinSolver.update_interface_average(
+        d, [sample(5.0, 1.0)])
+    assert np.all(u_avg == 5.0) and np.all(traction_avg == 10.0)
+    u_avg, _ = RobinRobinSolver.update_interface_average(
         d, [sample(1.0, 0.5), sample(3.0, 1.0)])
-    assert np.all(two.u_avg == 2.0)
+    assert np.all(u_avg == 2.0)
     # linear-in-time trace, m = 4: mean of right-endpoint samples equals the
     # exact integral of the piecewise-constant backward-Euler interpolant
     ts = [0.25, 0.5, 0.75, 1.0]
-    lin = RobinRobinSolver.update_interface_average(
+    u_avg, _ = RobinRobinSolver.update_interface_average(
         d, [sample(2.0 * t, t) for t in ts])
-    assert np.allclose(lin.u_avg, np.mean([2.0 * t for t in ts]))
+    assert np.allclose(u_avg, np.mean([2.0 * t for t in ts]))
 
 
 def test_per_window_stability_inequality(run_disc, params, rng):
@@ -295,7 +294,7 @@ def test_advance_deterministic(run_disc, params):
         runs.append(state)
     assert np.array_equal(runs[0].u, runs[1].u)
     assert np.array_equal(runs[0].eta, runs[1].eta)
-    assert np.array_equal(runs[0].iface.traction_avg, runs[1].iface.traction_avg)
+    assert np.array_equal(runs[0].traction_avg, runs[1].traction_avg)
 
 
 def test_substep_refinement_consistency(run_disc, params):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solveh_banded
 
 from . import mesh as msh
 from .assembly import (Factorization, SingularSystemError, apply_dirichlet,
@@ -124,9 +125,15 @@ class Discretization:
         self.ifd_s = self.V_s.interface_dofs
         # canonical interface mass (small and dense); identical from either side
         self.M_c = self.M_if[self.ifd_f][:, self.ifd_f].toarray()
+        # inverted by its banded Cholesky factor (dpbsv), bandwidth kd from the
+        # nonzeros: a dense inverse's threaded level-3 BLAS calls can stall
+        rows, cols = np.nonzero(self.M_c)
+        kd = int(np.abs(rows - cols).max(initial=0))
+        band = [np.pad(np.diagonal(self.M_c, -k), (0, k)) for k in range(kd + 1)]
         try:
-            self._M_c_inv = np.linalg.inv(self.M_c)
-        except np.linalg.LinAlgError:  # e.g. edge lengths that underflow to 0
+            self._M_c_inv = solveh_banded(np.array(band), np.eye(len(self.M_c)),
+                                          lower=True)
+        except (np.linalg.LinAlgError, ValueError):  # zero edges, or not finite
             raise SingularSystemError("the interface mass is singular") from None
         # fill-reducing orders of the fluid saddle points' unknowns (V_f, then
         # Q) and of the solid operators' (V_s)

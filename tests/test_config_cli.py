@@ -260,7 +260,8 @@ def test_converge_zero_error_exits_4(tmp_path, capsys, monkeypatch):
                         lambda disc: np.zeros(disc.V_f.ndof))
     path = write_config(tmp_path / "z.cfg", mode="converge", **ONE_CELL)
     out = tmp_path / "o"
-    assert main(["converge", "--config", path, "--out", str(out)]) == 4
+    with pytest.warns(RuntimeWarning):  # the 0/0 rate, on purpose
+        assert main(["converge", "--config", path, "--out", str(out)]) == 4
     assert "rate = nan" in capsys.readouterr().out
     rows = list(csv.DictReader((out / "converge.csv").open()))
     assert [r["total"] for r in rows] == ["0", "0"]

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -87,6 +88,51 @@ def test_interface_mass_examples(small_disc):
     on_iface = np.isclose(space.node_coords[:, 1], small_disc.geom.fluid_height)
     v[space.expand(np.flatnonzero(on_iface))] = 0.0
     assert abs(v @ (M @ v)) < 1e-13
+
+
+# the unit channel of the shipped configs (None: the session fixture), the
+# timeloop benchmark's, and the CI variants' strip and stretched channel
+_INTERFACE_SHAPES = {"16x16x16": None,
+                     "32x32x32": ((1.0, 1.0, 1.0), 32, 32, 32),
+                     "2x32x32": ((1.0, 1.0, 1.0), 2, 32, 32),
+                     "stretched": ((3.0, 0.2, 0.5), 16, 16, 16)}
+
+
+@pytest.mark.parametrize("name", list(_INTERFACE_SHAPES))
+def test_traction_dual_norm_on_shipped_shapes(request, name):
+    shape = _INTERFACE_SHAPES[name]
+    d = (request.getfixturevalue("shipped_disc") if shape is None
+         else Discretization(ChannelGeometry(*shape[0]), *shape[1:]))
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        f = rng.standard_normal(d.ifd_f.size)
+        assert d.traction_norm_sq(f) == pytest.approx(
+            f @ np.linalg.solve(d.M_c, f), rel=1e-13)
+
+
+# edge lengths whose squares underflow to 0, or overflow to inf
+@pytest.mark.parametrize("length", [1e-200, 1e200])
+def test_degenerate_interface_mass_is_singular(length):
+    with np.errstate(over="ignore"), pytest.raises(
+            SingularSystemError, match="interface mass is singular"):
+        Discretization(ChannelGeometry(length, 1.0, 1.0), 1, 1, 2)
+
+
+def test_setup_runs_no_dense_factorization(params, monkeypatch):
+    """A dense factorization runs BLAS's threaded kernels, which can stall
+    for a tenth of a second per call; the set-up uses sparse and banded
+    factors only."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense factorization in the set-up")
+
+    for module, names in ((np.linalg, ("inv", "solve")),
+                          (scipy.linalg, ("inv", "solve", "cho_factor",
+                                          "lu_factor"))):
+        for name in names:
+            monkeypatch.setattr(module, name, dense)
+    d = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 8, 8, 8)
+    RobinRobinSolver(d, params, TimeGrid(0.5, 16, 2))
+    MonolithicSolver(d, params, 1.0 / 32)
 
 
 # -- dense high-order quadrature oracle ----------------------------------

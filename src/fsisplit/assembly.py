@@ -38,11 +38,8 @@ EDGE_WEIGHTS = 0.5 * np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
 def p1_basis(x, y):
-    """P1 values (..., 3) and reference gradients (..., 3, 2) at points x, y
-    of any (common) shape."""
-    n = np.stack(np.broadcast_arrays(1.0 - x - y, x, y), axis=-1)
-    dn = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    return n, np.broadcast_to(dn, n.shape + (2,))
+    """P1 values (..., 3) at points x, y of any (common) shape."""
+    return np.stack(np.broadcast_arrays(1.0 - x - y, x, y), axis=-1)
 
 
 def p2_basis(x, y):
@@ -78,13 +75,6 @@ def _geometry(mesh: Mesh, cells: np.ndarray):
     return det, adj.reshape(-1, 2, 2) / det[:, None, None]
 
 
-def _tables(basis):
-    """Basis values (nq, nl) and reference gradients (nq, 2 nl), the latter
-    as [q, (A, i)] for d_A phi_i, at the triangle quadrature points."""
-    vals, grads = basis(TRI_POINTS[:, 0], TRI_POINTS[:, 1])
-    return vals, grads.transpose(0, 2, 1).reshape(len(vals), -1)
-
-
 def _integrate(a, b):
     """Reference-cell integrals (m, n) of a[:, k] b[:, l], from tables (nq, m)
     and (nq, n) at the triangle quadrature points, rounded to their exact
@@ -101,19 +91,19 @@ def _integrate(a, b):
 # Tensor representation of the forms on affine cells (Kirby & Logg, ACM TOMS
 # 2006): each cell matrix is the cell's geometry contracted with a constant
 # reference-cell integral, so no form runs quadrature per cell.  The rule is
-# exact for these products, and `_integrate` rounds away its error.  Keyed
-# by degree.
-_TABLES = {1: _tables(p1_basis), 2: _tables(p2_basis)}
+# exact for these products, and `_integrate` rounds away its error.  Only
+# the Taylor-Hood pair's tables: P2 phi for the vector forms, P1 psi for the
+# pressure.  _DPHI is [q, (A, i)] for d_A phi_i at the quadrature points.
+_PSI = p1_basis(TRI_POINTS[:, 0], TRI_POINTS[:, 1])
+_PHI, _DPHI = p2_basis(TRI_POINTS[:, 0], TRI_POINTS[:, 1])
+_DPHI = _DPHI.transpose(0, 2, 1).reshape(len(_PHI), -1)
 # [i, j]: integral of phi_i phi_j
-MASS_REF = {deg: _integrate(v, v) for deg, (v, _) in _TABLES.items()}
+MASS_REF = _integrate(_PHI, _PHI)
 # [(A, B), (i, j)]: integral of d_A phi_i d_B phi_j
-GRAD_REF = {deg: _integrate(g, g).reshape(2, v.shape[1], 2, -1)
-            .transpose(0, 2, 1, 3).reshape(4, -1)
-            for deg, (v, g) in _TABLES.items()}
-# [(deg_q, deg_v)][A, (i, j)]: integral of psi_i d_A phi_j
-DIV_REF = {(dq, dv): _integrate(vq, gv).reshape(vq.shape[1], 2, -1)
-           .transpose(1, 0, 2).reshape(2, -1)
-           for dq, (vq, _) in _TABLES.items() for dv, (_, gv) in _TABLES.items()}
+GRAD_REF = (_integrate(_DPHI, _DPHI).reshape(2, 6, 2, 6)
+            .transpose(0, 2, 1, 3).reshape(4, -1))
+# [A, (i, j)]: integral of psi_i d_A phi_j
+DIV_REF = _integrate(_PSI, _DPHI).reshape(3, 2, 6).transpose(1, 0, 2).reshape(2, -1)
 # [i, j]: integral over [0, 1] of the edge basis products by the 3-point
 # rule, not rounded; a facet's block is its length times this table
 EDGE_MASS_REF = sum(w * np.outer(v, v)
@@ -164,7 +154,7 @@ def assemble_vector_mass(space: Space, density: float) -> sp.csr_matrix:
     if space.ncomp != 2:
         raise ValueError("vector mass requires a vector-valued space")
     det, _ = _geometry(space.mesh, space.cells)
-    mass = density * (np.abs(det)[:, None, None] * MASS_REF[space.degree])
+    mass = density * (np.abs(det)[:, None, None] * MASS_REF)
     return _scatter_per_component(space, space.cell_nodes, mass)
 
 
@@ -177,7 +167,7 @@ def _gradient_pairs(space: Space):
     geo = (np.abs(det)[:, None, None, None, None]
            * inv_t[:, :, None, :, None] * inv_t[:, None, :, None, :])
     nl = space.cell_nodes.shape[1]
-    return (geo.reshape(-1, 4, 4) @ GRAD_REF[space.degree]).reshape(-1, 2, 2, nl, nl)
+    return (geo.reshape(-1, 4, 4) @ GRAD_REF).reshape(-1, 2, 2, nl, nl)
 
 
 def _symgrad_blocks(pairs):
@@ -230,7 +220,7 @@ def assemble_divergence(vel: Space, pres: Space) -> sp.csr_matrix:
     det, inv = _geometry(vel.mesh, vel.cells)
     geo = np.abs(det)[:, None, None] * inv.transpose(0, 2, 1)  # [c, b, A]
     npl, nl = pres.cell_nodes.shape[1], vel.cell_nodes.shape[1]
-    blocks = (geo @ DIV_REF[(pres.degree, vel.degree)]).reshape(-1, 2, npl, nl)
+    blocks = (geo @ DIV_REF).reshape(-1, 2, npl, nl)
     blocks = blocks.transpose(0, 2, 3, 1).reshape(-1, npl, 2 * nl)  # [c, i, (j, b)]
     return _scatter((pres.ndof, vel.ndof), pres.cell_nodes,
                     vel.expand(vel.cell_nodes), blocks)
@@ -262,8 +252,6 @@ def apply_dirichlet(A: sp.spmatrix, dofs) -> sp.csr_matrix:
     prescribed values after subtracting their lifting."""
     dofs = np.asarray(dofs, dtype=np.int64)
     A = A.tocsr()
-    if dofs.size == 0:
-        return A
     free = np.ones(A.shape[0], dtype=bool)
     free[dofs] = False
     if not A.has_canonical_format:

@@ -2,8 +2,8 @@
 
 Commands: stability, converge, lambda-sweep, dn-compare, dump-config.  Each
 runs one study of `experiments`, writes its CSVs and returns its failed checks.
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 acceptance threshold
-not met.  CSV floats carry 17 significant digits so reruns diff bitwise.
+Exit codes: 0 success, 2 config or output error, 3 solver failure, 4 acceptance
+threshold not met.  CSV floats carry 17 significant digits so reruns diff bitwise.
 """
 
 from __future__ import annotations
@@ -181,10 +181,13 @@ def main(argv=None) -> int:
         sys.stdout.write(dump_config(cfg))
         return 0
 
-    os.makedirs(args.out, exist_ok=True)
     try:
+        os.makedirs(args.out, exist_ok=True)
         disc = Discretization(cfg.geometry, cfg.nx, cfg.ny_f, cfg.ny_s)
         failures = COMMANDS[args.command](cfg, disc, args.out)
+    except OSError as exc:  # an unusable --out, or a CSV write that failed
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except (SingularSystemError, RuntimeError, MemoryError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

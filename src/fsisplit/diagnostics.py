@@ -160,29 +160,26 @@ def consistency_terms(disc: Discretization, reference, dt: float, lam: float):
 
     g3 = lambda (U - window-average of previous U); g2 is the analogous
     difference of fluid traction loads (dual norm).  Returns (g3, g2) arrays,
-    one entry per window of size dt up to the reference's final time; the
-    sums scale like dt for smooth reference trajectories.
+    one entry per window of size dt, the windows tiling the reference's
+    steps; the sums scale like dt for smooth reference trajectories.
     """
     ref_dt = reference.ddt
     per = int(round(dt / ref_dt))
-    if abs(per * ref_dt - dt) > 1e-9 * dt:
-        raise ValueError("window size is not a multiple of the reference step")
-    n_win = int(round(reference.times[-1] / dt))
+    steps = len(reference.times) - 1
+    if per < 1 or abs(per * ref_dt - dt) > 1e-9 * dt or steps % per:
+        raise ValueError("windows of size dt do not tile the reference steps")
 
-    g3 = np.zeros(n_win)
-    g2 = np.zeros(n_win)
-    u_tr = reference.traces
-    for n in range(n_win):
-        if n == 0:
-            u_avg = u_tr[0]
-            f_avg = reference.flux[0]
-        else:
-            lo = (n - 1) * per
-            u_avg = np.mean(u_tr[lo + 1:lo + per + 1], axis=0)
-            f_avg = np.mean(reference.flux[lo + 1:lo + per + 1], axis=0)
-        for k in range(n * per + 1, (n + 1) * per + 1):
+    g3 = np.zeros(steps // per)
+    g2 = np.zeros_like(g3)
+    u_tr, flux = reference.traces, reference.flux
+    u_avg, f_avg = u_tr[0], flux[0]  # the first window's interface data
+    for n in range(g3.size):
+        lo, hi = n * per + 1, (n + 1) * per + 1
+        for k in range(lo, hi):
             g3[n] += ref_dt * lam * lam * disc.trace_norm_sq(u_tr[k] - u_avg)
-            g2[n] += ref_dt * disc.traction_norm_sq(reference.flux[k] - f_avg)
+            g2[n] += ref_dt * disc.traction_norm_sq(flux[k] - f_avg)
+        u_avg = np.mean(u_tr[lo:hi], axis=0)  # rolled as `advance` rolls them
+        f_avg = np.mean(flux[lo:hi], axis=0)
     return g3, g2
 
 

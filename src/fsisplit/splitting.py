@@ -173,21 +173,18 @@ class Discretization:
 
     def fluid_saddle(self, params: PhysicalParams, ddt: float,
                      lam: float = 0.0) -> sp.csr_matrix:
-        """[[rho_f/ddt M + K (+ lam M_iface), -B^T], [B, 0]], without
-        Dirichlet rows."""
-        Auu = (params.rho_f / ddt) * self.M_f + self.stiffness_fluid(params.mu)
-        if lam:
-            Auu = Auu + lam * self.M_if
+        """[[rho_f/ddt M + K + lam M_iface, -B^T], [B, 0]], without
+        Dirichlet rows.  At lam = 0 the sum stores no zero and has the bits
+        of the operator without the Robin term."""
+        Auu = ((params.rho_f / ddt) * self.M_f + self.stiffness_fluid(params.mu)
+               + lam * self.M_if)
         return stack_saddle(Auu, -self.BT, self.B)
 
     def solid_operator(self, params: PhysicalParams, ddt: float,
                        lam: float = 0.0) -> sp.csr_matrix:
-        """rho_s/ddt M + ddt A (+ lam M_iface), without Dirichlet rows."""
-        S = ((params.rho_s / ddt) * self.M_s
-             + ddt * self.stiffness_solid(params.l1, params.l2))
-        if lam:
-            S = S + lam * self.M_is
-        return S
+        """rho_s/ddt M + ddt A + lam M_iface, without Dirichlet rows."""
+        return ((params.rho_s / ddt) * self.M_s
+                + ddt * self.stiffness_solid(params.l1, params.l2) + lam * self.M_is)
 
     def trace_norm_sq(self, trace: np.ndarray) -> float:
         """Squared interface L2 norm of a canonical trace vector."""

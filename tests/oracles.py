@@ -329,7 +329,7 @@ def cellwise_vector_mass(space, density):
     from fsisplit.assembly import MASS_REF, _geometry
 
     det, _ = _geometry(space.mesh, space.cells)
-    mass = np.abs(det)[:, None, None] * MASS_REF[space.degree]
+    mass = np.abs(det)[:, None, None] * MASS_REF
     return _cellwise(space, space.cell_nodes, density * mass)
 
 

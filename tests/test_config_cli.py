@@ -222,7 +222,7 @@ def test_stability_command_writes_csv(tmp_path, capsys):
     assert main(["stability", "--config", path, "--out", str(out2)]) == 0
     csv1 = (out1 / "stability.csv").read_bytes()
     assert csv1 == (out2 / "stability.csv").read_bytes()  # bitwise rerun
-    rows = list(csv.DictReader((out1 / "stability.csv").open()))
+    rows = list(csv.DictReader((out1 / "stability.csv").read_text().splitlines()))
     assert len(rows) == 8 + 1
     resid = np.array([float(r["stability_residual"]) for r in rows])
     scale = float(rows[0]["E"]) + float(rows[0]["S"])
@@ -233,7 +233,7 @@ def test_converge_command(tmp_path):
     path = write_config(tmp_path / "c.cfg", mode="converge", N="4", seed="0")
     out = tmp_path / "out"
     assert main(["converge", "--config", path, "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "converge.csv").open()))
+    rows = list(csv.DictReader((out / "converge.csv").read_text().splitlines()))
     assert len(rows) == 3  # dt_levels
     dts = [float(r["dt"]) for r in rows]
     assert dts == sorted(dts, reverse=True)
@@ -263,7 +263,7 @@ def test_converge_zero_error_exits_4(tmp_path, capsys, monkeypatch):
     with pytest.warns(RuntimeWarning):  # the 0/0 rate, on purpose
         assert main(["converge", "--config", path, "--out", str(out)]) == 4
     assert "rate = nan" in capsys.readouterr().out
-    rows = list(csv.DictReader((out / "converge.csv").open()))
+    rows = list(csv.DictReader((out / "converge.csv").read_text().splitlines()))
     assert [r["total"] for r in rows] == ["0", "0"]
     assert [r["rate_pairwise"] for r in rows] == ["nan", "nan"]
 
@@ -423,7 +423,7 @@ def test_dn_compare_blowup_exits_0(tmp_path):
     path = write_config(tmp_path / "d.cfg", mode="dn-compare", N="120")
     out = tmp_path / "o"
     assert main(["dn-compare", "--config", path, "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "dn_compare.csv").open()))
+    rows = list(csv.DictReader((out / "dn_compare.csv").read_text().splitlines()))
     e0 = float(rows[0]["energy_dn"])
     assert max(float(r["energy_dn"]) for r in rows) >= 1e6 * e0
 
@@ -600,6 +600,18 @@ def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     assert "solver failure: Unable to allocate" in capsys.readouterr().err
 
 
+def test_unusable_out_exits_2(tmp_path, capsys):
+    """An --out that is a file or lies under one, and a CSV that cannot be
+    written inside the command, exit 2 with no traceback."""
+    path = write_config(tmp_path / "a.cfg", N="2")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    (tmp_path / "o" / "stability.csv").mkdir(parents=True)  # not a file
+    for out in (blocker, blocker / "sub", tmp_path / "o"):
+        assert main(["stability", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("output error: ")
+
+
 def test_inaccurate_solve_exits_3(tmp_path, monkeypatch):
     import scipy.sparse.linalg as spla
     splu = spla.splu
@@ -620,7 +632,7 @@ def test_csv_floats_full_precision(tmp_path):
     path = write_config(tmp_path / "a.cfg", N="2")
     out = tmp_path / "p"
     assert main(["stability", "--config", path, "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "stability.csv").open()))
+    rows = list(csv.DictReader((out / "stability.csv").read_text().splitlines()))
     val = rows[1]["E"]
     # 17 significant digits survive a float round-trip exactly
     assert f"{float(val):.17g}" == val

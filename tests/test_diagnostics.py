@@ -314,11 +314,15 @@ def test_consistency_linear_trace_closed_form(run_disc, params):
 
 
 def test_consistency_rejects_incompatible_window(run_disc, params):
+    """A window that is not a whole number of reference steps, or windows
+    that do not tile the steps: 10 or 14 steps in windows of 4 must raise,
+    not cover 8 of the steps or index past the last."""
     d = run_disc
-    traj = _synthetic_trajectory(1.0, 30, lambda t: np.zeros(d.ifd_f.size),
-                              lambda t: np.zeros(d.ifd_f.size))
-    with pytest.raises(ValueError):
-        consistency_terms(d, traj, 0.25, params.lambda_robin)
+    for steps, dt in ((30, 0.25), (10, 0.4), (14, 4.0 / 14)):
+        traj = _synthetic_trajectory(1.0, steps, lambda t: np.zeros(d.ifd_f.size),
+                                     lambda t: np.zeros(d.ifd_f.size))
+        with pytest.raises(ValueError):
+            consistency_terms(d, traj, dt, params.lambda_robin)
 
 
 # -- rate fitting -------------------------------------------------------------

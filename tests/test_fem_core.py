@@ -13,7 +13,8 @@ from fsisplit.assembly import (Factorization, SingularSystemError,
                                apply_dirichlet, assemble_divdiv,
                                assemble_divergence, assemble_elasticity,
                                assemble_interface_mass, assemble_symgrad,
-                               assemble_vector_mass, grid_dissection)
+                               assemble_vector_mass, grid_dissection,
+                               stack_saddle)
 from fsisplit.mesh import (FLUID, SOLID, ChannelGeometry, Mesh,
                            build_two_layer_mesh)
 from fsisplit.monolithic import DirichletNeumannExplicit, MonolithicSolver
@@ -427,6 +428,23 @@ def test_operators_store_no_zeros(small_disc, shipped_disc, params):
     for A in (d.M_f, d.M_s, d.B, d.stiffness_fluid(params.mu),
               d.stiffness_solid(params.l1, params.l2)):
         assert np.abs(A.data).min() > 1e-12 * np.abs(A.data).max()
+    # the Robin operators add lam M_iface at every lam: at lam = 0 the sum
+    # must store no zero and keep the bits of the operator without that term
+    for d in (small_disc, shipped_disc):
+        for ddt in (1.0 / 128, 1e-3, 10.0):
+            for lam in (0.0, params.lambda_robin):
+                for A in (d.fluid_saddle(params, ddt, lam),
+                          d.solid_operator(params, ddt, lam)):
+                    assert A.nnz > 0 and np.all(A.data != 0)
+            plain = (stack_saddle((params.rho_f / ddt) * d.M_f
+                                  + d.stiffness_fluid(params.mu), -d.BT, d.B),
+                     (params.rho_s / ddt) * d.M_s
+                     + ddt * d.stiffness_solid(params.l1, params.l2))
+            for A, want in zip((d.fluid_saddle(params, ddt, 0.0),
+                                d.solid_operator(params, ddt, 0.0)), plain):
+                for got, ref in ((A.indptr, want.indptr),
+                                 (A.indices, want.indices), (A.data, want.data)):
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_factorization_orders_to_structure(shipped_disc, params, monkeypatch):

@@ -117,10 +117,8 @@ def _scatter(shape, row_dofs, col_dofs, blocks):
     rows = np.broadcast_to(row_dofs[:, :, None], blocks.shape)
     cols = np.broadcast_to(col_dofs[:, None, :], blocks.shape)
     mat = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                        shape=shape).tocsr()
-    mat.sum_duplicates()
+                        shape=shape).tocsr()  # sums duplicates
     mat.eliminate_zeros()
-    mat.sort_indices()
     return mat
 
 

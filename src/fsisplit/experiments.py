@@ -9,7 +9,7 @@ import numpy as np
 
 from .diagnostics import build_ledger, energy_E, error_norms
 from .initial_data import pressure_pulse, random_state, smooth_coupled_mode
-from .monolithic import DirichletNeumannExplicit, run_reference
+from .monolithic import run_dirichlet_neumann, run_reference
 from .splitting import Discretization, PhysicalParams, RobinRobinSolver, TimeGrid
 
 
@@ -69,10 +69,9 @@ def dirichlet_neumann(disc: Discretization, params: PhysicalParams, dt: float,
     from zero velocity and displacement (the pressure pulse): 0 for a history
     that never leaves zero, infinite for a non-finite energy.  The run stops
     at a non-finite energy or a 1e9-fold growth."""
-    dn = DirichletNeumannExplicit(disc, params, dt)
-    state, traction, e0, energies = state0, state0.traction_avg, 0.0, []
-    for _ in range(num_steps):
-        state, traction = dn.step(state, traction)
+    e0, energies = 0.0, []
+    steps = run_dirichlet_neumann(disc, params, dt, state0)
+    for _, state in zip(range(num_steps), steps):
         e = energy_E(disc, params, state.u, state.etad, state.eta)
         energies.append(e)
         e0 = e0 or e

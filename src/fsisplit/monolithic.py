@@ -4,8 +4,9 @@ comparator.
 The monolithic solver enforces velocity continuity at the interface by dof
 identification (fluid and solid interface velocities share one unknown) and
 traction balance weakly by summing the two weak forms.  It serves as the
-error oracle for the convergence study.  The Dirichlet-Neumann stepper is the
-classical loosely coupled comparator that exhibits the added-mass instability.
+error oracle for the convergence study.  The Dirichlet-Neumann generator is
+the classical loosely coupled comparator that exhibits the added-mass
+instability.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import Factorization, apply_dirichlet, grid_dissection
-from .splitting import CoupledState, Discretization, PhysicalParams
+from .splitting import CoupledState, Discretization, PhysicalParams, SplitState
 
 
 @dataclass
@@ -115,7 +116,7 @@ class MonolithicSolver:
 
 def run_reference(disc: Discretization, params: PhysicalParams,
                   state0: CoupledState, t_final: float,
-                  num_steps: int, stride: int = 1) -> ReferenceTrajectory:
+                  num_steps: int, stride: int) -> ReferenceTrajectory:
     """Run the monolithic solver on a fine grid, keeping the fields every
     `stride` steps and the interface trace and flux at every step.
 
@@ -144,57 +145,43 @@ def run_reference(disc: Discretization, params: PhysicalParams,
     return traj
 
 
-class DirichletNeumannExplicit:
-    """Classical explicit Dirichlet-Neumann staggering.
+def run_dirichlet_neumann(disc: Discretization, params: PhysicalParams,
+                          dt: float, state0: SplitState):
+    """Explicit Dirichlet-Neumann staggering from state0, yielding each new
+    state without end: the caller solves only the steps it reads.
 
-    The solid receives the previous fluid traction as a Neumann load; the
-    fluid then takes the new solid velocity as Dirichlet data on the
-    interface.  With the interface velocity prescribed the fluid boundary is
-    all-Dirichlet, so one pressure dof is pinned to fix the gauge (this also
-    drops one divergence row, absorbing the incompatibility of the data).
-    Instability at comparable densities is the expected outcome.
+    The solid receives the previous fluid traction as a Neumann load (the
+    first step state0's traction_avg); the fluid then takes the new solid
+    velocity as Dirichlet data on the interface.  With the interface velocity
+    prescribed the fluid boundary is all-Dirichlet, so one pressure dof is
+    pinned to fix the gauge (this also drops one divergence row, absorbing
+    the incompatibility of the data).  Instability at comparable densities is
+    the expected outcome.
     """
-
-    def __init__(self, disc: Discretization, params: PhysicalParams, dt: float):
-        self.disc = disc
-        self.params = params
-        self.dt = dt
-        d, p = disc, params
-
-        self.A_s = d.stiffness_solid(p.l1, p.l2)
-
-        self._solid_lu = Factorization(
-            apply_dirichlet(d.solid_operator(p, dt), d.dir_s), d.solid_order)
-
-        nu, npr = d.V_f.ndof, d.Q.ndof
-        self._nu, self._np = nu, npr
-        self._F_full = d.fluid_saddle(p, dt)
-        self.constrained = np.unique(np.concatenate(
-            [d.dir_f, d.ifd_f, np.array([nu], dtype=np.int64)]))
-        self._fluid_lu = Factorization(
-            apply_dirichlet(self._F_full, self.constrained), d.fluid_order)
-
-    def step(self, state: CoupledState, traction: np.ndarray):
-        """One explicit window; returns (new state, new fluid traction)."""
-        d, p = self.disc, self.params
-        dt = self.dt
-
-        rhs_s = (p.rho_s / dt) * (d.M_s @ state.etad) - self.A_s @ state.eta
+    d, p = disc, params
+    A_s = d.stiffness_solid(p.l1, p.l2)
+    solid_lu = Factorization(apply_dirichlet(d.solid_operator(p, dt), d.dir_s),
+                             d.solid_order)
+    nu = d.V_f.ndof
+    F = d.fluid_saddle(p, dt)
+    # the Dirichlet and interface velocity dofs, and one pressure dof (the gauge)
+    fixed = np.unique(np.concatenate([d.dir_f, d.ifd_f, [nu]]))
+    fluid_lu = Factorization(apply_dirichlet(F, fixed), d.fluid_order)
+    state, traction = state0, state0.traction_avg
+    while True:
+        rhs_s = (p.rho_s / dt) * (d.M_s @ state.etad) - A_s @ state.eta
         rhs_s[d.ifd_s] -= traction
         rhs_s[d.dir_s] = 0.0
-        etad = self._solid_lu.solve(rhs_s)
-        eta = state.eta + dt * etad
-
-        lift = np.zeros(self._nu + self._np)
+        etad = solid_lu.solve(rhs_s)
+        lift = np.zeros(F.shape[0])
         lift[d.ifd_f] = etad[d.ifd_s]
-        rhs = np.zeros(self._nu + self._np)
-        rhs[:self._nu] = (p.rho_f / dt) * (d.M_f @ state.u)
-        rhs = rhs - self._F_full @ lift
-        rhs[self.constrained] = 0.0
+        rhs = np.zeros(F.shape[0])
+        rhs[:nu] = (p.rho_f / dt) * (d.M_f @ state.u)
+        rhs = rhs - F @ lift
+        rhs[fixed] = 0.0
         rhs += lift
-        x = self._fluid_lu.solve(rhs)
-        u = x[:self._nu]
-        pres = x[self._nu:]
-
-        new = CoupledState(t=state.t + dt, u=u, p=pres, eta=eta, etad=etad)
-        return new, _fluid_flux(d, p, dt, u, state.u, pres)
+        x = fluid_lu.solve(rhs)
+        u, pres = x[:nu], x[nu:]
+        traction = _fluid_flux(d, p, dt, u, state.u, pres)
+        state = CoupledState(state.t + dt, u, pres, state.eta + dt * etad, etad)
+        yield state

@@ -187,7 +187,7 @@ def _reference_as_windows(traj):
 
 def test_error_norms_reference_vs_itself(run_disc, params):
     state0 = smooth_coupled_mode(run_disc, params)
-    traj = run_reference(run_disc, params, state0, 0.2, 8)
+    traj = run_reference(run_disc, params, state0, 0.2, 8, 1)
     grid = TimeGrid(0.2, 8, 1)
     rep = error_norms(run_disc, params, grid,
                       _reference_as_windows(traj), traj, state0)
@@ -197,7 +197,7 @@ def test_error_norms_reference_vs_itself(run_disc, params):
 
 def test_error_norms_rejects_mismatched_start(run_disc, params, rng):
     state0 = smooth_coupled_mode(run_disc, params)
-    traj = run_reference(run_disc, params, state0, 0.2, 8)
+    traj = run_reference(run_disc, params, state0, 0.2, 8, 1)
     other = replace(state0, u=state0.u + 1.0)
     with pytest.raises(ValueError):
         error_norms(run_disc, params, TimeGrid(0.2, 8, 1),
@@ -266,7 +266,7 @@ def test_strided_reference_gives_identical_error_reports(run_disc, params,
     assert len(ref.u) == steps // ref.stride + 1
     assert len(ref.flux) == len(ref.traces) == steps + 1
     monkeypatch.setattr(experiments, "run_reference",
-                        lambda *args: run_reference(*args[:5]))
+                        lambda *args: run_reference(*args[:5], 1))
     full = convergence(run_disc, params, 0.25, 4, 2, m)
     assert full[3].stride == 1 and len(full[3].u) == steps + 1
     for got, want in zip(strided[1], full[1]):

@@ -17,7 +17,7 @@ from fsisplit.assembly import (Factorization, SingularSystemError,
                                stack_saddle)
 from fsisplit.mesh import (FLUID, SOLID, ChannelGeometry, Mesh,
                            build_two_layer_mesh)
-from fsisplit.monolithic import DirichletNeumannExplicit, MonolithicSolver
+from fsisplit.monolithic import MonolithicSolver, run_dirichlet_neumann
 from fsisplit.spaces import SCALAR_P1, VECTOR_P2, build_space
 
 
@@ -419,7 +419,7 @@ def test_operators_store_no_zeros(small_disc, shipped_disc, params):
     d = small_disc
     for A in (d.M_f, d.M_s, d.B, d.M_if, d.M_is, d.stiffness_fluid(params.mu),
               d.stiffness_solid(params.l1, params.l2)):
-        assert A.nnz > 0 and np.all(A.data != 0)
+        assert A.has_canonical_format and A.nnz > 0 and np.all(A.data != 0)
     # the mass forms couple no x component with a y component
     for M in (d.M_f, d.M_s, d.M_if, d.M_is):
         assert M[0::2, 1::2].nnz == 0 and M[1::2, 0::2].nnz == 0
@@ -427,6 +427,7 @@ def test_operators_store_no_zeros(small_disc, shipped_disc, params):
     d = shipped_disc
     for A in (d.M_f, d.M_s, d.B, d.stiffness_fluid(params.mu),
               d.stiffness_solid(params.l1, params.l2)):
+        assert A.has_canonical_format
         assert np.abs(A.data).min() > 1e-12 * np.abs(A.data).max()
     # the Robin operators add lam M_iface at every lam: at lam = 0 the sum
     # must store no zero and keep the bits of the operator without that term
@@ -435,6 +436,7 @@ def test_operators_store_no_zeros(small_disc, shipped_disc, params):
             for lam in (0.0, params.lambda_robin):
                 for A in (d.fluid_saddle(params, ddt, lam),
                           d.solid_operator(params, ddt, lam)):
+                    assert A.has_canonical_format
                     assert A.nnz > 0 and np.all(A.data != 0)
             plain = (stack_saddle((params.rho_f / ddt) * d.M_f
                                   + d.stiffness_fluid(params.mu), -d.BT, d.B),
@@ -465,7 +467,8 @@ def test_factorization_orders_to_structure(shipped_disc, params, monkeypatch):
     initial_data.solid_extension(d, np.ones(d.ifd_s.size))
     initial_data.project_divergence_free(d, np.ones(d.V_f.ndof))
     MonolithicSolver(d, params, 1.0 / 256)
-    DirichletNeumannExplicit(d, params, 1.0 / 128)
+    next(run_dirichlet_neumann(d, params, 1.0 / 128,
+                               initial_data.pressure_pulse(d)))
     orders = [d.solid_order, d.fluid_order, d.solid_order, d.fluid_order, None,
               d.solid_order, d.fluid_order]
     assert len(made) == len(orders)

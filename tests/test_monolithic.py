@@ -4,9 +4,11 @@ import pytest
 from fsisplit import ChannelGeometry, Discretization, PhysicalParams
 from fsisplit.diagnostics import energy_E
 from fsisplit.experiments import dirichlet_neumann, initial_state
+from fsisplit.assembly import Factorization
 from fsisplit.initial_data import random_state, smooth_coupled_mode
-from fsisplit.monolithic import (CoupledState, DirichletNeumannExplicit,
-                                 MonolithicSolver, _fluid_flux, run_reference)
+from fsisplit.monolithic import (CoupledState, MonolithicSolver, _fluid_flux,
+                                 run_dirichlet_neumann, run_reference)
+from fsisplit.splitting import SplitState
 
 
 def zero_coupled(disc):
@@ -125,7 +127,7 @@ def test_fluid_flux_matches_full_residual_bitwise(rng):
 
 def test_reference_trajectory_structure(run_disc, params):
     state0 = smooth_coupled_mode(run_disc, params)
-    full = run_reference(run_disc, params, state0, 0.1, 8)
+    full = run_reference(run_disc, params, state0, 0.1, 8, 1)
     traj = run_reference(run_disc, params, state0, 0.1, 8, stride=4)
     assert len(full.u) == 9 and len(full.flux) == 9
     fields = (traj.u, traj.p, traj.eta, traj.etad)
@@ -154,7 +156,7 @@ def test_reference_trajectory_structure(run_disc, params):
         with pytest.raises(ValueError):
             traj.at(t)
     # zero data gives the zero trajectory
-    ztraj = run_reference(run_disc, params, zero_coupled(run_disc), 0.1, 4)
+    ztraj = run_reference(run_disc, params, zero_coupled(run_disc), 0.1, 4, 1)
     assert max(np.abs(u).max() for u in ztraj.u) == 0.0
 
 
@@ -162,7 +164,7 @@ def test_reference_self_convergence(run_disc, params):
     state0 = smooth_coupled_mode(run_disc, params)
     finals = []
     for steps in (16, 32, 64):
-        traj = run_reference(run_disc, params, state0, 0.2, steps)
+        traj = run_reference(run_disc, params, state0, 0.2, steps, 1)
         finals.append(np.concatenate([traj.u[-1], traj.etad[-1], traj.eta[-1]]))
     d1 = np.linalg.norm(finals[0] - finals[1])
     d2 = np.linalg.norm(finals[1] - finals[2])
@@ -172,11 +174,56 @@ def test_reference_self_convergence(run_disc, params):
 
 
 def test_dirichlet_neumann_zero_fixed_point(run_disc, params):
-    dn = DirichletNeumannExplicit(run_disc, params, 0.05)
-    state, traction = dn.step(zero_coupled(run_disc),
-                              np.zeros(run_disc.ifd_f.size))
-    assert np.abs(state.u).max() == 0.0
-    assert np.abs(traction).max() == 0.0
+    d = run_disc
+    zero = SplitState(0.0, np.zeros(d.V_f.ndof), np.zeros(d.Q.ndof),
+                      np.zeros(d.V_s.ndof), np.zeros(d.V_s.ndof),
+                      np.zeros(d.ifd_f.size), np.zeros(d.ifd_f.size))
+    steps = list(zip(range(2), run_dirichlet_neumann(d, params, 0.05, zero)))
+    for k, state in steps:
+        assert state.t == (k + 1) * 0.05
+        for f in (state.u, state.p, state.eta, state.etad):
+            assert np.abs(f).max() == 0.0
+
+
+def test_dirichlet_neumann_half_steps(run_disc, params, rng):
+    """The solid takes the previous step's fluid traction as its interface
+    load; the fluid takes the new solid velocity as Dirichlet data, with the
+    first pressure dof pinned and its divergence row dropped."""
+    d, p, dt = run_disc, params, 0.01
+    state = random_state(d, rng)
+    traction = state.traction_avg
+    A_s = d.stiffness_solid(p.l1, p.l2)
+    for _, new in zip(range(2), run_dirichlet_neumann(d, p, dt, state)):
+        assert np.array_equal(new.u[d.ifd_f], new.etad[d.ifd_s])
+        for fixed in (new.u[d.dir_f], new.etad[d.dir_s], new.p[:1]):
+            assert np.all(fixed == 0.0)
+        assert np.abs(d.B @ new.u)[1:].max() <= 1e-12 * np.abs(new.u).max()
+        resid = (p.rho_s / dt) * (d.M_s @ (new.etad - state.etad)) + A_s @ new.eta
+        assert (np.abs(resid[d.ifd_s] + traction).max()
+                <= 1e-12 * np.abs(traction).max())
+        traction = _fluid_flux(d, p, dt, new.u, state.u, new.p)
+        state = new
+
+
+def test_dirichlet_neumann_two_solves_per_energy(run_disc, monkeypatch):
+    """One solid and one fluid solve per energy returned, whether the run
+    stops at blow-up or after num_steps: no step past the last is solved."""
+    solves = []
+    solve = Factorization.solve
+
+    def counting(self, b):
+        solves.append(b)
+        return solve(self, b)
+
+    for rho_s, num_steps, stops_early in ((1.0, 200, True), (1000.0, 5, False)):
+        params = PhysicalParams(1.0, rho_s, 0.1, 1.0, 1.0, 1.0)
+        state0 = initial_state(run_disc, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(Factorization, "solve", counting)
+            solves.clear()
+            energies, _ = dirichlet_neumann(run_disc, params, 0.01, num_steps, state0)
+        assert (len(energies) < num_steps) == stops_early
+        assert len(solves) == 2 * len(energies)
 
 
 def test_dirichlet_neumann_added_mass_contrast(run_disc, rng):

@@ -145,14 +145,12 @@ def _assemble_cellwise(space: Space, blocks):
     return _scatter((space.ndof, space.ndof), dofs, dofs, blocks)
 
 
-def assemble_vector_mass(space: Space, density: float) -> sp.csr_matrix:
-    """density * integral of phi_i . phi_j over the space's subdomain."""
-    if density <= 0:
-        raise ValueError("density must be positive")
+def assemble_vector_mass(space: Space) -> sp.csr_matrix:
+    """Integral of phi_i . phi_j over the space's subdomain."""
     if space.ncomp != 2:
         raise ValueError("vector mass requires a vector-valued space")
     det, _ = _geometry(space.mesh, space.cells)
-    mass = density * (np.abs(det)[:, None, None] * MASS_REF)
+    mass = np.abs(det)[:, None, None] * MASS_REF
     return _scatter_per_component(space, space.cell_nodes, mass)
 
 

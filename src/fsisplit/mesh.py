@@ -1,23 +1,19 @@
-"""Structured two-layer triangle meshes with a tagged fluid/solid interface.
+"""Structured two-layer triangle meshes of a fluid/solid channel.
 
 The fluid occupies the lower rectangle [0, L] x [0, H_f], the solid the upper
 rectangle [0, L] x [H_f, H_f + H_s].  The shared horizontal segment y = H_f is
-the interface; the remaining fluid boundary is tagged SIGMA_F and the remaining
-solid boundary SIGMA_S.
+the interface; each subdomain is clamped on the rest of its boundary.  Both
+boundary sets follow from the cells alone (see `spaces.build_space`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 FLUID = 0
 SOLID = 1
-
-SIGMA_F = "sigma_f"
-SIGMA_S = "sigma_s"
-INTERFACE = "interface"
 
 
 @dataclass(frozen=True)
@@ -40,15 +36,11 @@ class Mesh:
     vertices : (nv, 2) float array
     cells : (nc, 3) int array, counter-clockwise orientation
     cell_domain : (nc,) int array with values FLUID / SOLID
-    facets : (nf, 2) int array of tagged boundary/interface edges
-    facet_tags : list of nf tags, each SIGMA_F / SIGMA_S / INTERFACE
     """
 
     vertices: np.ndarray
     cells: np.ndarray
     cell_domain: np.ndarray
-    facets: np.ndarray
-    facet_tags: list = field(default_factory=list)
 
     @property
     def num_vertices(self) -> int:
@@ -83,16 +75,6 @@ def build_two_layer_mesh(geom: ChannelGeometry, nx: int, ny_f: int, ny_s: int) -
     v11 = v01 + 1
     cells = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
     cell_domain = np.repeat(np.where(j < ny_f, FLUID, SOLID), 2)
-
-    # per column: bottom, top and interface edges; then per row: left, right
-    starts = np.add.outer(np.arange(nx), np.array([0, ny, ny_f]) * (nx + 1))
-    sides = np.add.outer(np.arange(ny) * (nx + 1), np.array([0, nx]))
-    facets = np.vstack([np.stack([starts, starts + 1], axis=2).reshape(-1, 2),
-                        np.stack([sides, sides + nx + 1], axis=2).reshape(-1, 2)])
-    tags = ([SIGMA_F, SIGMA_S, INTERFACE] * nx
-            + [SIGMA_F if row < ny_f else SIGMA_S for row in range(ny) for _ in range(2)])
-
     return Mesh(vertices=vertices, cells=cells.astype(np.int64),
-                cell_domain=cell_domain.astype(np.int64),
-                facets=facets.astype(np.int64), facet_tags=tags)
+                cell_domain=cell_domain.astype(np.int64))
 

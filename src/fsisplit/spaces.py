@@ -13,23 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import FLUID, INTERFACE, SIGMA_F, SIGMA_S, Mesh
+from .mesh import Mesh
 
 VECTOR_P2 = "vector_p2"
 SCALAR_P1 = "scalar_p1"
 
 _KINDS = {VECTOR_P2: (2, 2), SCALAR_P1: (1, 1)}
-
-
-def _local_edges(cells: np.ndarray) -> np.ndarray:
-    """(n_cells, 3, 2) sorted vertex pairs of the local edges (0,1), (1,2), (2,0)."""
-    pairs = np.stack([cells, np.roll(cells, -1, axis=1)], axis=2)
-    return np.sort(pairs, axis=2)
-
-
-def _edge_keys(pairs: np.ndarray, num_vertices: int) -> np.ndarray:
-    """One integer per sorted vertex pair, ordered like the pairs."""
-    return pairs[..., 0] * num_vertices + pairs[..., 1]
 
 
 def mesh_edges(mesh: Mesh):
@@ -39,9 +28,9 @@ def mesh_edges(mesh: Mesh):
     Returns the (n_edges, 2) sorted vertex pairs by edge id and the
     (n_cells, 3) edge id of each local edge.
     """
-    pairs = _local_edges(mesh.cells)
-    keys, first, inverse = np.unique(_edge_keys(pairs, mesh.num_vertices),
-                                     return_index=True, return_inverse=True)
+    pairs = np.sort(np.stack([mesh.cells, np.roll(mesh.cells, -1, axis=1)], axis=2), axis=2)
+    _, first, inverse = np.unique(pairs[..., 0] * mesh.num_vertices + pairs[..., 1],
+                                  return_index=True, return_inverse=True)
     by_id = np.argsort(first)
     edge_id = np.empty_like(by_id)
     edge_id[by_id] = np.arange(by_id.size)
@@ -63,8 +52,8 @@ class Space:
     node_coords: np.ndarray          # (n_nodes, 2)
     cell_nodes: np.ndarray           # (n_subcells, 3 or 6) global node ids
     cells: np.ndarray                # mesh cell ids of this subdomain
-    dirichlet_nodes: np.ndarray      # sorted SIGMA_F (fluid) or SIGMA_S
-                                     # (solid) node ids
+    dirichlet_nodes: np.ndarray      # sorted node ids of the clamped
+                                     # outer boundary
     interface_nodes: np.ndarray      # canonical order (by x), corners excluded
     interface_facets: np.ndarray     # (n_if, 2 or 3) endpoint0, endpoint1
                                      # [, midpoint] nodes, left to right
@@ -108,34 +97,26 @@ def build_space(mesh: Mesh, domain: int, kind: str) -> Space:
     vids = np.unique(cells)
     node_coords = mesh.vertices[vids]
     cell_nodes = np.searchsorted(vids, cells)
-    # the subdomain's edges as sorted keys and, per key, the nodes an edge
-    # holds besides its two vertices: its midpoint for P2, none for P1
-    keys, inverse = np.unique(_edge_keys(_local_edges(cells), mesh.num_vertices),
-                              return_inverse=True)
-    key_nodes = np.empty((keys.size, 0), dtype=np.int64)
+    # the subdomain's edges in ascending global edge id, i.e. order of first
+    # appearance, with their nodes: two vertices and, for P2, the midpoint
+    edges, cell_edges = mesh_edges(mesh)
+    used, slot = np.unique(cell_edges[sub], return_inverse=True)
+    slot = slot.reshape(cells.shape)
+    edge_nodes = np.searchsorted(vids, edges[used])
     if degree == 2:
-        # midpoints in ascending global edge id, i.e. order of first appearance
-        edges, cell_edges = mesh_edges(mesh)
-        used, slot = np.unique(cell_edges[sub], return_inverse=True)
-        mid = vids.size + slot.reshape(cells.shape)
-        key_nodes = np.empty((keys.size, 1), dtype=np.int64)
-        key_nodes[inverse.ravel(), 0] = mid.ravel()
+        edge_nodes = np.column_stack([edge_nodes, vids.size + np.arange(used.size)])
         node_coords = np.vstack([node_coords, 0.5 * (mesh.vertices[edges[used, 0]]
                                                      + mesh.vertices[edges[used, 1]])])
         # local node order: v0 v1 v2 m12 m20 m01 (midpoint opposite each vertex)
-        cell_nodes = np.hstack([cell_nodes, mid[:, [1, 2, 0]]])
+        cell_nodes = np.hstack([cell_nodes, vids.size + slot[:, [1, 2, 0]]])
 
-    # tagged facets that are edges of this subdomain, with their nodes
-    fkeys = _edge_keys(np.sort(mesh.facets, axis=1), mesh.num_vertices)
-    pos = np.minimum(np.searchsorted(keys, fkeys), keys.size - 1)
-    inside = keys[pos] == fkeys
-    fnodes = np.hstack([np.searchsorted(vids, mesh.facets), key_nodes[pos]])
-    tags = np.asarray(mesh.facet_tags)
-    dir_tag = SIGMA_F if domain == FLUID else SIGMA_S
-    dir_nodes = np.unique(fnodes[inside & (tags == dir_tag)])
-    facets = fnodes[inside & (tags == INTERFACE)]
-    iface = np.unique(facets)
-    iface = iface[~np.isin(iface, dir_nodes)]
+    # an edge of one subdomain cell is on the subdomain's boundary: on the
+    # interface if a cell of the other subdomain holds it too, else clamped
+    boundary = np.bincount(slot.ravel()) == 1
+    shared = np.bincount(cell_edges.ravel())[used] == 2
+    dir_nodes = np.unique(edge_nodes[boundary & ~shared])
+    facets = edge_nodes[boundary & shared]
+    iface = np.setdiff1d(facets, dir_nodes)
     iface = iface[np.argsort(node_coords[iface, 0], kind="stable")]
 
     flip = node_coords[facets[:, 1], 0] < node_coords[facets[:, 0], 0]

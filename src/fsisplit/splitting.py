@@ -113,8 +113,8 @@ class Discretization:
                            self.V_s.node_coords[self.V_s.interface_nodes]):
             raise RuntimeError("interface dof orderings of the two spaces differ")
 
-        self.M_f = assemble_vector_mass(self.V_f, 1.0)
-        self.M_s = assemble_vector_mass(self.V_s, 1.0)
+        self.M_f = assemble_vector_mass(self.V_f)
+        self.M_s = assemble_vector_mass(self.V_s)
         self.B = assemble_divergence(self.V_f, self.Q)
         self.BT = self.B.T.tocsr()
         self.M_if = assemble_interface_mass(self.V_f)

@@ -4,7 +4,9 @@ Basis functions are reconstructed from monomial Vandermonde systems at the
 element nodes and integrated with a high-order Gauss rule mapped to the
 triangle by the Duffy transform, so nothing here shares code or quadrature
 with the package's assembly path.  `reference_numbering` is the original
-dict-based node numbering of the spaces, kept to pin the array-built one;
+dict-based node numbering of the spaces, kept to pin the array-built one,
+with the boundary found from coordinates, where the package finds it from
+the cells' shared edges;
 `dissection_blocks` splits index sets by coordinate masks, where the package
 splits a grid of lattice positions.  `cellwise_vector_mass` and
 `cellwise_interface_mass` are the mass forms' former per-cell vector
@@ -146,16 +148,25 @@ def dense_divergence(vel, pres):
                       pres_space=pres)
 
 
-def facets_of(mesh, tag):
-    """The (k, 2) vertex pairs of the mesh facets tagged `tag`."""
-    return mesh.facets[[i for i, t in enumerate(mesh.facet_tags) if t == tag]]
+def on_outer_boundary(mesh, points):
+    """Whether each of the (..., 2) points lies on the box that bounds the
+    mesh vertices: x at its min or max, or y at its min or max."""
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    return np.any((points == lo) | (points == hi), axis=-1)
+
+
+def interface_facets(mesh):
+    """The (k, 2) vertex pairs of the interface, left to right: consecutive
+    vertices at the height of the top of the fluid cells."""
+    top = mesh.vertices[mesh.cells[mesh.cell_domain == 0], 1].max()
+    verts = np.flatnonzero(mesh.vertices[:, 1] == top)
+    verts = verts[np.argsort(mesh.vertices[verts, 0])]
+    return np.column_stack([verts[:-1], verts[1:]])
 
 
 def dense_interface_mass(space):
     """1D oracle over interface facets with an 8-point Gauss rule and a
     Vandermonde-reconstructed quadratic line basis."""
-    from fsisplit.mesh import INTERFACE
-
     mesh = space.mesh
     node_of = {tuple(np.round(space.node_coords[n], 12)): n
                for n in range(space.num_nodes)}
@@ -164,7 +175,7 @@ def dense_interface_mass(space):
     g, w = np.polynomial.legendre.leggauss(8)
     g, w = 0.5 * (g + 1.0), 0.5 * w
     A = np.zeros((space.ndof, space.ndof))
-    for v0, v1 in facets_of(mesh, INTERFACE):
+    for v0, v1 in interface_facets(mesh):
         p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
         length = np.linalg.norm(p1 - p0)
         nodes = [node_of[tuple(np.round(p0, 12))],
@@ -195,12 +206,10 @@ def reference_numbering(mesh, domain, degree):
     edge first appears over all mesh cells.
 
     Returns (node_coords, cell_nodes, dirichlet_nodes, interface_nodes,
-    interface_facets): the sorted nodes of the domain's outer boundary
-    (SIGMA_F or SIGMA_S), and the facets as (endpoint0, endpoint1[,
-    midpoint]) node rows found by rounded coordinates and ordered by x.
+    interface_facets): the sorted nodes on the outer boundary, the interface
+    nodes off it by x, and the interface facets as (endpoint0, endpoint1[,
+    midpoint]) node rows, found by rounded coordinates, left to right.
     """
-    from fsisplit.mesh import INTERFACE, SIGMA_F, SIGMA_S
-
     edge_ids = {}
     for cell in mesh.cells:
         for a, b in _LOCAL_EDGES:
@@ -227,31 +236,17 @@ def reference_numbering(mesh, domain, degree):
         rows.append(loc)
     cell_nodes = np.asarray(rows, dtype=np.int64)
 
-    def tagged_nodes(tag):
-        nodes = set()
-        for v0, v1 in facets_of(mesh, tag):
-            key = (min(v0, v1), max(v0, v1))
-            if key in sub_edges:
-                nodes |= {vmap[int(v0)], vmap[int(v1)]}
-                if degree == 2:
-                    nodes.add(emap[key])
-        return nodes
-
-    dirichlet = tagged_nodes(SIGMA_F if domain == 0 else SIGMA_S)
-    iface = sorted(tagged_nodes(INTERFACE) - dirichlet)
-    iface.sort(key=lambda n: node_coords[n, 0])
-
+    dirichlet = np.flatnonzero(on_outer_boundary(mesh, node_coords))
     node_of = {tuple(np.round(p, 12)): n for n, p in enumerate(node_coords)}
     facets = []
-    for v0, v1 in facets_of(mesh, INTERFACE):
+    for v0, v1 in interface_facets(mesh):
         p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
-        if p1[0] < p0[0]:
-            p0, p1 = p1, p0
         points = [p0, p1] + ([0.5 * (p0 + p1)] if degree == 2 else [])
         facets.append([node_of[tuple(np.round(p, 12))] for p in points])
-    facets.sort(key=lambda f: node_coords[f[0], 0])
+    iface = sorted(set(np.ravel(facets)) - set(dirichlet),
+                   key=lambda n: node_coords[n, 0])
 
-    return (node_coords, cell_nodes, np.array(sorted(dirichlet), dtype=np.int64),
+    return (node_coords, cell_nodes, dirichlet.astype(np.int64),
             np.asarray(iface, dtype=np.int64),
             np.asarray(facets, dtype=np.int64).reshape(-1, degree + 1))
 

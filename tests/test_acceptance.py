@@ -128,10 +128,10 @@ def test_criterion_5_assembly_oracle():
     for n in (1, 2):
         disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), n, n, n)
         pairs = [
-            (assemble_vector_mass(disc.V_f, 1.3),
-             oracles.dense_vector_mass(disc.V_f, 1.3)),
-            (assemble_vector_mass(disc.V_s, 0.7),
-             oracles.dense_vector_mass(disc.V_s, 0.7)),
+            (assemble_vector_mass(disc.V_f),
+             oracles.dense_vector_mass(disc.V_f, 1.0)),
+            (assemble_vector_mass(disc.V_s),
+             oracles.dense_vector_mass(disc.V_s, 1.0)),
             (assemble_symgrad(disc.V_f, 0.9),
              oracles.dense_symgrad(disc.V_f, 0.9)),
             (assemble_divdiv(disc.V_s, 1.1),

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import facets_of
-from fsisplit.mesh import (FLUID, INTERFACE, SIGMA_F, SIGMA_S, SOLID,
-                           ChannelGeometry, build_two_layer_mesh)
+from oracles import interface_facets
+from fsisplit.mesh import FLUID, SOLID, ChannelGeometry, build_two_layer_mesh
 from fsisplit.spaces import SCALAR_P1, build_space
 
 
@@ -20,7 +19,7 @@ def test_smallest_mesh_counts():
     mesh = build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), 1, 1, 1)
     assert mesh.cells_of(FLUID).size == 2
     assert mesh.cells_of(SOLID).size == 2
-    iface = facets_of(mesh, INTERFACE)
+    iface = interface_facets(mesh)
     assert iface.shape[0] == 1
     v0, v1 = iface[0]
     assert np.linalg.norm(mesh.vertices[v1] - mesh.vertices[v0]) == pytest.approx(1.0)
@@ -34,15 +33,15 @@ def test_total_area_exact():
 def test_interface_length_sums_to_L():
     geom = ChannelGeometry(3.0, 1.0, 2.0)
     mesh = build_two_layer_mesh(geom, 5, 2, 3)
-    # direct summation oracle over tagged facets
+    # direct summation oracle over the interface facets
     total = sum(np.linalg.norm(mesh.vertices[v1] - mesh.vertices[v0])
-                for v0, v1 in facets_of(mesh, INTERFACE))
+                for v0, v1 in interface_facets(mesh))
     assert total == pytest.approx(geom.length, rel=1e-14)
 
 
 def test_interface_normals_and_count():
     mesh = build_two_layer_mesh(ChannelGeometry(2.0, 0.5, 0.5), 6, 2, 2)
-    facets = facets_of(mesh, INTERFACE)
+    facets = interface_facets(mesh)
     assert facets.shape[0] == 6
     # a flat interface at y = H_f: unit normal (0, 1) out of the fluid below
     ends = mesh.vertices[facets]
@@ -58,7 +57,7 @@ def test_interface_normals_and_count():
 
 def test_interface_matches_bitwise():
     mesh = build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), 4, 3, 2)
-    iface_verts = np.unique(facets_of(mesh, INTERFACE))
+    iface_verts = np.unique(interface_facets(mesh))
     fluid_verts = np.unique(mesh.cells[mesh.cells_of(FLUID)])
     solid_verts = np.unique(mesh.cells[mesh.cells_of(SOLID)])
     from_fluid = np.intersect1d(iface_verts, fluid_verts)
@@ -66,16 +65,6 @@ def test_interface_matches_bitwise():
     assert np.array_equal(from_fluid, from_solid)
     # same vertex ids means bitwise equal coordinates by construction
     assert np.array_equal(mesh.vertices[from_fluid], mesh.vertices[from_solid])
-
-
-def test_boundary_tag_partition():
-    mesh = build_two_layer_mesh(ChannelGeometry(1.0, 1.0, 1.0), 3, 2, 2)
-    seen = {}
-    for f, t in zip(mesh.facets, mesh.facet_tags):
-        key = (min(f), max(f))
-        assert key not in seen, "facet tagged twice"
-        seen[key] = t
-    assert set(mesh.facet_tags) == {SIGMA_F, SIGMA_S, INTERFACE}
 
 
 @settings(max_examples=30, deadline=None)
@@ -88,9 +77,9 @@ def test_mesh_properties_hold_for_any_geometry(L, hf, hs, nx, nyf, nys):
     h2 = (L / nx) * (min(hf / nyf, hs / nys))
     assert np.all(areas > 1e-14 * h2)  # positive orientation, no slivers
     assert areas.sum() == pytest.approx(L * (hf + hs), rel=1e-12)
-    assert facets_of(mesh, INTERFACE).shape[0] == nx
+    assert interface_facets(mesh).shape[0] == nx
     total = sum(np.linalg.norm(mesh.vertices[v1] - mesh.vertices[v0])
-                for v0, v1 in facets_of(mesh, INTERFACE))
+                for v0, v1 in interface_facets(mesh))
     assert total == pytest.approx(L, rel=1e-12)
 
 

@@ -181,8 +181,6 @@ def assemble_symgrad(space: Space, coeff: float) -> sp.csr_matrix:
     viscous stiffness 2 mu (eps(u), eps(v))."""
     if space.ncomp != 2:
         raise ValueError("symmetric-gradient form requires a vector space")
-    if coeff <= 0:
-        raise ValueError("coefficient must be positive")
     return _assemble_cellwise(space, coeff * _symgrad_blocks(_gradient_pairs(space)))
 
 
@@ -198,10 +196,6 @@ def assemble_elasticity(space: Space, l1: float, l2: float) -> sp.csr_matrix:
     norm used throughout the diagnostics."""
     if space.ncomp != 2:
         raise ValueError("elasticity form requires a vector space")
-    if l1 <= 0:
-        raise ValueError("l1 must be positive")
-    if l2 < 0:
-        raise ValueError("l2 must be non-negative")
     pairs = _gradient_pairs(space)
     return _assemble_cellwise(space, l1 * _symgrad_blocks(pairs) + l2 * pairs)
 

@@ -16,7 +16,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import experiments
-from .assembly import SingularSystemError
 from .config import ConfigError, RunConfig, dump_config, parse_config
 from .diagnostics import consistency_terms, energy_E, fit_rate
 from .initial_data import stream_function_velocity
@@ -188,7 +187,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # an unusable --out, or a CSV write that failed
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    except (SingularSystemError, RuntimeError, MemoryError) as exc:
+    except (RuntimeError, MemoryError) as exc:  # SingularSystemError too
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     if failures:

@@ -79,8 +79,6 @@ class MonolithicSolver:
         solid_map[extra] = nu + npr + np.arange(extra.size)
         self.solid_map = solid_map
         self.ncomb = nu + npr + extra.size
-        self._nu, self._np = nu, npr
-        self.A_s = d.stiffness_solid(p.l1, p.l2)
 
         shape = (self.ncomb, self.ncomb)
         fluid_map = np.arange(nu + npr)
@@ -97,14 +95,15 @@ class MonolithicSolver:
     def step(self, state: CoupledState) -> CoupledState:
         """One backward-Euler step of the coupled system."""
         d, p = self.disc, self.params
+        nu = d.V_f.ndof
         rhs = np.zeros(self.ncomb)
-        rhs[:self._nu] += (p.rho_f / self.ddt) * (d.M_f @ state.u)
+        rhs[:nu] += (p.rho_f / self.ddt) * (d.M_f @ state.u)
+        # solid_map is injective: each solid row is added once
         rhs[self.solid_map] += ((p.rho_s / self.ddt) * (d.M_s @ state.etad)
-                                - self.A_s @ state.eta)  # solid_map is injective
+                                - d.stiffness_solid(p.l1, p.l2) @ state.eta)
         rhs[self.dirichlet] = 0.0
         x = self._lu.solve(rhs)
-        u = x[:self._nu]
-        pres = x[self._nu:self._nu + self._np]
+        u, pres = x[:nu], x[nu:nu + d.Q.ndof]
         etad = x[self.solid_map]
         eta = state.eta + self.ddt * etad
         return CoupledState(t=state.t + self.ddt, u=u, p=pres, eta=eta, etad=etad)
@@ -159,7 +158,6 @@ def run_dirichlet_neumann(disc: Discretization, params: PhysicalParams,
     the expected outcome.
     """
     d, p = disc, params
-    A_s = d.stiffness_solid(p.l1, p.l2)
     solid_lu = Factorization(apply_dirichlet(d.solid_operator(p, dt), d.dir_s),
                              d.solid_order)
     nu = d.V_f.ndof
@@ -169,19 +167,15 @@ def run_dirichlet_neumann(disc: Discretization, params: PhysicalParams,
     fluid_lu = Factorization(apply_dirichlet(F, fixed), d.fluid_order)
     state, traction = state0, state0.traction_avg
     while True:
-        rhs_s = (p.rho_s / dt) * (d.M_s @ state.etad) - A_s @ state.eta
-        rhs_s[d.ifd_s] -= traction
-        rhs_s[d.dir_s] = 0.0
-        etad = solid_lu.solve(rhs_s)
+        eta, etad = d._solid_substep(solid_lu, p, dt, state.eta, state.etad,
+                                     -traction)
         lift = np.zeros(F.shape[0])
         lift[d.ifd_f] = etad[d.ifd_s]
-        rhs = np.zeros(F.shape[0])
-        rhs[:nu] = (p.rho_f / dt) * (d.M_f @ state.u)
-        rhs = rhs - F @ lift
-        rhs[fixed] = 0.0
-        rhs += lift
+        inertia = (p.rho_f / dt) * (d.M_f @ state.u)
+        rhs = np.concatenate([inertia, np.zeros(d.Q.ndof)]) - F @ lift
+        rhs[fixed] = lift[fixed]
         x = fluid_lu.solve(rhs)
         u, pres = x[:nu], x[nu:]
         traction = _fluid_flux(d, p, dt, u, state.u, pres)
-        state = CoupledState(state.t + dt, u, pres, state.eta + dt * etad, etad)
+        state = CoupledState(state.t + dt, u, pres, eta, etad)
         yield state

@@ -186,6 +186,17 @@ class Discretization:
         return ((params.rho_s / ddt) * self.M_s
                 + ddt * self.stiffness_solid(params.l1, params.l2) + lam * self.M_is)
 
+    def _solid_substep(self, lu: Factorization, params: PhysicalParams,
+                       ddt: float, eta, etad, load):
+        """One backward-Euler solid substep under the interface load `load`,
+        solved by `lu`; returns (eta, etad).  Private: traced as the caller's."""
+        rhs = ((params.rho_s / ddt) * (self.M_s @ etad)
+               - self.stiffness_solid(params.l1, params.l2) @ eta)
+        rhs[self.ifd_s] += load
+        rhs[self.dir_s] = 0.0
+        etad = lu.solve(rhs)
+        return eta + ddt * etad, etad
+
     def trace_norm_sq(self, trace: np.ndarray) -> float:
         """Squared interface L2 norm of a canonical trace vector."""
         return float(trace @ self.M_c @ trace)
@@ -205,14 +216,10 @@ class RobinRobinSolver:
         d, p = disc, params
         ddt = grid.ddt
         lam = p.lambda_robin
-
-        self.A_s = d.stiffness_solid(p.l1, p.l2)
-
         self._solid_lu = Factorization(
             apply_dirichlet(d.solid_operator(p, ddt, lam), d.dir_s), d.solid_order)
         self._fluid_lu = Factorization(
             apply_dirichlet(d.fluid_saddle(p, ddt, lam), d.dir_f), d.fluid_order)
-        self._nu, self._np = d.V_f.ndof, d.Q.ndof
 
     # -- subproblem solves ------------------------------------------------
 
@@ -221,12 +228,8 @@ class RobinRobinSolver:
         """One backward-Euler substep of the solid Robin subproblem; returns
         (eta, etad)."""
         d, p = self.disc, self.params
-        ddt = self.grid.ddt
-        rhs = (p.rho_s / ddt) * (d.M_s @ etad) - self.A_s @ eta
-        rhs[d.ifd_s] += p.lambda_robin * (d.M_c @ u_avg) - traction_avg
-        rhs[d.dir_s] = 0.0
-        etad = self._solid_lu.solve(rhs)
-        return eta + ddt * etad, etad
+        return d._solid_substep(self._solid_lu, p, self.grid.ddt, eta, etad,
+                                p.lambda_robin * (d.M_c @ u_avg) - traction_avg)
 
     def fluid_step(self, u: np.ndarray, etad: np.ndarray, traction_avg: np.ndarray):
         """One backward-Euler substep of the fluid Robin subproblem, with the
@@ -235,8 +238,8 @@ class RobinRobinSolver:
         rhs_u = (p.rho_f / self.grid.ddt) * (d.M_f @ u)
         rhs_u[d.ifd_f] += p.lambda_robin * (d.M_c @ etad[d.ifd_s]) + traction_avg
         rhs_u[d.dir_f] = 0.0
-        sol = self._fluid_lu.solve(np.concatenate([rhs_u, np.zeros(self._np)]))
-        return sol[:self._nu], sol[self._nu:]
+        sol = self._fluid_lu.solve(np.concatenate([rhs_u, np.zeros(d.Q.ndof)]))
+        return sol[:d.V_f.ndof], sol[d.V_f.ndof:]
 
     def extract_fluid_traction(self, u: np.ndarray, etad: np.ndarray,
                                traction_avg: np.ndarray) -> np.ndarray:

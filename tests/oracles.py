@@ -13,15 +13,60 @@ splits a grid of lattice positions.  `cellwise_vector_mass` and
 construction, one interleaved block of vector dofs per cell or facet: they
 share the package's geometry, reference mass table and edge rule, so that
 they pin its scalar-node assembly bit for bit on the unit channel.
+`window_map` is the dense matrix of one Robin-Robin window, applied column
+by column through the package's own `advance`.  `interpolate` and `decades`
+are helpers shared by several test modules.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import strategies as st
+
+from fsisplit.splitting import SplitState
 
 # package-local node order: v0 v1 v2 m12 m20 m01
 P2_NODES = np.array([[0, 0], [1, 0], [0, 1], [0.5, 0.5], [0, 0.5], [0.5, 0]],
                     dtype=float)
 P1_NODES = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
+
+
+def interpolate(space, f):
+    """Nodal interpolation of a callable (x, y) -> vector/scalar."""
+    out = np.zeros(space.ndof)
+    for n, (x, y) in enumerate(space.node_coords):
+        val = np.atleast_1d(np.asarray(f(x, y), dtype=float))
+        for c in range(space.ncomp):
+            out[space.ncomp * n + c] = val[c]
+    return out
+
+
+def decades(lo, hi):
+    """Hypothesis floats 10^e with e uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def window_map(solver):
+    """Dense matrix of one window of `solver` (a RobinRobinSolver) on the
+    free state: u, eta and etad off their Dirichlet dofs, then u_avg and
+    traction_avg.  The map is linear, and it keeps the Dirichlet entries at
+    zero; the pressure is an output of the fluid solve, not state."""
+    d = solver.disc
+    free_f = np.setdiff1d(np.arange(d.V_f.ndof), d.dir_f)
+    free_s = np.setdiff1d(np.arange(d.V_s.ndof), d.dir_s)
+    sizes = [free_f.size, free_s.size, free_s.size, d.ifd_f.size, d.ifd_f.size]
+    columns = []
+    for x in np.eye(sum(sizes)):
+        u, eta, etad = (np.zeros(d.V_f.ndof), np.zeros(d.V_s.ndof),
+                        np.zeros(d.V_s.ndof))
+        u[free_f], eta[free_s], etad[free_s], u_avg, traction_avg = np.split(
+            x, np.cumsum(sizes)[:-1])
+        new = solver.advance(SplitState(
+            t=0.0, u=u, p=np.zeros(d.Q.ndof), eta=eta, etad=etad, u_avg=u_avg,
+            traction_avg=traction_avg))
+        columns.append(np.concatenate([new.u[free_f], new.eta[free_s],
+                                       new.etad[free_s], new.u_avg,
+                                       new.traction_avg]))
+    return np.array(columns).T
 
 
 def _mono_p2(x, y):

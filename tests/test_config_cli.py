@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fsisplit import initial_data
 from fsisplit.cli import main
 from fsisplit.config import ConfigError, dump_config, parse_config
@@ -300,16 +301,12 @@ def test_extreme_lambda_converge_exits_3(tmp_path, capsys, lam):
     assert "solver failure" in err and "Traceback" not in err
 
 
-def _decades(lo, hi):
-    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
-
-
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(cells=st.tuples(*[st.integers(1, 2)] * 4), m=st.integers(1, 4),
-       lengths=st.tuples(*[_decades(-2, 1)] * 3),
-       floats=st.tuples(*[_decades(-4, 4)] * 5),
-       l2=st.one_of(st.just(0.0), _decades(-4, 4)), T=_decades(-2, 0),
-       seed=st.integers(-2, 3))
+       lengths=st.tuples(*[oracles.decades(-2, 1)] * 3),
+       floats=st.tuples(*[oracles.decades(-4, 4)] * 5),
+       l2=st.one_of(st.just(0.0), oracles.decades(-4, 4)),
+       T=oracles.decades(-2, 0), seed=st.integers(-2, 3))
 @example(cells=(1, 1, 1, 1), m=4,
          lengths=tuple(float(ONE_CELL[k]) for k in ("L", "H_f", "H_s")),
          floats=tuple(float(ONE_CELL[k])

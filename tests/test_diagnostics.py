@@ -17,15 +17,6 @@ from fsisplit.monolithic import ReferenceTrajectory, run_reference
 from fsisplit.splitting import SplitState, WindowSample
 
 
-def interpolate(space, f):
-    out = np.zeros(space.ndof)
-    for n, (x, y) in enumerate(space.node_coords):
-        val = np.atleast_1d(np.asarray(f(x, y), dtype=float))
-        for c in range(space.ncomp):
-            out[space.ncomp * n + c] = val[c]
-    return out
-
-
 # -- energy and window quantities -----------------------------------------
 
 
@@ -33,7 +24,7 @@ def test_energy_zero_and_rigid(run_disc, params):
     d = run_disc
     zeros = np.zeros(d.V_s.ndof)
     assert energy_E(d, params, np.zeros(d.V_f.ndof), zeros, zeros) == 0.0
-    rigid = interpolate(d.V_s, lambda x, y: (0.3, -0.8))
+    rigid = oracles.interpolate(d.V_s, lambda x, y: (0.3, -0.8))
     assert energy_E(d, params, np.zeros(d.V_f.ndof), zeros, rigid) < 1e-13
 
 
@@ -58,7 +49,7 @@ def test_window_T_zero_and_matched(run_disc, params):
                           np.zeros(d.V_s.ndof), np.zeros(d.V_s.ndof), zero)
     assert window_T(d, params, grid, zero_w, zero) == 0.0
     # rigid fluid velocity, solid velocity matching the window-average trace
-    u = interpolate(d.V_f, lambda x, y: (0.7, 0.0))
+    u = oracles.interpolate(d.V_f, lambda x, y: (0.7, 0.0))
     etad = np.zeros(d.V_s.ndof)
     etad[d.ifd_s] = u[d.ifd_f]
     w = _make_window(grid.dt, u, np.zeros(d.Q.ndof), np.zeros(d.V_s.ndof),
@@ -250,6 +241,24 @@ def test_convergence_with_substeps(params, m):
     assert rate >= 0.4, rate
     for worst, scale in residuals:
         assert worst <= 1e-8 * scale, (worst, scale)
+
+
+def test_rate_settles_as_substeps_grow(params):
+    """The window-continuous limit.  On the shipped ladder (T = 0.5, N = 16,
+    4 levels) at n = 8, the finest error total over E0 + S0 strictly
+    decreases for m in {1, 2, 4, 8}, by shrinking steps, as the substeps
+    resolve the within-window time error; every fitted rate is at least 0.4
+    and every level's ledger closes within 1e-8 (E0 + S0)."""
+    disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 8, 8, 8)
+    finest = []
+    for m in (1, 2, 4, 8):
+        dts, reports, residuals, _ = convergence(disc, params, 0.5, 16, 4, m)
+        assert fit_rate(dts, [r.total for r in reports]) >= 0.4, m
+        for worst, scale in residuals:
+            assert worst <= 1e-8 * scale, (m, worst, scale)
+        finest.append(reports[-1].total / residuals[0][1])  # the verdict's scale
+    drops = -np.diff(finest)
+    assert np.all(drops > 0) and np.all(np.diff(drops) < 0), finest
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -238,8 +238,8 @@ def stack_saddle(A: sp.csr_matrix, Bt: sp.csr_matrix, B: sp.csr_matrix) -> sp.cs
 def apply_dirichlet(A: sp.spmatrix, dofs) -> sp.csr_matrix:
     """Symmetric elimination of the given dofs: D A D + I_fixed, D the
     identity on the free dofs, built from masked CSR arrays with no stored
-    zeros.  Callers set the right-hand side at the fixed dofs: 0, or the
-    prescribed values after subtracting their lifting."""
+    zeros, in canonical CSR.  `Factorization` calls it and zeroes the
+    right-hand side at those rows itself."""
     dofs = np.asarray(dofs, dtype=np.int64)
     A = A.tocsr()
     free = np.ones(A.shape[0], dtype=bool)
@@ -307,7 +307,11 @@ def grid_dissection(coords: np.ndarray) -> np.ndarray:
 
 
 class Factorization:
-    """LU factorization, safe for repeated solves, of A[order][:, order].
+    """LU factorization, safe for repeated solves, of A with the dofs
+    `fixed` eliminated (`apply_dirichlet`), ordered A[order][:, order].
+    Each solve zeroes b at `fixed` on its own copy: x[fixed] == 0, and the
+    free entries of x do not depend on b[fixed].  With prescribed values g
+    at `fixed`, x = g + solve(b - A @ g).
 
     Every caller passes the grid dissection (`grid_dissection`) of its
     unknowns, and SuperLU keeps it as it is.  Rows and columns are permuted
@@ -322,13 +326,10 @@ class Factorization:
     the plain one.  A symmetric A keeps its factor.
     """
 
-    def __init__(self, A: sp.spmatrix, order: np.ndarray):
-        A = A.tocsr()
+    def __init__(self, A: sp.spmatrix, order: np.ndarray, fixed: np.ndarray):
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
-        if not A.has_canonical_format:
-            A = A.copy()
-            A.sum_duplicates()
+        A = apply_dirichlet(A, fixed)
         position = np.empty_like(order)
         position[order] = np.arange(order.size)
         A = sp.csr_matrix((A.data, position[A.indices], A.indptr),
@@ -340,15 +341,19 @@ class Factorization:
         except RuntimeError as exc:
             raise SingularSystemError(str(exc)) from exc
         self._order, self._position = order, position
+        self._fixed = position[np.asarray(fixed, dtype=np.int64)]  # in the solved order
         self._unchecked = A  # as solved; dropped once the first solve is checked
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)[self._order]
+        b = np.asarray(b, dtype=float)[self._order]  # a copy: the caller's b is kept
+        b[self._fixed] = 0.0
         x = self._lu.solve(b, trans="T")
         if self._unchecked is not None and b.any():
             A, self._unchecked = self._unchecked, None
-            scale = abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
-            eta = np.abs(b - A @ x).max() / scale
+            # Python floats: a scale past the largest double is a silent inf
+            scale = (float(abs(A).sum(axis=1).max()) * float(np.abs(x).max())
+                     + float(np.abs(b).max()))
+            eta = float(np.abs(b - A @ x).max()) / scale
             if not eta <= 1e-10:
                 raise SingularSystemError(f"solve backward error {eta:.3e} > 1e-10")
         return x[self._position]  # back to the caller's numbering

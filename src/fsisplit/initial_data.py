@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import (EDGE_POINTS, EDGE_WEIGHTS, Factorization,
-                       apply_dirichlet, edge_basis, stack_saddle)
+from .assembly import (EDGE_POINTS, EDGE_WEIGHTS, Factorization, edge_basis,
+                       stack_saddle)
 from .splitting import Discretization, PhysicalParams, SplitState
 
 
@@ -21,10 +21,9 @@ def project_divergence_free(disc: Discretization, u_raw: np.ndarray) -> np.ndarr
     nu, npr = d.V_f.ndof, d.Q.ndof
     u_raw = u_raw.copy()
     u_raw[d.dir_f] = 0.0
-    A = apply_dirichlet(stack_saddle(d.M_f, d.BT, d.B), d.dir_f)
+    lu = Factorization(stack_saddle(d.M_f, d.BT, d.B), d.fluid_order, d.dir_f)
     b = np.concatenate([d.M_f @ u_raw, np.zeros(npr)])
-    b[d.dir_f] = 0.0
-    u = Factorization(A, d.fluid_order).solve(b)[:nu].copy()  # not a view of the solve vector
+    u = lu.solve(b)[:nu].copy()  # not a view of the solve vector
     res = np.linalg.norm(d.B @ u)
     if not res <= 1e-8 * max(1.0, np.linalg.norm(u)):  # NaN fails too
         raise RuntimeError(f"divergence-free projection failed, |Bu| = {res:.3e}")
@@ -35,17 +34,11 @@ def solid_extension(disc: Discretization, trace: np.ndarray) -> np.ndarray:
     """Extend canonical interface trace values into the solid domain, zero on
     the outer solid boundary; interface dofs carry the trace bitwise."""
     d = disc
-    A = (d.M_s + d.stiffness_solid(1.0, 0.0)).tocsr()
+    A = d.M_s + d.stiffness_solid(1.0, 0.0)
     lift = np.zeros(d.V_s.ndof)
     lift[d.ifd_s] = trace
-    b = np.zeros(d.V_s.ndof) - A @ lift
-    b[d.dir_s] = 0.0
-    b[d.ifd_s] = trace
-    A = apply_dirichlet(A, np.concatenate([d.dir_s, d.ifd_s]))
-    out = Factorization(A, d.solid_order).solve(b)
-    out[d.ifd_s] = trace  # exact, not up to solver tolerance
-    out[d.dir_s] = 0.0
-    return out
+    lu = Factorization(A, d.solid_order, np.concatenate([d.dir_s, d.ifd_s]))
+    return lift + lu.solve(np.zeros(d.V_s.ndof) - A @ lift)
 
 
 def pressure_traction_load(disc: Discretization, pressure) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import Factorization, apply_dirichlet, grid_dissection
+from .assembly import Factorization, grid_dissection
 from .splitting import CoupledState, Discretization, PhysicalParams, SplitState
 
 
@@ -85,12 +85,11 @@ class MonolithicSolver:
         A = (_remap(d.fluid_saddle(p, ddt), fluid_map, fluid_map, shape)
              + _remap(d.solid_operator(p, ddt), solid_map, solid_map, shape)).tocsr()
 
-        self.dirichlet = np.unique(np.concatenate([d.dir_f, solid_map[d.dir_s]]))
-        A = apply_dirichlet(A, self.dirichlet)
         coords = np.empty((self.ncomb, 2))
         coords[:nu + npr] = np.vstack([d.V_f.dof_coords, d.Q.dof_coords])
         coords[solid_map] = d.V_s.dof_coords  # the interface dofs: the same points
-        self._lu = Factorization(A, grid_dissection(coords))
+        self._lu = Factorization(A, grid_dissection(coords),
+                                 np.concatenate([d.dir_f, solid_map[d.dir_s]]))
 
     def step(self, state: CoupledState) -> CoupledState:
         """One backward-Euler step of the coupled system."""
@@ -101,7 +100,6 @@ class MonolithicSolver:
         # solid_map is injective: each solid row is added once
         rhs[self.solid_map] += ((p.rho_s / self.ddt) * (d.M_s @ state.etad)
                                 - d.stiffness_solid(p.l1, p.l2) @ state.eta)
-        rhs[self.dirichlet] = 0.0
         x = self._lu.solve(rhs)
         u, pres = x[:nu], x[nu:nu + d.Q.ndof]
         etad = x[self.solid_map]
@@ -158,13 +156,11 @@ def run_dirichlet_neumann(disc: Discretization, params: PhysicalParams,
     the expected outcome.
     """
     d, p = disc, params
-    solid_lu = Factorization(apply_dirichlet(d.solid_operator(p, dt), d.dir_s),
-                             d.solid_order)
+    solid_lu = Factorization(d.solid_operator(p, dt), d.solid_order, d.dir_s)
     nu = d.V_f.ndof
     F = d.fluid_saddle(p, dt)
     # the Dirichlet and interface velocity dofs, and one pressure dof (the gauge)
-    fixed = np.unique(np.concatenate([d.dir_f, d.ifd_f, [nu]]))
-    fluid_lu = Factorization(apply_dirichlet(F, fixed), d.fluid_order)
+    fluid_lu = Factorization(F, d.fluid_order, np.concatenate([d.dir_f, d.ifd_f, [nu]]))
     state, traction = state0, state0.traction_avg
     while True:
         eta, etad = d._solid_substep(solid_lu, p, dt, state.eta, state.etad,
@@ -172,9 +168,8 @@ def run_dirichlet_neumann(disc: Discretization, params: PhysicalParams,
         lift = np.zeros(F.shape[0])
         lift[d.ifd_f] = etad[d.ifd_s]
         inertia = (p.rho_f / dt) * (d.M_f @ state.u)
-        rhs = np.concatenate([inertia, np.zeros(d.Q.ndof)]) - F @ lift
-        rhs[fixed] = lift[fixed]
-        x = fluid_lu.solve(rhs)
+        x = lift + fluid_lu.solve(np.concatenate([inertia, np.zeros(d.Q.ndof)])
+                                  - F @ lift)
         u, pres = x[:nu], x[nu:]
         traction = _fluid_flux(d, p, dt, u, state.u, pres)
         state = CoupledState(state.t + dt, u, pres, eta, etad)

@@ -17,10 +17,10 @@ import scipy.sparse as sp
 from scipy.linalg import solveh_banded
 
 from . import mesh as msh
-from .assembly import (Factorization, SingularSystemError, apply_dirichlet,
-                       assemble_divergence, assemble_elasticity,
-                       assemble_interface_mass, assemble_symgrad,
-                       assemble_vector_mass, grid_dissection, stack_saddle)
+from .assembly import (Factorization, SingularSystemError, assemble_divergence,
+                       assemble_elasticity, assemble_interface_mass,
+                       assemble_symgrad, assemble_vector_mass, grid_dissection,
+                       stack_saddle)
 from .mesh import ChannelGeometry, build_two_layer_mesh
 from .spaces import SCALAR_P1, VECTOR_P2, build_space
 
@@ -193,7 +193,6 @@ class Discretization:
         rhs = ((params.rho_s / ddt) * (self.M_s @ etad)
                - self.stiffness_solid(params.l1, params.l2) @ eta)
         rhs[self.ifd_s] += load
-        rhs[self.dir_s] = 0.0
         etad = lu.solve(rhs)
         return eta + ddt * etad, etad
 
@@ -216,10 +215,10 @@ class RobinRobinSolver:
         d, p = disc, params
         ddt = grid.ddt
         lam = p.lambda_robin
-        self._solid_lu = Factorization(
-            apply_dirichlet(d.solid_operator(p, ddt, lam), d.dir_s), d.solid_order)
-        self._fluid_lu = Factorization(
-            apply_dirichlet(d.fluid_saddle(p, ddt, lam), d.dir_f), d.fluid_order)
+        self._solid_lu = Factorization(d.solid_operator(p, ddt, lam),
+                                       d.solid_order, d.dir_s)
+        self._fluid_lu = Factorization(d.fluid_saddle(p, ddt, lam),
+                                       d.fluid_order, d.dir_f)
 
     # -- subproblem solves ------------------------------------------------
 
@@ -237,7 +236,6 @@ class RobinRobinSolver:
         d, p = self.disc, self.params
         rhs_u = (p.rho_f / self.grid.ddt) * (d.M_f @ u)
         rhs_u[d.ifd_f] += p.lambda_robin * (d.M_c @ etad[d.ifd_s]) + traction_avg
-        rhs_u[d.dir_f] = 0.0
         sol = self._fluid_lu.solve(np.concatenate([rhs_u, np.zeros(d.Q.ndof)]))
         return sol[:d.V_f.ndof], sol[d.V_f.ndof:]
 

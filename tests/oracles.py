@@ -14,14 +14,16 @@ construction, one interleaved block of vector dofs per cell or facet: they
 share the package's geometry, reference mass table and edge rule, so that
 they pin its scalar-node assembly bit for bit on the unit channel.
 `window_map` is the dense matrix of one Robin-Robin window, applied column
-by column through the package's own `advance`.  `interpolate` and `decades`
-are helpers shared by several test modules.
+by column through the package's own `advance`; `dn_map` is that of one
+explicit Dirichlet-Neumann step, through `run_dirichlet_neumann`.
+`interpolate` and `decades` are helpers shared by several test modules.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
+from fsisplit.monolithic import _fluid_flux, run_dirichlet_neumann
 from fsisplit.splitting import SplitState
 
 # package-local node order: v0 v1 v2 m12 m20 m01
@@ -66,6 +68,31 @@ def window_map(solver):
         columns.append(np.concatenate([new.u[free_f], new.eta[free_s],
                                        new.etad[free_s], new.u_avg,
                                        new.traction_avg]))
+    return np.array(columns).T
+
+
+def dn_map(disc, params, dt):
+    """Dense matrix of one explicit Dirichlet-Neumann step of size dt on the
+    free state: u, eta and etad off their Dirichlet dofs, then the interface
+    traction the solid reads.  Each column is the first state of its own
+    `run_dirichlet_neumann` from a unit vector, with the step's fluid flux
+    as the new traction; the pressure is an output, not state."""
+    d = disc
+    free_f = np.setdiff1d(np.arange(d.V_f.ndof), d.dir_f)
+    free_s = np.setdiff1d(np.arange(d.V_s.ndof), d.dir_s)
+    sizes = [free_f.size, free_s.size, free_s.size, d.ifd_f.size]
+    columns = []
+    for x in np.eye(sum(sizes)):
+        u, eta, etad = (np.zeros(d.V_f.ndof), np.zeros(d.V_s.ndof),
+                        np.zeros(d.V_s.ndof))
+        u[free_f], eta[free_s], etad[free_s], traction = np.split(
+            x, np.cumsum(sizes)[:-1])
+        new = next(run_dirichlet_neumann(d, params, dt, SplitState(
+            t=0.0, u=u, p=np.zeros(d.Q.ndof), eta=eta, etad=etad,
+            u_avg=np.zeros(d.ifd_f.size), traction_avg=traction)))
+        columns.append(np.concatenate([
+            new.u[free_f], new.eta[free_s], new.etad[free_s],
+            _fluid_flux(d, params, dt, new.u, u, new.p)]))
     return np.array(columns).T
 
 

@@ -416,6 +416,17 @@ def test_dn_compare_without_blowup_exits_4(tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,codes", [("stability", (0,)), ("dn-compare", (0, 3))])
+def test_tiny_step_scale_overflows_silently(tmp_path, command, codes):
+    """At T = 1e-300 on the one-cell channel the scale of the first solve's
+    backward-error check passes the largest double: it is a silent inf, and
+    no overflow warning leaves main."""
+    path = write_config(tmp_path / "t.cfg", mode=command, nx="1", ny_f="1",
+                        ny_s="1", N="2", T="1e-300")
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) in codes
+
+
 def test_dn_compare_blowup_exits_0(tmp_path):
     path = write_config(tmp_path / "d.cfg", mode="dn-compare", N="120")
     out = tmp_path / "o"

@@ -297,7 +297,8 @@ def test_apply_dirichlet_all_dofs(tiny_disc):
     A = tiny_disc.M_f
     A2 = apply_dirichlet(A, np.arange(A.shape[0]))
     assert abs(A2 - sp.identity(A.shape[0])).max() == 0.0
-    assert np.abs(Factorization(A2, _natural(A2)).solve(np.zeros(A.shape[0]))).max() == 0.0
+    fac = Factorization(A, _natural(A), np.arange(A.shape[0]))
+    assert np.abs(fac.solve(np.zeros(A.shape[0]))).max() == 0.0
 
 
 def test_apply_dirichlet_matches_reduced_dense(small_disc, rng):
@@ -307,8 +308,41 @@ def test_apply_dirichlet_matches_reduced_dense(small_disc, rng):
     A2 = apply_dirichlet(A, dofs)
     assert abs(A2 - A2.T).max() < 1e-14  # symmetric elimination
     b[dofs] = 0.0
-    x = Factorization(A2, _natural(A2)).solve(b)
+    x = Factorization(A, _natural(A), dofs).solve(b)
     want = oracles.dense_reduced_solve(A, b, dofs)
+    assert np.abs(x - want).max() < 1e-12
+
+
+def test_solve_zeroes_fixed_rows(small_disc, rng):
+    """The fixed rows of b are zeroed on the solve's own copy, in the
+    factored order: x is exactly 0 there, its free entries are those of the
+    solve of b zeroed by the caller, and the caller's b is left as it was."""
+    d = small_disc
+    A = (d.M_f + assemble_symgrad(d.V_f, 1.0)).tocsr()
+    order = grid_dissection(d.V_f.dof_coords)
+    assert not np.array_equal(order, _natural(A))
+    fac = Factorization(A, order, d.dir_f)
+    b = rng.standard_normal(A.shape[0])
+    kept = b.copy()
+    x = fac.solve(b)
+    assert np.array_equal(b, kept)
+    assert np.all(b[d.dir_f] != 0.0) and np.all(x[d.dir_f] == 0.0)
+    kept[d.dir_f] = 0.0
+    assert np.array_equal(fac.solve(kept), x)
+
+
+def test_lifting_carries_prescribed_values(small_disc, rng):
+    """x = g + solve(b - A @ g) holds g bit for bit at the fixed dofs, and
+    its free entries solve the reduced system with g moved to the right."""
+    d = small_disc
+    A = d.M_s + d.stiffness_solid(1.0, 0.0)
+    fixed = np.concatenate([d.dir_s, d.ifd_s])
+    g = np.zeros(A.shape[0])
+    g[fixed] = rng.standard_normal(fixed.size)
+    b = rng.standard_normal(A.shape[0])
+    x = g + Factorization(A, d.solid_order, fixed).solve(b - A @ g)
+    assert np.array_equal(x[fixed], g[fixed])
+    want = oracles.dense_reduced_solve(A, b - A @ g, fixed) + g
     assert np.abs(x - want).max() < 1e-12
 
 
@@ -316,6 +350,11 @@ def _natural(A):
     """The natural order of A's unknowns, for a matrix that no
     `Discretization` order covers."""
     return np.arange(A.shape[0])
+
+
+# no fixed dofs: for a matrix a test builds or perturbs itself, which an
+# elimination must leave as it is
+_NONE = np.array([], dtype=np.int64)
 
 
 def _unsorted(A, fmt="csr"):
@@ -361,16 +400,17 @@ def test_apply_dirichlet_matches_dense_oracle(small_disc, rng, case):
 def test_solve_identity_and_diagonal():
     b = np.array([3.0, -1.0])
     identity = sp.identity(2, format="csr")
-    assert np.array_equal(Factorization(identity, _natural(identity)).solve(b), b)
+    assert np.array_equal(Factorization(identity, _natural(identity), _NONE).solve(b), b)
     A = sp.csr_matrix(np.diag([2.0, 4.0]))
-    assert np.allclose(Factorization(A, _natural(A)).solve(np.array([2.0, 8.0])), [1.0, 2.0])
+    assert np.allclose(Factorization(A, _natural(A), _NONE).solve(np.array([2.0, 8.0])),
+                       [1.0, 2.0])
 
 
 def test_solve_random_spd_vs_dense(rng):
     G = rng.standard_normal((50, 50))
     dense = G @ G.T + 50 * np.eye(50)
     b = rng.standard_normal(50)
-    x = Factorization(sp.csr_matrix(dense), np.arange(50)).solve(b)
+    x = Factorization(sp.csr_matrix(dense), np.arange(50), _NONE).solve(b)
     want = np.linalg.solve(dense, b)
     assert np.linalg.norm(x - want) < 1e-10 * np.linalg.norm(want)
     resid = np.linalg.norm(dense @ x - b)
@@ -382,10 +422,10 @@ def test_solve_random_spd_vs_dense(rng):
 def test_solve_deterministic(small_disc, rng):
     A = (small_disc.M_f + assemble_symgrad(small_disc.V_f, 1.0)).tocsr()
     b = rng.standard_normal(A.shape[0])
-    lu = Factorization(A, _natural(A))
+    lu = Factorization(A, _natural(A), _NONE)
     x1 = lu.solve(b)
     assert np.array_equal(lu.solve(b), x1)
-    assert np.array_equal(Factorization(A, _natural(A)).solve(b), x1)
+    assert np.array_equal(Factorization(A, _natural(A), _NONE).solve(b), x1)
 
 
 def _fill(lu):
@@ -433,9 +473,9 @@ def test_factorization_orders_to_structure(shipped_disc, params, monkeypatch):
     made = []
 
     class Recording(Factorization):
-        def __init__(self, A, order):
-            super().__init__(A, order)
-            made.append((A.tocsc(), self))
+        def __init__(self, A, order, fixed):
+            super().__init__(A, order, fixed)
+            made.append((apply_dirichlet(A, fixed).tocsc(), self))
 
     for module in (splitting, initial_data, monolithic):
         monkeypatch.setattr(module, "Factorization", Recording)
@@ -504,7 +544,7 @@ def test_ordered_solve_matches_dense(run_disc, params, rng):
     F = _robin_fluid_saddle(d, params)
     b = rng.standard_normal(F.shape[0])
     b[d.dir_f] = 0.0
-    fac = Factorization(F, d.fluid_order)
+    fac = Factorization(F, d.fluid_order, _NONE)
     assert not np.array_equal(d.fluid_order, np.arange(F.shape[0]))
     x = fac.solve(b)
     want = np.linalg.solve(F.toarray(), b)
@@ -520,7 +560,7 @@ def test_unordered_nonsymmetric_solve_matches_dense(rng, fmt):
          + sp.random(n, n, density=0.05, random_state=rng)).asformat(fmt)
     assert abs(A - A.T).max() >= 1.0
     b = rng.standard_normal(n)
-    x = Factorization(A, _natural(A)).solve(b)
+    x = Factorization(A, _natural(A), _NONE).solve(b)
     want = np.linalg.solve(A.toarray(), b)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -528,7 +568,7 @@ def test_unordered_nonsymmetric_solve_matches_dense(rng, fmt):
 def test_ordered_nan_raises(run_disc, params):
     F = _robin_fluid_saddle(run_disc, params)
     with pytest.raises(SingularSystemError):  # SuperLU reads the NaN pivot as singular
-        Factorization(_nan_on_diagonal(F), run_disc.fluid_order)
+        Factorization(_nan_on_diagonal(F), run_disc.fluid_order, _NONE)
 
 
 def test_symmetric_path_pivots_tiny_diagonal(monkeypatch):
@@ -539,7 +579,7 @@ def test_symmetric_path_pivots_tiny_diagonal(monkeypatch):
     monkeypatch.setattr(spla, "splu", lambda A, **kw: used.append(kw) or splu(A, **kw))
     A = sp.csr_matrix(np.array([[1e-17, 1.0], [1.0, 1e-17]]))
     b = np.array([1.0, 2.0])
-    x = Factorization(A, _natural(A)).solve(b)
+    x = Factorization(A, _natural(A), _NONE).solve(b)
     assert used == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.01}]
     assert np.array_equal(x, [2.0, 1.0])
     assert np.abs(b - A @ x).max() == 0.0
@@ -574,9 +614,9 @@ def test_ordering_follows_exact_symmetry(small_disc, params, monkeypatch, rng, p
     indices, data = A.indices.copy(), A.data.copy()
     if np.isnan(A.data).any():
         with pytest.raises(SingularSystemError):  # SuperLU reads the NaN pivot as singular
-            Factorization(A, small_disc.solid_order)
+            Factorization(A, small_disc.solid_order, _NONE)
     else:
-        fac = Factorization(A, small_disc.solid_order)
+        fac = Factorization(A, small_disc.solid_order, _NONE)
         b = rng.standard_normal(A.shape[0])
         b[small_disc.dir_s] = 0.0
         fac.solve(b)
@@ -590,7 +630,7 @@ def test_ordering_follows_exact_symmetry(small_disc, params, monkeypatch, rng, p
                          ids=["scaled", "nan"])
 def test_first_solve_checks_backward_error(small_disc, rng, perturb):
     A = (small_disc.M_f + assemble_symgrad(small_disc.V_f, 1.0)).tocsr()
-    fac = Factorization(A, _natural(A))
+    fac = Factorization(A, _natural(A), _NONE)
     lu = fac._lu
 
     class Perturbed:
@@ -606,4 +646,4 @@ def test_first_solve_checks_backward_error(small_disc, rng, perturb):
 def test_singular_matrix_raises():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(SingularSystemError):
-        Factorization(A, _natural(A))
+        Factorization(A, _natural(A), _NONE)

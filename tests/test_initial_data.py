@@ -48,7 +48,7 @@ def test_divergence_free_projection(run_disc, rng):
 
 def test_divergence_free_projection_rejects_nan(run_disc, monkeypatch):
     class NaNSolve:
-        def __init__(self, A, order):
+        def __init__(self, A, order, fixed):
             self.n = A.shape[0]
 
         def solve(self, b):

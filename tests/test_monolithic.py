@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fsisplit import ChannelGeometry, Discretization, PhysicalParams
+import oracles
+from fsisplit import (ChannelGeometry, Discretization, PhysicalParams,
+                      RobinRobinSolver, TimeGrid)
 from fsisplit.diagnostics import energy_E
 from fsisplit.experiments import dirichlet_neumann, initial_state
 from fsisplit.assembly import Factorization
@@ -237,3 +241,30 @@ def test_dirichlet_neumann_added_mass_contrast(run_disc, rng):
 
     assert growth(1.0) >= 1e6
     assert growth(1000.0) < 1e3
+
+
+@pytest.mark.parametrize("rho_s", [0.01, 1.0, 1000.0])
+def test_dn_spectral_radius_contrast(run_disc, params, rho_s):
+    """The added-mass contrast with no run and no growth threshold, at
+    n = 4, T = 0.5, N = 50: one explicit Dirichlet-Neumann step is a linear
+    map on the free state, whose spectral radius is at least 10 for a light
+    or matched solid and at most 1 (1 + 1e-12) for a solid 1000 times the
+    fluid's density; one Robin-Robin window stays at most 1 at all three.
+    The map's fluid velocity on the free interface dofs is its new solid
+    velocity there, bit for bit: the Dirichlet data of the fluid solve."""
+    d, p = run_disc, replace(params, rho_s=rho_s)
+    A = oracles.dn_map(d, p, 0.5 / 50)
+    free_f = np.setdiff1d(np.arange(d.V_f.ndof), d.dir_f)
+    free_s = np.setdiff1d(np.arange(d.V_s.ndof), d.dir_s)
+    inner = ~np.isin(d.ifd_f, d.dir_f)
+    assert np.array_equal(inner, ~np.isin(d.ifd_s, d.dir_s)) and inner.any()
+    etad_rows = free_f.size + free_s.size + np.searchsorted(free_s, d.ifd_s[inner])
+    assert np.array_equal(A[np.searchsorted(free_f, d.ifd_f[inner])], A[etad_rows])
+    dn = np.abs(np.linalg.eigvals(A)).max()
+    rr = np.abs(np.linalg.eigvals(oracles.window_map(
+        RobinRobinSolver(d, p, TimeGrid(0.5, 50, 1))))).max()
+    if rho_s < 1000.0:
+        assert dn >= 10.0
+    else:
+        assert dn <= 1.0 + 1e-12
+    assert rr <= 1.0 + 1e-12

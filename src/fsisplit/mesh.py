@@ -42,10 +42,6 @@ class Mesh:
     cells: np.ndarray
     cell_domain: np.ndarray
 
-    @property
-    def num_vertices(self) -> int:
-        return self.vertices.shape[0]
-
     def cells_of(self, domain: int) -> np.ndarray:
         return np.flatnonzero(self.cell_domain == domain)
 

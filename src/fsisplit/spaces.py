@@ -29,7 +29,7 @@ def mesh_edges(mesh: Mesh):
     (n_cells, 3) edge id of each local edge.
     """
     pairs = np.sort(np.stack([mesh.cells, np.roll(mesh.cells, -1, axis=1)], axis=2), axis=2)
-    _, first, inverse = np.unique(pairs[..., 0] * mesh.num_vertices + pairs[..., 1],
+    _, first, inverse = np.unique(pairs[..., 0] * len(mesh.vertices) + pairs[..., 1],
                                   return_index=True, return_inverse=True)
     by_id = np.argsort(first)
     edge_id = np.empty_like(by_id)
@@ -77,14 +77,6 @@ class Space:
     def dof_coords(self) -> np.ndarray:
         """(ndof, 2) coordinates of each dof's node."""
         return np.repeat(self.node_coords, self.ncomp, axis=0)
-
-    @property
-    def interface_dofs(self) -> np.ndarray:
-        return self.expand(self.interface_nodes)
-
-    @property
-    def dirichlet_dofs(self) -> np.ndarray:
-        return self.expand(self.dirichlet_nodes)
 
 
 def build_space(mesh: Mesh, domain: int, kind: str) -> Space:

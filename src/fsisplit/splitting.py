@@ -119,10 +119,10 @@ class Discretization:
         self.BT = self.B.T.tocsr()
         self.M_if = assemble_interface_mass(self.V_f)
         self.M_is = assemble_interface_mass(self.V_s)
-        self.dir_f = self.V_f.dirichlet_dofs
-        self.dir_s = self.V_s.dirichlet_dofs
-        self.ifd_f = self.V_f.interface_dofs
-        self.ifd_s = self.V_s.interface_dofs
+        self.dir_f = self.V_f.expand(self.V_f.dirichlet_nodes)
+        self.dir_s = self.V_s.expand(self.V_s.dirichlet_nodes)
+        self.ifd_f = self.V_f.expand(self.V_f.interface_nodes)
+        self.ifd_s = self.V_s.expand(self.V_s.interface_nodes)
         # canonical interface mass (small and dense); identical from either side
         self.M_c = self.M_if[self.ifd_f][:, self.ifd_f].toarray()
         # inverted by its banded Cholesky factor (dpbsv), bandwidth kd from the

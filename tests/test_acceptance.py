@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from fsisplit.diagnostics import consistency_terms, energy_E, fit_rate
 from fsisplit.experiments import (convergence, dirichlet_neumann, initial_state,
                                   robin_robin)
 from fsisplit.initial_data import random_state
+from fsisplit.mesh import FLUID, SOLID, build_two_layer_mesh
 from fsisplit.monolithic import MonolithicSolver
+from fsisplit.spaces import SCALAR_P1, VECTOR_P2, build_space
 
 STABILITY_TOL = 1e-8
 RATE_THRESHOLD = 0.4
@@ -123,32 +126,54 @@ def test_criterion_4_algebraic_identities(disc16):
            f"polarization defect {worst131:.2e}, averaging slack {worst111:.2e}")
 
 
-def test_criterion_5_assembly_oracle():
-    worst = 0.0
-    for n in (1, 2):
-        disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), n, n, n)
+def _general_affine_spaces():
+    """The spaces of a stretched 2 x (2 + 2) channel (L = 3, H_f = 0.2,
+    H_s = 0.5) whose inner vertices are moved off the grid, and its interface
+    vertices along it: cells that are neither right-angled nor of unit size."""
+    geom = ChannelGeometry(3.0, 0.2, 0.5)
+    mesh = build_two_layer_mesh(geom, 2, 2, 2)
+    x, y = mesh.vertices.T
+    top = geom.fluid_height + geom.solid_height
+    inner_x = (x > 0.0) & (x < geom.length)
+    inner_y = inner_x & (y > 0.0) & (y < top) & (y != geom.fluid_height)
+    step_y = np.where(y < geom.fluid_height, 0.1, 0.25)
+    shift = np.random.default_rng(11).uniform(-0.3, 0.3, mesh.vertices.shape)
+    mesh.vertices = mesh.vertices + shift * np.column_stack(
+        [1.5 * inner_x, step_y * inner_y])
+    a, b, c = (mesh.vertices[mesh.cells[:, k]] for k in range(3))
+    e1, e2 = b - a, c - a
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    assert det.min() > 0 and np.unique(np.round(np.abs(det), 12)).size > 4
+    return SimpleNamespace(V_f=build_space(mesh, FLUID, VECTOR_P2),
+                           Q=build_space(mesh, FLUID, SCALAR_P1),
+                           V_s=build_space(mesh, SOLID, VECTOR_P2))
+
+
+def test_criterion_5_assembly_oracle(tiny_disc, small_disc):
+    """Every form against the dense quadrature oracle on the 1x1x1 and 2x2x2
+    unit channels and on a distorted, stretched channel; the interface
+    masses within 1e-13."""
+    worst = worst_interface = 0.0
+    for d in (tiny_disc, small_disc, _general_affine_spaces()):
         pairs = [
-            (assemble_vector_mass(disc.V_f),
-             oracles.dense_vector_mass(disc.V_f, 1.0)),
-            (assemble_vector_mass(disc.V_s),
-             oracles.dense_vector_mass(disc.V_s, 1.0)),
-            (assemble_symgrad(disc.V_f, 0.9),
-             oracles.dense_symgrad(disc.V_f, 0.9)),
-            (assemble_divdiv(disc.V_s, 1.1),
-             oracles.dense_divdiv(disc.V_s, 1.1)),
-            (assemble_elasticity(disc.V_s, 1.2, 0.8),
-             oracles.dense_elasticity(disc.V_s, 1.2, 0.8)),
-            (assemble_divergence(disc.V_f, disc.Q),
-             oracles.dense_divergence(disc.V_f, disc.Q)),
-            (assemble_interface_mass(disc.V_f),
-             oracles.dense_interface_mass(disc.V_f)),
-            (assemble_interface_mass(disc.V_s),
-             oracles.dense_interface_mass(disc.V_s)),
+            (assemble_vector_mass(d.V_f), oracles.dense_vector_mass(d.V_f, 1.0)),
+            (assemble_vector_mass(d.V_s), oracles.dense_vector_mass(d.V_s, 1.0)),
+            (assemble_symgrad(d.V_f, 0.9), oracles.dense_symgrad(d.V_f, 0.9)),
+            (assemble_divdiv(d.V_s, 1.1), oracles.dense_divdiv(d.V_s, 1.1)),
+            (assemble_elasticity(d.V_s, 1.2, 0.8),
+             oracles.dense_elasticity(d.V_s, 1.2, 0.8)),
+            (assemble_divergence(d.V_f, d.Q), oracles.dense_divergence(d.V_f, d.Q)),
         ]
         for got, want in pairs:
-            worst = max(worst, float(np.abs(np.asarray(got.todense()) - want).max()))
-    report("criterion 5, assembly vs dense quadrature oracle", worst <= 1e-12,
-           f"worst entrywise deviation {worst:.2e}")
+            worst = max(worst, float(np.abs(got.toarray() - want).max()))
+        for V in (d.V_f, d.V_s):
+            err = float(np.abs(assemble_interface_mass(V).toarray()
+                               - oracles.dense_interface_mass(V)).max())
+            worst_interface = max(worst_interface, err)
+    report("criterion 5, assembly vs dense quadrature oracle",
+           worst <= 1e-12 and worst_interface <= 1e-13,
+           f"worst entrywise deviation {worst:.2e}, "
+           f"{worst_interface:.2e} on the interface masses")
 
 
 def test_criterion_6_added_mass_contrast(disc16, base_params):

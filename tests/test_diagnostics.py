@@ -3,8 +3,6 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from fsisplit import ChannelGeometry, Discretization, PhysicalParams, TimeGrid
@@ -100,42 +98,6 @@ def test_initial_S0_constant_pressure(params):
     want = grid.dt / (2.0 * params.lambda_robin) * p0 ** 2 * 1.0
     assert got == pytest.approx(want, rel=0.02)
     assert got <= want  # projection onto the corner-free subspace only shrinks
-
-
-# -- algebraic identities ---------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_interface_polarization_identity(small_disc, data):
-    d = small_disc
-    n = d.ifd_f.size
-    draw = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
-    v = np.array(data.draw(draw))
-    w = np.array(data.draw(draw))
-    psi = np.array(data.draw(draw))
-
-    def ip(a, b):
-        return a @ (d.M_c @ b)
-
-    lhs = ip(v - w, psi)
-    rhs = 0.5 * (ip(v, v) - ip(w, w) + ip(psi - w, psi - w) - ip(psi - v, psi - v))
-    scale = max(1.0, abs(ip(v, v)), abs(ip(w, w)), abs(ip(psi, psi)))
-    assert abs(lhs - rhs) <= 1e-13 * scale
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), m=st.integers(1, 6))
-def test_window_averaging_jensen_inequality(small_disc, data, m):
-    # dt ||mean||^2 <= rectangle-rule integral of ||w||^2 (Jensen)
-    d = small_disc
-    n = d.ifd_f.size
-    draw = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
-    samples = [np.array(data.draw(draw)) for _ in range(m)]
-    mean = np.mean(samples, axis=0)
-    lhs = m * float(mean @ (d.M_c @ mean))
-    rhs = sum(float(s @ (d.M_c @ s)) for s in samples)
-    assert lhs <= rhs + 1e-13 * max(1.0, rhs)
 
 
 # -- ledgers and error norms -------------------------------------------------

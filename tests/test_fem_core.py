@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,11 +10,9 @@ from fsisplit import (ChannelGeometry, Discretization, RobinRobinSolver,
 from fsisplit.assembly import (Factorization, SingularSystemError,
                                apply_dirichlet, assemble_divdiv,
                                assemble_divergence, assemble_elasticity,
-                               assemble_interface_mass, assemble_symgrad,
-                               assemble_vector_mass, grid_dissection,
-                               stack_saddle)
-from fsisplit.mesh import (FLUID, SOLID, ChannelGeometry, Mesh,
-                           build_two_layer_mesh)
+                               assemble_symgrad, assemble_vector_mass,
+                               grid_dissection, stack_saddle)
+from fsisplit.mesh import FLUID, SOLID, Mesh, build_two_layer_mesh
 from fsisplit.monolithic import MonolithicSolver, run_dirichlet_neumann
 from fsisplit.spaces import SCALAR_P1, VECTOR_P2, build_space
 
@@ -126,72 +122,7 @@ def test_setup_runs_no_dense_factorization(params, monkeypatch):
     MonolithicSolver(d, params, 1.0 / 32)
 
 
-# -- dense high-order quadrature oracle ----------------------------------
-
-
-def _general_affine_spaces():
-    """The spaces of a stretched 2 x (2 + 2) channel (L = 3, H_f = 0.2,
-    H_s = 0.5) whose inner vertices are moved off the grid, and its interface
-    vertices along it: cells that are neither right-angled nor of unit size."""
-    geom = ChannelGeometry(3.0, 0.2, 0.5)
-    mesh = build_two_layer_mesh(geom, 2, 2, 2)
-    x, y = mesh.vertices.T
-    top = geom.fluid_height + geom.solid_height
-    inner_x = (x > 0.0) & (x < geom.length)
-    inner_y = inner_x & (y > 0.0) & (y < top) & (y != geom.fluid_height)
-    step_y = np.where(y < geom.fluid_height, 0.1, 0.25)
-    shift = np.random.default_rng(11).uniform(-0.3, 0.3, mesh.vertices.shape)
-    mesh.vertices = mesh.vertices + shift * np.column_stack(
-        [1.5 * inner_x, step_y * inner_y])
-    a, b, c = (mesh.vertices[mesh.cells[:, k]] for k in range(3))
-    e1, e2 = b - a, c - a
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    assert det.min() > 0 and np.unique(np.round(np.abs(det), 12)).size > 4
-    return SimpleNamespace(V_f=build_space(mesh, FLUID, VECTOR_P2),
-                           Q=build_space(mesh, FLUID, SCALAR_P1),
-                           V_s=build_space(mesh, SOLID, VECTOR_P2))
-
-
-@pytest.fixture(scope="module", params=["one_cell", "two_by_two", "general_affine"])
-def oracle_disc(request, tiny_disc, small_disc):
-    if request.param == "general_affine":
-        return _general_affine_spaces()
-    return tiny_disc if request.param == "one_cell" else small_disc
-
-
-def _max_err(sparse_mat, dense_mat):
-    return np.abs(np.asarray(sparse_mat.todense()) - dense_mat).max()
-
-
-def test_oracle_vector_mass(oracle_disc):
-    got = assemble_vector_mass(oracle_disc.V_f)
-    want = oracles.dense_vector_mass(oracle_disc.V_f, 1.0)
-    assert _max_err(got, want) < 1e-12
-
-
-def test_oracle_symgrad(oracle_disc):
-    got = assemble_symgrad(oracle_disc.V_f, 0.9)
-    assert _max_err(got, oracles.dense_symgrad(oracle_disc.V_f, 0.9)) < 1e-12
-
-
-def test_oracle_divdiv(oracle_disc):
-    got = assemble_divdiv(oracle_disc.V_s, 1.7)
-    assert _max_err(got, oracles.dense_divdiv(oracle_disc.V_s, 1.7)) < 1e-12
-
-
-def test_oracle_elasticity(oracle_disc):
-    got = assemble_elasticity(oracle_disc.V_s, 1.2, 0.8)
-    assert _max_err(got, oracles.dense_elasticity(oracle_disc.V_s, 1.2, 0.8)) < 1e-12
-
-
-def test_oracle_divergence(oracle_disc):
-    got = assemble_divergence(oracle_disc.V_f, oracle_disc.Q)
-    assert _max_err(got, oracles.dense_divergence(oracle_disc.V_f, oracle_disc.Q)) < 1e-12
-
-
-def test_oracle_interface_mass(oracle_disc):
-    got = assemble_interface_mass(oracle_disc.V_f)
-    assert _max_err(got, oracles.dense_interface_mass(oracle_disc.V_f)) < 1e-13
+# -- cellwise assembly oracle --------------------------------------------
 
 
 _MASS_MESHES = {"16x16x16": ((1.0, 1.0, 1.0), 16, 16, 16),

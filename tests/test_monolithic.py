@@ -6,7 +6,6 @@ import pytest
 import oracles
 from fsisplit import (ChannelGeometry, Discretization, PhysicalParams,
                       RobinRobinSolver, TimeGrid)
-from fsisplit.diagnostics import energy_E
 from fsisplit.experiments import dirichlet_neumann, initial_state
 from fsisplit.assembly import Factorization
 from fsisplit.initial_data import random_state, smooth_coupled_mode
@@ -79,18 +78,6 @@ def test_coupled_matrix_matches_dense_hand_assembly(params, rng):
     assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
     assert np.array_equal(new.etad, got[smap])
     assert np.array_equal(new.eta, state.eta + dt * new.etad)
-
-
-def test_energy_non_increasing_random_steps(run_disc, params, rng):
-    solver = MonolithicSolver(run_disc, params, 0.02)
-    state = random_state(run_disc, rng)
-    e0 = energy_E(run_disc, params, state.u, state.etad, state.eta)
-    e_prev = e0
-    for _ in range(100):
-        state = solver.step(state)
-        e = energy_E(run_disc, params, state.u, state.etad, state.eta)
-        assert e <= e_prev + 1e-10 * e0
-        e_prev = e
 
 
 def test_interface_flux_balance(run_disc, params, rng):
@@ -228,19 +215,6 @@ def test_dirichlet_neumann_two_solves_per_energy(run_disc, monkeypatch):
             energies, _ = dirichlet_neumann(run_disc, params, 0.01, num_steps, state0)
         assert (len(energies) < num_steps) == stops_early
         assert len(solves) == 2 * len(energies)
-
-
-def test_dirichlet_neumann_added_mass_contrast(run_disc, rng):
-    """Comparable densities blow up; a heavy solid stays bounded."""
-
-    def growth(rho_s):
-        params = PhysicalParams(1.0, rho_s, 0.1, 1.0, 1.0, 1.0)
-        state0 = initial_state(run_disc, 5)
-        state0.traction_avg = rng.standard_normal(run_disc.ifd_f.size)
-        return dirichlet_neumann(run_disc, params, 0.01, 200, state0)[1]
-
-    assert growth(1.0) >= 1e6
-    assert growth(1000.0) < 1e3
 
 
 @pytest.mark.parametrize("rho_s", [0.01, 1.0, 1000.0])

@@ -16,12 +16,6 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 from .spaces import Space
 
-__all__ = [
-    "assemble_vector_mass", "assemble_symgrad", "assemble_divdiv",
-    "assemble_elasticity", "assemble_divergence", "assemble_interface_mass",
-    "stack_saddle", "apply_dirichlet", "grid_dissection", "SingularSystemError",
-]
-
 # Dunavant degree-4 rule, weights scaled to reference-triangle area 1/2.
 _A1, _A2 = 0.445948490915965, 0.091576213509771
 _W1, _W2 = 0.223381589678011 / 2.0, 0.109951743655322 / 2.0

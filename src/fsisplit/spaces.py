@@ -79,7 +79,9 @@ class Space:
         return np.repeat(self.node_coords, self.ncomp, axis=0)
 
 
-def build_space(mesh: Mesh, domain: int, kind: str) -> Space:
+def build_space(mesh: Mesh, domain: int, kind: str, *, edges) -> Space:
+    """The space of `kind` on the cells of `domain`; `edges` is the mesh's
+    edge numbering, `mesh_edges(mesh)`, shared by the spaces of one mesh."""
     if kind not in _KINDS:
         raise ValueError(f"unknown space kind: {kind}")
     degree, ncomp = _KINDS[kind]
@@ -91,7 +93,7 @@ def build_space(mesh: Mesh, domain: int, kind: str) -> Space:
     cell_nodes = np.searchsorted(vids, cells)
     # the subdomain's edges in ascending global edge id, i.e. order of first
     # appearance, with their nodes: two vertices and, for P2, the midpoint
-    edges, cell_edges = mesh_edges(mesh)
+    edges, cell_edges = edges
     used, slot = np.unique(cell_edges[sub], return_inverse=True)
     slot = slot.reshape(cells.shape)
     edge_nodes = np.searchsorted(vids, edges[used])

@@ -22,7 +22,7 @@ from .assembly import (Factorization, SingularSystemError, assemble_divergence,
                        assemble_symgrad, assemble_vector_mass, grid_dissection,
                        stack_saddle)
 from .mesh import ChannelGeometry, build_two_layer_mesh
-from .spaces import SCALAR_P1, VECTOR_P2, build_space
+from .spaces import SCALAR_P1, VECTOR_P2, build_space, mesh_edges
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,10 @@ class Discretization:
     def __init__(self, geom: ChannelGeometry, nx: int, ny_f: int, ny_s: int):
         self.geom = geom
         self.mesh = build_two_layer_mesh(geom, nx, ny_f, ny_s)
-        self.V_f = build_space(self.mesh, msh.FLUID, VECTOR_P2)
-        self.Q = build_space(self.mesh, msh.FLUID, SCALAR_P1)
-        self.V_s = build_space(self.mesh, msh.SOLID, VECTOR_P2)
+        edges = mesh_edges(self.mesh)
+        self.V_f = build_space(self.mesh, msh.FLUID, VECTOR_P2, edges=edges)
+        self.Q = build_space(self.mesh, msh.FLUID, SCALAR_P1, edges=edges)
+        self.V_s = build_space(self.mesh, msh.SOLID, VECTOR_P2, edges=edges)
         if not np.allclose(self.V_f.node_coords[self.V_f.interface_nodes],
                            self.V_s.node_coords[self.V_s.interface_nodes]):
             raise RuntimeError("interface dof orderings of the two spaces differ")

@@ -3,7 +3,12 @@
 Basis functions are reconstructed from monomial Vandermonde systems at the
 element nodes and integrated with a high-order Gauss rule mapped to the
 triangle by the Duffy transform, so nothing here shares code or quadrature
-with the package's assembly path.  `reference_numbering` is the original
+with the package's assembly path.  Each dense form tabulates its basis once
+at the rule's points and is one `np.einsum` per cell on the mapped weights
+w |det J| and gradients g J^-1, summed into a dense matrix at the
+interleaved dofs; the symmetric gradient is the explicit tensor
+0.5 (delta_ax g_y + delta_ay g_x), not the package's identity.
+`reference_numbering` is the original
 dict-based node numbering of the spaces, kept to pin the array-built one,
 with the boundary found from coordinates, where the package finds it from
 the cells' shared edges;
@@ -26,10 +31,11 @@ from hypothesis import strategies as st
 from fsisplit.monolithic import _fluid_flux, run_dirichlet_neumann
 from fsisplit.splitting import SplitState
 
-# package-local node order: v0 v1 v2 m12 m20 m01
-P2_NODES = np.array([[0, 0], [1, 0], [0, 1], [0.5, 0.5], [0, 0.5], [0.5, 0]],
-                    dtype=float)
-P1_NODES = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
+# package-local node order: v0 v1 v2 m12 m20 m01; P1 has the first three
+_NODES = np.array([[0, 0], [1, 0], [0, 1], [0.5, 0.5], [0, 0.5], [0.5, 0]],
+                  dtype=float)
+# exponents (a, b) of the monomials x^a y^b: P1 spans the first three
+_EXPONENTS = np.array([[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]])
 
 
 def interpolate(space, f):
@@ -96,26 +102,14 @@ def dn_map(disc, params, dt):
     return np.array(columns).T
 
 
-def _mono_p2(x, y):
-    return np.array([1.0, x, y, x * x, x * y, y * y])
-
-
-def _mono_p2_grad(x, y):
-    return np.array([[0, 0], [1, 0], [0, 1], [2 * x, 0], [y, x], [0, 2 * y]],
-                    dtype=float)
-
-
-def _mono_p1(x, y):
-    return np.array([1.0, x, y])
-
-
-def _mono_p1_grad(x, y):
-    return np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
-
-
-def _coeffs(nodes, mono):
-    V = np.array([mono(x, y) for x, y in nodes])
-    return np.linalg.inv(V)  # column i: monomial coefficients of basis i
+def _monomials(k, points):
+    """The first k monomials at the (n, 2) points, (n, k), and their
+    gradients, (n, k, 2)."""
+    a, b = _EXPONENTS[:k].T
+    x, y = points[:, :1], points[:, 1:]
+    dx = a * x ** np.maximum(a - 1, 0) * y ** b
+    dy = b * x ** a * y ** np.maximum(b - 1, 0)
+    return x ** a * y ** b, np.stack([dx, dy], axis=-1)
 
 
 def duffy_points(n=8):
@@ -124,91 +118,83 @@ def duffy_points(n=8):
     g, w = np.polynomial.legendre.leggauss(n)
     g = 0.5 * (g + 1.0)
     w = 0.5 * w
-    pts, wts = [], []
-    for gu, wu in zip(g, w):
-        for gv, wv in zip(g, w):
-            pts.append((gu, gv * (1.0 - gu)))
-            wts.append(wu * wv * (1.0 - gu))
-    return np.array(pts), np.array(wts)
+    gu, gv = np.repeat(g, n), np.tile(g, n)
+    return (np.column_stack([gu, gv * (1.0 - gu)]),
+            np.repeat(w, n) * np.tile(w, n) * (1.0 - gu))
 
 
 class ElementOracle:
+    """The Lagrange basis of one degree, reconstructed from its monomial
+    Vandermonde system at the element nodes and tabulated once at the Duffy
+    points: values (nq, nl) and reference gradients (nq, nl, 2)."""
+
     def __init__(self, degree):
-        if degree == 2:
-            self.C = _coeffs(P2_NODES, _mono_p2)
-            self.mono, self.mono_grad = _mono_p2, _mono_p2_grad
-        else:
-            self.C = _coeffs(P1_NODES, _mono_p1)
-            self.mono, self.mono_grad = _mono_p1, _mono_p1_grad
-
-    def values(self, x, y):
-        return self.mono(x, y) @ self.C
-
-    def grads(self, x, y):
-        return (self.mono_grad(x, y).T @ self.C).T  # (nl, 2)
+        k = (degree + 1) * (degree + 2) // 2
+        C = np.linalg.inv(_monomials(k, _NODES[:k])[0])
+        points, self.weights = duffy_points()
+        mono, mono_grad = _monomials(k, points)
+        self.values = mono @ C
+        self.grads = np.einsum("qka,kl->qla", mono_grad, C)
 
 
-def _cell_map(mesh, cell_id):
-    v = mesh.vertices[mesh.cells[cell_id]]
-    J = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    return v[0], J, abs(np.linalg.det(J)), np.linalg.inv(J)
-
-
-def dense_form(space, integrand, pres_space=None, n_gauss=8):
-    """Assemble a dense matrix by looping quadrature points and calling
-    integrand(phi_i data, phi_j data) entry by entry.
-
-    integrand(i, ci, j, cj, val_i, grad_i, val_j, grad_j) -> contribution,
-    where i/j are local scalar basis indices and ci/cj vector components.
-    """
+def _tabulate(space):
+    """The basis of `space` on each of its c cells: the mapped weights
+    w |det J|, (c, nq), the values, (nq, nl), and the physical gradients
+    g J^-1, (c, nq, nl, 2)."""
     el = ElementOracle(space.degree)
-    elr = ElementOracle(pres_space.degree) if pres_space is not None else el
-    row_space = pres_space if pres_space is not None else space
-    pts, wts = duffy_points(n_gauss)
-    A = np.zeros((row_space.ndof, space.ndof))
-    for k in range(space.cells.size):
-        cell_id = space.cells[k]
-        _, J, det, Jinv = _cell_map(space.mesh, cell_id)
-        cn = space.cell_nodes[k]
-        rn = row_space.cell_nodes[k]
-        for (x, y), w in zip(pts, wts):
-            vals = el.values(x, y)
-            grads = el.grads(x, y) @ Jinv
-            rvals = elr.values(x, y)
-            rgrads = elr.grads(x, y) @ Jinv
-            wq = w * det
-            for i in range(rn.size):
-                for ci in range(row_space.ncomp):
-                    gi = row_space.ncomp * rn[i] + ci
-                    for j in range(cn.size):
-                        for cj in range(space.ncomp):
-                            gj = space.ncomp * cn[j] + cj
-                            A[gi, gj] += wq * integrand(
-                                ci, cj, rvals[i], rgrads[i], vals[j], grads[j])
+    v = space.mesh.vertices[space.mesh.cells[space.cells]]
+    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)  # edges as columns
+    weights = el.weights * np.abs(np.linalg.det(J))[:, None]
+    return weights, el.values, el.grads @ np.linalg.inv(J)[:, None]
+
+
+def _vector_blocks(blocks, ncomp):
+    """(c, k, k) scalar blocks as (c, k, ncomp, k, ncomp) blocks of the
+    vector basis, with zero couplings between components."""
+    return np.einsum("cij,ab->ciajb", blocks, np.eye(ncomp))
+
+
+def _dofs(nodes, ncomp):
+    """Interleaved dofs ncomp * node + component of the (c, k) nodes."""
+    return (ncomp * nodes[..., None] + np.arange(ncomp)).reshape(len(nodes), -1)
+
+
+def _scatter(blocks, rows, cols, shape):
+    """Dense sum of the (c, nr, rc, nc, cc) blocks at the interleaved dofs
+    of the (c, nr) row nodes and the (c, nc) column nodes."""
+    c, nr, rc, nc, cc = blocks.shape
+    A = np.zeros(shape)
+    np.add.at(A, (_dofs(rows, rc)[:, :, None], _dofs(cols, cc)[:, None, :]),
+              blocks.reshape(c, nr * rc, nc * cc))
     return A
 
 
-def eps_tensor(comp, grad):
-    """Symmetric gradient of the vector basis function val * e_comp."""
-    g = np.zeros((2, 2))
-    g[comp] = grad
-    return 0.5 * (g + g.T)
+def _on_cells(blocks, space, row_space=None):
+    """`_scatter` of per-cell blocks: columns in `space`, rows in
+    `row_space` (default `space`)."""
+    row = space if row_space is None else row_space
+    return _scatter(blocks, row.cell_nodes, space.cell_nodes, (row.ndof, space.ndof))
 
 
 def dense_vector_mass(space, density):
-    return dense_form(space, lambda ci, cj, vi, gi, vj, gj:
-                      density * vi * vj if ci == cj else 0.0)
+    w, v, _ = _tabulate(space)
+    return _on_cells(density * _vector_blocks(
+        np.einsum("cq,qi,qj->cij", w, v, v), space.ncomp), space)
 
 
 def dense_symgrad(space, coeff):
-    def f(ci, cj, vi, gi, vj, gj):
-        return coeff * 2.0 * np.tensordot(eps_tensor(ci, gi), eps_tensor(cj, gj))
-    return dense_form(space, f)
+    """2 coeff (eps(phi_i e_a), eps(phi_j e_b)), with the symmetric gradient
+    as the explicit tensor eps_xy = 0.5 (delta_ax g_y + delta_ay g_x)."""
+    w, _, g = _tabulate(space)
+    dg = np.einsum("ax,cqiy->cqiaxy", np.eye(2), g)
+    eps = 0.5 * (dg + dg.swapaxes(-1, -2))
+    return _on_cells(2.0 * coeff * np.einsum("cq,cqiaxy,cqjbxy->ciajb", w, eps, eps),
+                     space)
 
 
 def dense_divdiv(space, coeff):
-    return dense_form(space, lambda ci, cj, vi, gi, vj, gj:
-                      coeff * gi[ci] * gj[cj])
+    w, _, g = _tabulate(space)
+    return _on_cells(coeff * np.einsum("cq,cqia,cqjb->ciajb", w, g, g), space)
 
 
 def dense_elasticity(space, l1, l2):
@@ -216,8 +202,9 @@ def dense_elasticity(space, l1, l2):
 
 
 def dense_divergence(vel, pres):
-    return dense_form(vel, lambda ci, cj, vi, gi, vj, gj: vi * gj[cj],
-                      pres_space=pres)
+    w, _, g = _tabulate(vel)
+    q = ElementOracle(pres.degree).values
+    return _on_cells(np.einsum("cq,qi,cqjb->cijb", w, q, g)[:, :, None], vel, pres)
 
 
 def on_outer_boundary(mesh, points):
@@ -238,31 +225,20 @@ def interface_facets(mesh):
 
 def dense_interface_mass(space):
     """1D oracle over interface facets with an 8-point Gauss rule and a
-    Vandermonde-reconstructed quadratic line basis."""
+    Vandermonde-reconstructed line basis on the nodes s = 0, 1 (, 1/2)."""
     mesh = space.mesh
-    node_of = {tuple(np.round(space.node_coords[n], 12)): n
-               for n in range(space.num_nodes)}
-    V = np.array([[1, s, s * s] for s in (0.0, 1.0, 0.5)], dtype=float)
-    C = np.linalg.inv(V)
+    node_of = {tuple(np.round(p, 12)): n for n, p in enumerate(space.node_coords)}
+    powers = np.arange(space.degree + 1)
+    s = np.array([0.0, 1.0, 0.5])[powers]
     g, w = np.polynomial.legendre.leggauss(8)
     g, w = 0.5 * (g + 1.0), 0.5 * w
-    A = np.zeros((space.ndof, space.ndof))
-    for v0, v1 in interface_facets(mesh):
-        p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
-        length = np.linalg.norm(p1 - p0)
-        nodes = [node_of[tuple(np.round(p0, 12))],
-                 node_of[tuple(np.round(p1, 12))]]
-        if space.degree == 2:
-            nodes.append(node_of[tuple(np.round(0.5 * (p0 + p1), 12))])
-        for s, ws in zip(g, w):
-            vals = np.array([1.0, s, s * s]) @ C
-            vals = vals[:len(nodes)]
-            for i, ni in enumerate(nodes):
-                for j, nj in enumerate(nodes):
-                    for c in range(space.ncomp):
-                        A[space.ncomp * ni + c, space.ncomp * nj + c] += \
-                            ws * length * vals[i] * vals[j]
-    return A
+    vals = g[:, None] ** powers @ np.linalg.inv(s[:, None] ** powers)  # (nq, k)
+    p0, p1 = (mesh.vertices[v] for v in interface_facets(mesh).T)
+    points = [p0, p1, 0.5 * (p0 + p1)][:powers.size]
+    nodes = np.array([[node_of[tuple(np.round(p, 12))] for p in facet]
+                      for facet in zip(*points)])
+    m = np.einsum("f,q,qi,qj->fij", np.linalg.norm(p1 - p0, axis=1), w, vals, vals)
+    return _scatter(_vector_blocks(m, space.ncomp), nodes, nodes, (space.ndof,) * 2)
 
 
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
@@ -377,11 +353,8 @@ def _cellwise(space, nodes, blocks):
     interleaved dofs of nodes (c, k), with zero x-y couplings; exact zeros
     are dropped again after summing."""
     c, k, _ = blocks.shape
-    vec = np.zeros((c, k, 2, k, 2))
-    for comp in range(2):
-        vec[:, :, comp, :, comp] = blocks
-    vec = vec.reshape(c, 2 * k, 2 * k)
-    dofs = (2 * nodes[:, :, None] + np.arange(2)).reshape(c, 2 * k)
+    vec = _vector_blocks(blocks, 2).reshape(c, 2 * k, 2 * k)
+    dofs = _dofs(nodes, 2)
     rows = np.broadcast_to(dofs[:, :, None], vec.shape)
     cols = np.broadcast_to(dofs[:, None, :], vec.shape)
     mat = sp.coo_matrix((vec.ravel(), (rows.ravel(), cols.ravel())),

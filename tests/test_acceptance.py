@@ -20,7 +20,7 @@ from fsisplit.experiments import (convergence, dirichlet_neumann, initial_state,
 from fsisplit.initial_data import random_state
 from fsisplit.mesh import FLUID, SOLID, build_two_layer_mesh
 from fsisplit.monolithic import MonolithicSolver
-from fsisplit.spaces import SCALAR_P1, VECTOR_P2, build_space
+from fsisplit.spaces import SCALAR_P1, VECTOR_P2, build_space, mesh_edges
 
 STABILITY_TOL = 1e-8
 RATE_THRESHOLD = 0.4
@@ -144,9 +144,10 @@ def _general_affine_spaces():
     e1, e2 = b - a, c - a
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     assert det.min() > 0 and np.unique(np.round(np.abs(det), 12)).size > 4
-    return SimpleNamespace(V_f=build_space(mesh, FLUID, VECTOR_P2),
-                           Q=build_space(mesh, FLUID, SCALAR_P1),
-                           V_s=build_space(mesh, SOLID, VECTOR_P2))
+    edges = mesh_edges(mesh)
+    return SimpleNamespace(V_f=build_space(mesh, FLUID, VECTOR_P2, edges=edges),
+                           Q=build_space(mesh, FLUID, SCALAR_P1, edges=edges),
+                           V_s=build_space(mesh, SOLID, VECTOR_P2, edges=edges))
 
 
 def test_criterion_5_assembly_oracle(tiny_disc, small_disc):

@@ -6,7 +6,8 @@ import scipy.sparse.linalg as spla
 
 import oracles
 from fsisplit import (ChannelGeometry, Discretization, RobinRobinSolver,
-                      TimeGrid, initial_data, monolithic, splitting)
+                      TimeGrid, initial_data, monolithic, spaces,
+                      splitting)
 from fsisplit.assembly import (Factorization, SingularSystemError,
                                apply_dirichlet, assemble_divdiv,
                                assemble_divergence, assemble_elasticity,
@@ -14,7 +15,7 @@ from fsisplit.assembly import (Factorization, SingularSystemError,
                                grid_dissection, stack_saddle)
 from fsisplit.mesh import FLUID, SOLID, Mesh, build_two_layer_mesh
 from fsisplit.monolithic import MonolithicSolver, run_dirichlet_neumann
-from fsisplit.spaces import SCALAR_P1, VECTOR_P2, build_space
+from fsisplit.spaces import SCALAR_P1, VECTOR_P2, build_space, mesh_edges
 
 
 # -- analytic quadratic-form examples ------------------------------------
@@ -122,6 +123,20 @@ def test_setup_runs_no_dense_factorization(params, monkeypatch):
     MonolithicSolver(d, params, 1.0 / 32)
 
 
+def test_setup_numbers_the_mesh_edges_once(monkeypatch):
+    """The three spaces of a Discretization share one edge numbering."""
+    calls = []
+
+    def counted(mesh):
+        calls.append(mesh)
+        return mesh_edges(mesh)
+
+    for module in (spaces, splitting):
+        monkeypatch.setattr(module, "mesh_edges", counted, raising=False)
+    Discretization(ChannelGeometry(1.0, 1.0, 1.0), 2, 2, 2)
+    assert len(calls) == 1
+
+
 # -- cellwise assembly oracle --------------------------------------------
 
 
@@ -173,8 +188,8 @@ def test_assembly_invariant_under_cell_reordering():
     mesh = build_two_layer_mesh(geom, 2, 2, 2)
     shuffled = _shuffled(mesh)
     for domain in (FLUID, SOLID):
-        s1 = build_space(mesh, domain, VECTOR_P2)
-        s2 = build_space(shuffled, domain, VECTOR_P2)
+        s1 = build_space(mesh, domain, VECTOR_P2, edges=mesh_edges(mesh))
+        s2 = build_space(shuffled, domain, VECTOR_P2, edges=mesh_edges(shuffled))
         a1 = np.asarray(assemble_symgrad(s1, 1.0).todense())
         a2 = np.asarray(assemble_symgrad(s2, 1.0).todense())
         p1, p2 = _canonical_perm(s1), _canonical_perm(s2)
@@ -197,7 +212,7 @@ _NUMBERING_MESHES = {
 def test_numbering_matches_reference(mesh_name, domain, kind):
     """The array-built numbering is the cell-by-cell dict-built one, exactly."""
     mesh = _NUMBERING_MESHES[mesh_name]
-    space = build_space(mesh, domain, kind)
+    space = build_space(mesh, domain, kind, edges=mesh_edges(mesh))
     coords, cell_nodes, dirichlet, iface, facets = oracles.reference_numbering(
         mesh, domain, space.degree)
     assert np.array_equal(space.node_coords, coords)
@@ -210,7 +225,8 @@ def test_numbering_matches_reference(mesh_name, domain, kind):
 def test_assembly_rejections(tiny_disc):
     with pytest.raises(ValueError):
         assemble_symgrad(tiny_disc.Q, 1.0)
-    solid_q = build_space(tiny_disc.mesh, SOLID, SCALAR_P1)
+    solid_q = build_space(tiny_disc.mesh, SOLID, SCALAR_P1,
+                          edges=mesh_edges(tiny_disc.mesh))
     with pytest.raises(ValueError):
         assemble_divergence(tiny_disc.V_f, solid_q)
 

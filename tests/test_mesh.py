@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import interface_facets
 from fsisplit.mesh import FLUID, SOLID, ChannelGeometry, build_two_layer_mesh
-from fsisplit.spaces import SCALAR_P1, build_space
+from fsisplit.spaces import SCALAR_P1, build_space, mesh_edges
 
 
 def cell_areas(mesh):
@@ -50,7 +50,7 @@ def test_interface_normals_and_count():
     assert np.allclose(np.abs(tangent[:, 0]), 2.0 / 6) and np.all(tangent[:, 1] == 0.0)
     # both spaces list the facets left to right, each from left to right
     for domain in (FLUID, SOLID):
-        space = build_space(mesh, domain, SCALAR_P1)
+        space = build_space(mesh, domain, SCALAR_P1, edges=mesh_edges(mesh))
         xs = space.node_coords[space.interface_facets, 0]
         assert np.all(xs[:, 0] < xs[:, 1]) and np.all(np.diff(xs[:, 0]) > 0)
 

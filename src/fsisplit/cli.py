@@ -91,10 +91,11 @@ def cmd_converge(cfg: RunConfig, disc: Discretization, out_dir: str) -> list:
     dts, reports, residuals, ref = experiments.convergence(
         disc, cfg.params, cfg.t_final, cfg.num_windows, cfg.dt_levels, cfg.substeps)
     totals = [r.total for r in reports]
-    # np.divide: a level with zero error gives a NaN or infinite rate, not
-    # a ZeroDivisionError
-    pairwise = [float("nan")] + [float(0.5 * np.log2(np.divide(a, b)))
-                                 for a, b in zip(totals, totals[1:])]
+    # np.divide: a level with zero or infinite error gives a silent NaN or
+    # infinite rate, not a ZeroDivisionError
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pairwise = [float("nan")] + [float(0.5 * np.log2(np.divide(a, b)))
+                                     for a, b in zip(totals, totals[1:])]
     rows = [(dt, r.E_final, r.T_sum, r.S_final, r.total, q)
             for dt, r, q in zip(dts, reports, pairwise)]
     _write_csv(os.path.join(out_dir, "converge.csv"),

@@ -37,10 +37,12 @@ class EnergyLedger:
         return float(self.residuals().max())
 
     def residuals(self) -> np.ndarray:
-        """The residual of each window n = 1 .. N, from one running sum of T."""
+        """The residual of each window n = 1 .. N, from one running sum of T;
+        inf - inf is a silent NaN, which the verdicts fail."""
         n = len(self.T)
-        return (np.asarray(self.E[1:n + 1]) + np.cumsum(self.T)
-                + np.asarray(self.S[:n]) - (self.E[0] + self.S0))
+        with np.errstate(invalid="ignore"):
+            return (np.asarray(self.E[1:n + 1]) + np.cumsum(self.T)
+                    + np.asarray(self.S[:n]) - (self.E[0] + self.S0))
 
 
 @dataclass
@@ -192,7 +194,11 @@ def fit_rate(dts, totals) -> float:
     totals = np.asarray(totals, dtype=float)
     if dts.size < 2:
         raise ValueError("need at least two levels to fit a rate")
-    if np.any(np.diff(totals) >= 0):
+    # a zero or infinite total fits a silent NaN rate, which the verdicts fail
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rising = np.any(np.diff(totals) >= 0)
+        log_errors = 0.5 * np.log(totals)
+    if rising:
         warnings.warn("error sequence is not strictly decreasing",
                       RuntimeWarning, stacklevel=2)
-    return float(np.polyfit(np.log(dts), 0.5 * np.log(totals), 1)[0])
+    return float(np.polyfit(np.log(dts), log_errors, 1)[0])

@@ -34,6 +34,12 @@ def run_disc(unit_geom):
 
 
 @pytest.fixture(scope="session")
+def disc8(unit_geom):
+    """8x8 cells per subdomain: the studies' middle mesh."""
+    return Discretization(unit_geom, 8, 8, 8)
+
+
+@pytest.fixture(scope="session")
 def shipped_disc(unit_geom):
     """16x16 cells per subdomain: the mesh of the shipped configs."""
     return Discretization(unit_geom, 16, 16, 16)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fsisplit import ChannelGeometry, Discretization, PhysicalParams, TimeGrid
+from fsisplit import ChannelGeometry, TimeGrid
 from fsisplit.assembly import (assemble_divdiv, assemble_divergence,
                                assemble_elasticity, assemble_interface_mass,
                                assemble_symgrad, assemble_vector_mass)
@@ -32,26 +32,15 @@ def report(name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def disc16():
-    return Discretization(ChannelGeometry(1.0, 1.0, 1.0), 16, 16, 16)
-
-
-@pytest.fixture(scope="module")
-def base_params():
-    return PhysicalParams(rho_f=1.0, rho_s=1.0, mu=0.1, l1=1.0, l2=1.0,
-                          lambda_robin=1.0)
-
-
-@pytest.fixture(scope="module")
-def convergence_study(disc16, base_params):
+def convergence_study(shipped_disc, params):
     """Shared by criteria 2 and 3: reference plus 4 halved-dt splitting runs
     (N = 16 .. 128)."""
     T = 0.5
-    dts, reports, _, ref = convergence(disc16, base_params, T, 16, 4, 1)
+    dts, reports, _, ref = convergence(shipped_disc, params, T, 16, 4, 1)
     return T, dts, [r.total for r in reports], ref
 
 
-def test_criterion_1_energy_stability(disc16):
+def test_criterion_1_energy_stability(shipped_disc, params):
     """>= 20 randomized configurations satisfy the discrete stability bound."""
     rng = np.random.default_rng(2024)
     worst = -np.inf
@@ -60,11 +49,9 @@ def test_criterion_1_energy_stability(disc16):
         for m in (1, 2):
             for _ in range(4):
                 ratio = rng.uniform(0.5, 2.0)
-                params = PhysicalParams(rho_f=1.0, rho_s=ratio, mu=0.1,
-                                        l1=1.0, l2=1.0, lambda_robin=lam)
-                state0 = random_state(disc16, rng)
-                ledger = robin_robin(disc16, params, TimeGrid(0.5, 64, m),
-                                     state0)
+                run = replace(params, rho_s=ratio, lambda_robin=lam)
+                state0 = random_state(shipped_disc, rng)
+                ledger = robin_robin(shipped_disc, run, TimeGrid(0.5, 64, m), state0)
                 scale = ledger.E[0] + ledger.S0
                 worst = max(worst, float(ledger.residuals().max()) / scale)
                 runs += 1
@@ -80,14 +67,14 @@ def test_criterion_2_convergence_rate(convergence_study):
            slope >= RATE_THRESHOLD, f"fitted energy-norm rate {slope:.3f}")
 
 
-def test_criterion_3_consistency_scaling(disc16, base_params, convergence_study):
+def test_criterion_3_consistency_scaling(shipped_disc, params, convergence_study):
     """Summed g3/g2 interface norms shrink like dt after compensating for the
     doubling window count (per-window mass scales like dt^3, count like 1/dt)."""
     _, dts, _, ref = convergence_study
-    lam = base_params.lambda_robin
+    lam = params.lambda_robin
     comp3, comp2 = [], []
     for dt in dts:
-        g3, g2 = consistency_terms(disc16, ref, dt, lam)
+        g3, g2 = consistency_terms(shipped_disc, ref, dt, lam)
         comp3.append(float(np.sum(g3)) / dt)
         comp2.append(float(np.sum(g2)) / dt)
     r3 = [a / b for a, b in zip(comp3, comp3[1:])]
@@ -98,8 +85,8 @@ def test_criterion_3_consistency_scaling(disc16, base_params, convergence_study)
            f"g2 {[f'{r:.2f}' for r in r2]}")
 
 
-def test_criterion_4_algebraic_identities(disc16):
-    d = disc16
+def test_criterion_4_algebraic_identities(shipped_disc):
+    d = shipped_disc
     rng = np.random.default_rng(99)
     n = d.ifd_f.size
 
@@ -177,14 +164,14 @@ def test_criterion_5_assembly_oracle(tiny_disc, small_disc):
            f"{worst_interface:.2e} on the interface masses")
 
 
-def test_criterion_6_added_mass_contrast(disc16, base_params):
+def test_criterion_6_added_mass_contrast(shipped_disc, disc8, params):
     """Explicit DN blows up at matched densities from random data, and in the
     shipped dn_compare shape (the pressure pulse) at n = 8 for a light, a
     matched and a heavy solid; only a solid 1000 times the fluid's density
     keeps it bounded.  At n = 16 that solid still blows it up at dt = 1/100
     and stays bounded at dt = 1/400.  Robin-Robin stays stable on every run."""
     T = 0.5
-    discs = {16: disc16, 8: Discretization(ChannelGeometry(1.0, 1.0, 1.0), 8, 8, 8)}
+    discs = {16: shipped_disc, 8: disc8}
     # (cells per side, seed, rho_s, N, whether DN blows up)
     cases = [(16, 7, 1.0, 200, True), (8, 0, 0.01, 200, True),
              (8, 0, 1.0, 200, True), (8, 0, 100.0, 200, True),
@@ -193,10 +180,10 @@ def test_criterion_6_added_mass_contrast(disc16, base_params):
     ok, details = True, []
     for n, seed, rho_s, N, blows_up in cases:
         disc = discs[n]
-        params = replace(base_params, rho_s=rho_s)
+        heavy = replace(params, rho_s=rho_s)
         state0 = initial_state(disc, seed)
-        _, growth = dirichlet_neumann(disc, params, T / N, N, state0)
-        ledger = robin_robin(disc, params, TimeGrid(T, N, 1), state0)
+        _, growth = dirichlet_neumann(disc, heavy, T / N, N, state0)
+        ledger = robin_robin(disc, heavy, TimeGrid(T, N, 1), state0)
         resid = float(ledger.residuals().max()) / (ledger.E[0] + ledger.S0)
         ok = (ok and (growth >= 1e6 if blows_up else growth < 1e3)
               and resid <= STABILITY_TOL)
@@ -207,15 +194,16 @@ def test_criterion_6_added_mass_contrast(disc16, base_params):
            "; ".join(details))
 
 
-def test_criterion_7_monolithic_dissipation(disc16, base_params):
-    solver = MonolithicSolver(disc16, base_params, 0.01)
-    state = random_state(disc16, np.random.default_rng(3))
-    e0 = energy_E(disc16, base_params, state.u, state.etad, state.eta)
+def test_criterion_7_monolithic_dissipation(shipped_disc, params):
+    d = shipped_disc
+    solver = MonolithicSolver(d, params, 0.01)
+    state = random_state(d, np.random.default_rng(3))
+    e0 = energy_E(d, params, state.u, state.etad, state.eta)
     e_prev = e0
     worst = -np.inf
     for _ in range(100):
         state = solver.step(state)
-        e = energy_E(disc16, base_params, state.u, state.etad, state.eta)
+        e = energy_E(d, params, state.u, state.etad, state.eta)
         worst = max(worst, (e - e_prev) / e0)
         e_prev = e
     report("criterion 7, monolithic energy dissipation", worst <= 1e-10,

@@ -261,8 +261,10 @@ def test_converge_zero_error_exits_4(tmp_path, capsys, monkeypatch):
                         lambda disc: np.zeros(disc.V_f.ndof))
     path = write_config(tmp_path / "z.cfg", mode="converge", **ONE_CELL)
     out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning):  # the 0/0 rate, on purpose
+    # fit_rate's flag on purpose; the 0/0 rate and log(0) are silent
+    with pytest.warns(RuntimeWarning, match="not strictly decreasing") as caught:
         assert main(["converge", "--config", path, "--out", str(out)]) == 4
+    assert len(caught) == 1
     assert "rate = nan" in capsys.readouterr().out
     rows = list(csv.DictReader((out / "converge.csv").read_text().splitlines()))
     assert [r["total"] for r in rows] == ["0", "0"]
@@ -327,6 +329,10 @@ def test_extreme_lambda_converge_exits_3(tmp_path, capsys, lam):
          floats=(1.0, 1.0, 0.1, 1.0, 1.0), l2=1.0, T=5e-324, seed=1)
 @example(cells=(1, 1, 1, 2), m=1, lengths=(1.0, 1.0, 1.0),
          floats=(1.0, 1.0, 0.1, 1.0, 1.0), l2=1.0, T=3e-323, seed=1)
+# interface dual norms past the largest double: converge and lambda-sweep
+# fail their verdicts on the silent inf and NaN, with no warning
+@example(cells=(1, 1, 1, 2), m=1, lengths=(1.0, 1.0, 1.0),
+         floats=(1.0, 1.0, 0.1, 1.0, 1.0), l2=1.0, T=1e-200, seed=1)
 def test_every_command_keeps_exit_code_contract(tmp_path_factory, cells, m,
                                                 lengths, floats, l2, T, seed):
     """Small configs across decades: every command exits 0, 2, 3 or 4, and
@@ -448,41 +454,26 @@ def test_dn_compare_takes_one_substep_per_window(tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
-def _fake_dn_energies(monkeypatch, values):
-    """Make dn-compare see the given DN energies, one per step."""
+@pytest.mark.parametrize("energies,code,growth", [
+    # Python's max skips a NaN that is not first: [1, nan] has max 1.0
+    ([1.0, float("nan")], 0, "inf"),
+    # an energy history that never leaves zero did not blow up
+    ([0.0] * 6, 4, "0.000e+00"),
+    # growth is measured from the first non-zero energy, not from a zero one
+    ([0.0, 1e-3, 2e-3, 2e-3, 2e-3, 2e-3], 4, "2.000e+00"),
+], ids=["nan_is_blowup", "zero_first_energy", "from_first_nonzero_energy"])
+def test_dn_compare_verdict(tmp_path, monkeypatch, capsys, energies, code, growth):
+    """dn-compare's exit code and printed growth for given DN energies, one
+    per step."""
     from fsisplit import experiments
 
-    energies = iter(values)
-    monkeypatch.setattr(experiments, "energy_E", lambda *args: next(energies))
-
-
-def test_dn_compare_nan_energy_is_blowup(tmp_path, monkeypatch):
-    # Python's max skips a NaN that is not first: [1, nan] has max 1.0
-    _fake_dn_energies(monkeypatch, [1.0, float("nan")])
+    values = iter(energies)
+    monkeypatch.setattr(experiments, "energy_E", lambda *args: next(values))
     path = write_config(tmp_path / "d.cfg", mode="dn-compare",
                         rho_s="1000.0", N="6")
     assert main(["dn-compare", "--config", path,
-                 "--out", str(tmp_path / "o")]) == 0
-
-
-def test_dn_compare_zero_first_energy(tmp_path, monkeypatch, capsys):
-    # an energy history that never leaves zero did not blow up
-    _fake_dn_energies(monkeypatch, [0.0] * 6)
-    path = write_config(tmp_path / "d.cfg", mode="dn-compare",
-                        rho_s="1000.0", N="6")
-    assert main(["dn-compare", "--config", path,
-                 "--out", str(tmp_path / "o")]) == 4
-    assert "dn energy growth = 0.000e+00" in capsys.readouterr().out
-
-
-def test_dn_compare_growth_from_first_nonzero_energy(tmp_path, monkeypatch, capsys):
-    # growth is measured from the first non-zero energy, not from a zero one
-    _fake_dn_energies(monkeypatch, [0.0, 1e-3, 2e-3, 2e-3, 2e-3, 2e-3])
-    path = write_config(tmp_path / "d.cfg", mode="dn-compare",
-                        rho_s="1000.0", N="6")
-    assert main(["dn-compare", "--config", path,
-                 "--out", str(tmp_path / "o")]) == 4
-    assert "dn energy growth = 2.000e+00" in capsys.readouterr().out
+                 "--out", str(tmp_path / "o")]) == code
+    assert f"dn energy growth = {growth}," in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["stability", "converge", "lambda-sweep"])

@@ -165,56 +165,52 @@ def test_two_level_error_ratio(run_disc, params):
     assert 1.15 <= ratio <= 2.6
 
 
-def test_error_grows_at_most_like_final_time(params):
+def test_error_grows_at_most_like_final_time(disc8, params):
     """The squared splitting error at time T is O(T dt): at fixed dt,
     C(T) = total / (T dt) stays within twice its value at the shortest T."""
-    disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 8, 8, 8)
     dt = 1.0 / 32
     C = {}
     for T in (0.125, 0.5, 2.0):
-        dts, reports, _, _ = convergence(disc, params, T, round(T / dt), 2, 1)
+        dts, reports, _, _ = convergence(disc8, params, T, round(T / dt), 2, 1)
         assert dts[0] == dt
         C[T] = reports[0].total / (T * dt)
     assert max(C.values()) <= 2 * C[0.125], C
 
 
 @pytest.mark.parametrize("lam", [1.0, 10.0])
-def test_error_does_not_grow_at_large_final_time(params, lam):
+def test_error_does_not_grow_at_large_final_time(disc8, params, lam):
     """The bound O(sqrt(T dt)) has no exponential factor in T: at fixed
     dt = 1/32 the error total over E0 + S0 levels off, and at T = 8 it is at
     most 1.5 times its largest value over T in {1/4, 1}."""
-    disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 8, 8, 8)
     params = replace(params, lambda_robin=lam)
     rel = {}
     for T in (0.25, 1.0, 8.0):
-        _, (report,), ((_, scale),), _ = convergence(disc, params, T, round(32 * T), 1, 1)
+        _, (report,), ((_, scale),), _ = convergence(disc8, params, T, round(32 * T), 1, 1)
         rel[T] = report.total / scale
     assert rel[8.0] <= 1.5 * max(rel[0.25], rel[1.0]), rel
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_convergence_with_substeps(params, m):
+def test_convergence_with_substeps(disc8, params, m):
     """With m > 1 substeps per window (window averages over several
     samples) the error still converges at rate >= 0.4 and every level's
     ledger closes within 1e-8 (E0 + S0)."""
-    disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 8, 8, 8)
-    dts, reports, residuals, _ = convergence(disc, params, 0.5, 8, 3, m)
+    dts, reports, residuals, _ = convergence(disc8, params, 0.5, 8, 3, m)
     rate = fit_rate(dts, [r.total for r in reports])
     assert rate >= 0.4, rate
     for worst, scale in residuals:
         assert worst <= 1e-8 * scale, (worst, scale)
 
 
-def test_rate_settles_as_substeps_grow(params):
+def test_rate_settles_as_substeps_grow(disc8, params):
     """The window-continuous limit.  On the shipped ladder (T = 0.5, N = 16,
     4 levels) at n = 8, the finest error total over E0 + S0 strictly
     decreases for m in {1, 2, 4, 8}, by shrinking steps, as the substeps
     resolve the within-window time error; every fitted rate is at least 0.4
     and every level's ledger closes within 1e-8 (E0 + S0)."""
-    disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 8, 8, 8)
     finest = []
     for m in (1, 2, 4, 8):
-        dts, reports, residuals, _ = convergence(disc, params, 0.5, 16, 4, m)
+        dts, reports, residuals, _ = convergence(disc8, params, 0.5, 16, 4, m)
         assert fit_rate(dts, [r.total for r in reports]) >= 0.4, m
         for worst, scale in residuals:
             assert worst <= 1e-8 * scale, (m, worst, scale)

@@ -234,30 +234,8 @@ def test_assembly_rejections(tiny_disc):
 # -- boundary conditions and solves --------------------------------------
 
 
-def test_apply_dirichlet_empty_is_identity(tiny_disc):
-    A = tiny_disc.M_f
-    A2 = apply_dirichlet(A, np.array([], dtype=np.int64))
-    assert abs(A - A2).max() == 0.0
-
-
-def test_apply_dirichlet_all_dofs(tiny_disc):
-    A = tiny_disc.M_f
-    A2 = apply_dirichlet(A, np.arange(A.shape[0]))
-    assert abs(A2 - sp.identity(A.shape[0])).max() == 0.0
-    fac = Factorization(A, _natural(A), np.arange(A.shape[0]))
-    assert np.abs(fac.solve(np.zeros(A.shape[0]))).max() == 0.0
-
-
-def test_apply_dirichlet_matches_reduced_dense(small_disc, rng):
-    A = (small_disc.M_f + assemble_symgrad(small_disc.V_f, 1.0)).tocsr()
-    b = rng.standard_normal(A.shape[0])
-    dofs = small_disc.dir_f
-    A2 = apply_dirichlet(A, dofs)
-    assert abs(A2 - A2.T).max() < 1e-14  # symmetric elimination
-    b[dofs] = 0.0
-    x = Factorization(A, _natural(A), dofs).solve(b)
-    want = oracles.dense_reduced_solve(A, b, dofs)
-    assert np.abs(x - want).max() < 1e-12
+def _mf_plus_k(d):
+    return (d.M_f + assemble_symgrad(d.V_f, 1.0)).tocsr()
 
 
 def test_solve_zeroes_fixed_rows(small_disc, rng):
@@ -265,7 +243,7 @@ def test_solve_zeroes_fixed_rows(small_disc, rng):
     factored order: x is exactly 0 there, its free entries are those of the
     solve of b zeroed by the caller, and the caller's b is left as it was."""
     d = small_disc
-    A = (d.M_f + assemble_symgrad(d.V_f, 1.0)).tocsr()
+    A = _mf_plus_k(d)
     order = grid_dissection(d.V_f.dof_coords)
     assert not np.array_equal(order, _natural(A))
     fac = Factorization(A, order, d.dir_f)
@@ -315,18 +293,22 @@ def _unsorted(A, fmt="csr"):
     return A
 
 
-@pytest.mark.parametrize("case", ["unsorted_dofs", "duplicate_dofs", "permuted_dofs",
-                                  "unsorted_indices_stored_zero"])
+@pytest.mark.parametrize("case", ["no_dofs", "all_dofs", "unsorted_dofs", "duplicate_dofs",
+                                  "permuted_dofs", "unsorted_indices_stored_zero"])
 def test_apply_dirichlet_matches_dense_oracle(small_disc, rng, case):
-    """D A D + I entry for entry on the inputs a masked elimination can get
-    wrong: fixed dofs out of order (the solid extension passes its outer and
-    interface dofs concatenated), shuffled or repeated, and a matrix that is
-    not canonical."""
+    """D A D + I entry for entry: A itself with no dofs, I with every dof,
+    and on the inputs a masked elimination can get wrong: fixed dofs out of
+    order (the solid extension passes its outer and interface dofs
+    concatenated), shuffled or repeated, and a matrix that is not canonical."""
     d = small_disc
     A = (d.M_s + d.stiffness_solid(1.0, 0.0)).tocsr()
     dofs = np.concatenate([d.dir_s, d.ifd_s])
     assert not np.all(np.diff(dofs) > 0)
-    if case == "duplicate_dofs":
+    if case == "no_dofs":
+        dofs = _NONE
+    elif case == "all_dofs":
+        dofs = np.arange(A.shape[0])
+    elif case == "duplicate_dofs":
         dofs = np.concatenate([dofs, dofs[::3]])
     elif case == "permuted_dofs":
         dofs = rng.permutation(dofs)
@@ -344,30 +326,120 @@ def test_apply_dirichlet_matches_dense_oracle(small_disc, rng, case):
     assert all(np.array_equal(x, y) for x, y in zip(before, (A.indptr, A.indices, A.data)))
 
 
-def test_solve_identity_and_diagonal():
-    b = np.array([3.0, -1.0])
-    identity = sp.identity(2, format="csr")
-    assert np.array_equal(Factorization(identity, _natural(identity), _NONE).solve(b), b)
-    A = sp.csr_matrix(np.diag([2.0, 4.0]))
-    assert np.allclose(Factorization(A, _natural(A), _NONE).solve(np.array([2.0, 8.0])),
-                       [1.0, 2.0])
+def _nonsymmetric(rng, fmt):
+    n = 80
+    A = (sp.diags([-1.0, 4.0, -2.5], [-1, 0, 1], shape=(n, n))
+         + sp.random(n, n, density=0.05, random_state=rng)).asformat(fmt)
+    assert abs(A - A.T).max() >= 1.0
+    return A
 
 
-def test_solve_random_spd_vs_dense(rng):
+def _spd(rng):
     G = rng.standard_normal((50, 50))
-    dense = G @ G.T + 50 * np.eye(50)
-    b = rng.standard_normal(50)
-    x = Factorization(sp.csr_matrix(dense), np.arange(50), _NONE).solve(b)
-    want = np.linalg.solve(dense, b)
-    assert np.linalg.norm(x - want) < 1e-10 * np.linalg.norm(want)
-    resid = np.linalg.norm(dense @ x - b)
-    bound = 1e-10 * (np.abs(dense).sum(axis=1).max() * np.linalg.norm(x)
-                     + np.linalg.norm(b))
-    assert resid <= bound
+    return sp.csr_matrix(G @ G.T + 50 * np.eye(50))
+
+
+# (matrix, order or None for the natural one, fixed dofs) from (disc, params, rng)
+_SOLVE_CASES = {
+    "identity": lambda d, p, rng: (sp.identity(2, format="csr"), None, _NONE),
+    "diagonal": lambda d, p, rng: (sp.csr_matrix(np.diag([2.0, 4.0])), None, _NONE),
+    "random_spd": lambda d, p, rng: (_spd(rng), None, _NONE),
+    "dirichlet": lambda d, p, rng: (_mf_plus_k(d), None, d.dir_f),
+    "all_dofs": lambda d, p, rng: (_mf_plus_k(d), None, np.arange(d.V_f.ndof)),
+    "robin_fluid_saddle": lambda d, p, rng: (d.fluid_saddle(p, 0.1, 1.0),
+                                             d.fluid_order, d.dir_f),
+    "nonsymmetric_csr": lambda d, p, rng: (_nonsymmetric(rng, "csr"), None, _NONE),
+    "nonsymmetric_csc": lambda d, p, rng: (_nonsymmetric(rng, "csc"), None, _NONE),
+    "unsorted_csr": lambda d, p, rng: (_unsorted(d.solid_operator(p, 0.1), "csr"),
+                                       d.solid_order, d.dir_s),
+    "unsorted_csc": lambda d, p, rng: (_unsorted(d.solid_operator(p, 0.1), "csc"),
+                                       d.solid_order, d.dir_s),
+}
+
+
+@pytest.mark.parametrize("case", list(_SOLVE_CASES))
+def test_solve_matches_dense(small_disc, params, rng, monkeypatch, case):
+    """Every solve is the dense solve of A with its fixed dofs eliminated,
+    A x = b and not A^T x = b, in the caller's numbering, whatever A's order,
+    format, symmetry or index sorting.  SuperLU keeps the given order under
+    threshold pivoting, the first non-zero solve is checked, and the
+    caller's matrix is left as it was."""
+    used = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: used.append(kw) or splu(A, **kw))
+    A, order, fixed = _SOLVE_CASES[case](small_disc, params, rng)
+    before = (A.indptr.copy(), A.indices.copy(), A.data.copy())
+    fac = Factorization(A, _natural(A) if order is None else order, fixed)
+    b = rng.standard_normal(A.shape[0])
+    x = fac.solve(b)
+    want = oracles.dense_reduced_solve(A, b, fixed)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+    # with every dof fixed, b is zeroed entirely: a zero solve, not checked
+    assert (fac._unchecked is None) == (fixed.size < A.shape[0])
+    assert all(np.array_equal(u, v) for u, v in zip(before, (A.indptr, A.indices, A.data)))
+    assert used == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.01}]
+
+
+def test_singular_matrix_raises():
+    A = sp.csr_matrix(np.diag([1.0, 0.0]))
+    with pytest.raises(SingularSystemError):
+        Factorization(A, _natural(A), _NONE)
+
+
+def _nan_on_diagonal(A):
+    A = A.tocsr(copy=True)
+    A[2, 2] = np.nan
+    return A
+
+
+def test_ordered_nan_raises(small_disc, params):
+    F = apply_dirichlet(small_disc.fluid_saddle(params, 0.1, 1.0), small_disc.dir_f)
+    with pytest.raises(SingularSystemError):  # SuperLU reads the NaN pivot as singular
+        Factorization(_nan_on_diagonal(F), small_disc.fluid_order, _NONE)
+
+
+def _one_ulp_off(A):
+    A = A.tocsr(copy=True)
+    k = A.indptr[3] + np.flatnonzero(A.indices[A.indptr[3]:A.indptr[4]] != 3)[0]
+    A.data[k] = np.nextafter(A.data[k], np.inf)
+    return A
+
+
+@pytest.mark.parametrize("perturb", [_one_ulp_off, _nan_on_diagonal], ids=["one_ulp", "nan"])
+def test_ordering_follows_exact_symmetry(small_disc, params, monkeypatch, rng, perturb):
+    """A matrix one ulp off symmetric keeps the order it is given and its
+    solve passes the backward-error check; one with a NaN pivot raises.
+    Either way the caller's matrix is left as it was."""
+    used = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: used.append(kw) or splu(A, **kw))
+    A = perturb(apply_dirichlet(small_disc.solid_operator(params, 0.1), small_disc.dir_s))
+    data = A.data.copy()
+    if np.isnan(data).any():
+        with pytest.raises(SingularSystemError):
+            Factorization(A, small_disc.solid_order, _NONE)
+    else:
+        fac = Factorization(A, small_disc.solid_order, _NONE)
+        b = rng.standard_normal(A.shape[0])
+        b[small_disc.dir_s] = 0.0
+        fac.solve(b)
+        assert fac._unchecked is None
+    assert used == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.01}]
+    assert np.array_equal(A.data, data, equal_nan=True)
+
+
+def test_threshold_pivoting_swaps_tiny_diagonal():
+    # a zero pivot threshold would keep the 1e-17 pivot and return [2, 0];
+    # 1e-17 lies below the 0.01 threshold, so the row swap still happens
+    A = sp.csr_matrix(np.array([[1e-17, 1.0], [1.0, 1e-17]]))
+    b = np.array([1.0, 2.0])
+    x = Factorization(A, _natural(A), _NONE).solve(b)
+    assert np.array_equal(x, [2.0, 1.0])
+    assert np.abs(b - A @ x).max() == 0.0
 
 
 def test_solve_deterministic(small_disc, rng):
-    A = (small_disc.M_f + assemble_symgrad(small_disc.V_f, 1.0)).tocsr()
+    A = _mf_plus_k(small_disc)
     b = rng.standard_normal(A.shape[0])
     lu = Factorization(A, _natural(A), _NONE)
     x1 = lu.solve(b)
@@ -482,101 +554,10 @@ def test_grid_dissection(params, name):
                 assert matrix[halves[0]][:, halves[1]].nnz == 0
 
 
-def _robin_fluid_saddle(d, params):
-    return apply_dirichlet(d.fluid_saddle(params, 0.1, 1.0), d.dir_f)
-
-
-def test_ordered_solve_matches_dense(run_disc, params, rng):
-    d = run_disc
-    F = _robin_fluid_saddle(d, params)
-    b = rng.standard_normal(F.shape[0])
-    b[d.dir_f] = 0.0
-    fac = Factorization(F, d.fluid_order, _NONE)
-    assert not np.array_equal(d.fluid_order, np.arange(F.shape[0]))
-    x = fac.solve(b)
-    want = np.linalg.solve(F.toarray(), b)
-    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
-    assert fac._unchecked is None  # checked once, in the factored order
-
-
-@pytest.mark.parametrize("fmt", ["csr", "csc"])
-def test_unordered_nonsymmetric_solve_matches_dense(rng, fmt):
-    """Solves A x = b, not A^T x = b, for a matrix far from symmetric."""
-    n = 80
-    A = (sp.diags([-1.0, 4.0, -2.5], [-1, 0, 1], shape=(n, n))
-         + sp.random(n, n, density=0.05, random_state=rng)).asformat(fmt)
-    assert abs(A - A.T).max() >= 1.0
-    b = rng.standard_normal(n)
-    x = Factorization(A, _natural(A), _NONE).solve(b)
-    want = np.linalg.solve(A.toarray(), b)
-    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def test_ordered_nan_raises(run_disc, params):
-    F = _robin_fluid_saddle(run_disc, params)
-    with pytest.raises(SingularSystemError):  # SuperLU reads the NaN pivot as singular
-        Factorization(_nan_on_diagonal(F), run_disc.fluid_order, _NONE)
-
-
-def test_symmetric_path_pivots_tiny_diagonal(monkeypatch):
-    # a zero pivot threshold would keep the 1e-17 pivot and return [2, 0];
-    # 1e-17 lies below the 0.01 threshold, so the row swap still happens
-    used = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda A, **kw: used.append(kw) or splu(A, **kw))
-    A = sp.csr_matrix(np.array([[1e-17, 1.0], [1.0, 1e-17]]))
-    b = np.array([1.0, 2.0])
-    x = Factorization(A, _natural(A), _NONE).solve(b)
-    assert used == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.01}]
-    assert np.array_equal(x, [2.0, 1.0])
-    assert np.abs(b - A @ x).max() == 0.0
-
-
-def _one_ulp_off(A):
-    A = A.tocsr(copy=True)
-    k = A.indptr[3] + np.flatnonzero(A.indices[A.indptr[3]:A.indptr[4]] != 3)[0]
-    A.data[k] = np.nextafter(A.data[k], np.inf)
-    return A
-
-
-def _nan_on_diagonal(A):
-    A = A.tocsr(copy=True)
-    A[2, 2] = np.nan
-    return A
-
-
-@pytest.mark.parametrize("perturb", [
-    lambda A: _unsorted(A, "csc"), lambda A: _unsorted(A, "csr"),
-    _one_ulp_off, _nan_on_diagonal,
-], ids=["unsorted_csc", "unsorted_csr", "one_ulp", "nan"])
-def test_ordering_follows_exact_symmetry(small_disc, params, monkeypatch, rng, perturb):
-    """Every matrix keeps the order it is given, whether it is exactly
-    symmetric or not; the solve of a matrix one ulp off symmetric still
-    passes the backward-error check."""
-    used = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda A, **kw: used.append(kw) or splu(A, **kw))
-    S = apply_dirichlet(small_disc.solid_operator(params, 0.1), small_disc.dir_s)
-    A = perturb(S)
-    indices, data = A.indices.copy(), A.data.copy()
-    if np.isnan(A.data).any():
-        with pytest.raises(SingularSystemError):  # SuperLU reads the NaN pivot as singular
-            Factorization(A, small_disc.solid_order, _NONE)
-    else:
-        fac = Factorization(A, small_disc.solid_order, _NONE)
-        b = rng.standard_normal(A.shape[0])
-        b[small_disc.dir_s] = 0.0
-        fac.solve(b)
-        assert fac._unchecked is None
-    assert used == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.01}]
-    assert np.array_equal(A.indices, indices)  # the caller's matrix is not sorted in place
-    assert np.array_equal(A.data, data, equal_nan=True)
-
-
 @pytest.mark.parametrize("perturb", [lambda x: 1.001 * x, lambda x: np.nan * x],
                          ids=["scaled", "nan"])
 def test_first_solve_checks_backward_error(small_disc, rng, perturb):
-    A = (small_disc.M_f + assemble_symgrad(small_disc.V_f, 1.0)).tocsr()
+    A = _mf_plus_k(small_disc)
     fac = Factorization(A, _natural(A), _NONE)
     lu = fac._lu
 
@@ -588,9 +569,3 @@ def test_first_solve_checks_backward_error(small_disc, rng, perturb):
     fac.solve(np.zeros(A.shape[0]))  # a zero right-hand side is not checked
     with pytest.raises(SingularSystemError, match="backward error"):
         fac.solve(rng.standard_normal(A.shape[0]))
-
-
-def test_singular_matrix_raises():
-    A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(SingularSystemError):
-        Factorization(A, _natural(A), _NONE)

@@ -34,14 +34,13 @@ def test_interface_velocities_shared_bitwise(run_disc, params, rng):
         assert np.array_equal(state.u[run_disc.ifd_f], state.etad[run_disc.ifd_s])
 
 
-def test_coupled_matrix_matches_dense_hand_assembly(params, rng):
+def test_coupled_matrix_matches_dense_hand_assembly(tiny_disc, params, rng):
     """Rebuild the coupled block system densely from the component matrices
     and the shared-dof identification, on the smallest mesh, and check one
     step against a dense solve of it."""
-    disc = Discretization(ChannelGeometry(1.0, 1.0, 1.0), 1, 1, 1)
     dt = 0.1
-    solver = MonolithicSolver(disc, params, dt)
-    d, p = disc, params
+    d, p = tiny_disc, params
+    solver = MonolithicSolver(d, p, dt)
 
     nu, npr, ns = d.V_f.ndof, d.Q.ndof, d.V_s.ndof
     smap = np.full(ns, -1, dtype=np.int64)

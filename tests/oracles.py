@@ -18,15 +18,16 @@ splits a grid of lattice positions.  `cellwise_vector_mass` and
 construction, one interleaved block of vector dofs per cell or facet: they
 share the package's geometry, reference mass table and edge rule, so that
 they pin its scalar-node assembly bit for bit on the unit channel.
-`window_map` is the dense matrix of one Robin-Robin window, applied column
-by column through the package's own `advance`; `dn_map` is that of one
-explicit Dirichlet-Neumann step, through `run_dirichlet_neumann`.
+`ledger_forms` is the dense matrix of one Robin-Robin window, column by
+column through the package's own `advance`, and its energy ledger as forms on
+its state; `dn_map` is that of one explicit Dirichlet-Neumann step.
 `interpolate` and `decades` are helpers shared by several test modules.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from fsisplit.monolithic import _fluid_flux, run_dirichlet_neumann
 from fsisplit.splitting import SplitState
@@ -53,28 +54,74 @@ def decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
-def window_map(solver):
-    """Dense matrix of one window of `solver` (a RobinRobinSolver) on the
-    free state: u, eta and etad off their Dirichlet dofs, then u_avg and
-    traction_avg.  The map is linear, and it keeps the Dirichlet entries at
-    zero; the pressure is an output of the fluid solve, not state."""
-    d = solver.disc
-    free_f = np.setdiff1d(np.arange(d.V_f.ndof), d.dir_f)
-    free_s = np.setdiff1d(np.arange(d.V_s.ndof), d.dir_s)
-    sizes = [free_f.size, free_s.size, free_s.size, d.ifd_f.size, d.ifd_f.size]
-    columns = []
+def zero_state(disc):
+    """The SplitState of `disc` with every field zero."""
+    d = disc
+    sizes = (d.V_f.ndof, d.Q.ndof, d.V_s.ndof, d.V_s.ndof, d.ifd_f.size, d.ifd_f.size)
+    return SplitState(0.0, *map(np.zeros, sizes))
+
+
+def free_dofs(disc):
+    """The fluid and the solid velocity dofs off their Dirichlet dofs."""
+    return (np.delete(np.arange(disc.V_f.ndof), disc.dir_f),
+            np.delete(np.arange(disc.V_s.ndof), disc.dir_s))
+
+
+def free_state(disc, state, *interface):
+    """u, eta and etad of `state` off their Dirichlet dofs, then `interface`."""
+    free_f, free_s = free_dofs(disc)
+    return np.concatenate([state.u[free_f], state.eta[free_s],
+                           state.etad[free_s], *interface])
+
+
+def _unit_states(disc, names):
+    """A zero_state per unit vector x of the free state, set to x: u, eta
+    and etad off their Dirichlet dofs, then the interface fields `names`."""
+    free_f, free_s = free_dofs(disc)
+    sizes = [free_f.size, free_s.size, free_s.size] + [disc.ifd_f.size] * len(names)
     for x in np.eye(sum(sizes)):
-        u, eta, etad = (np.zeros(d.V_f.ndof), np.zeros(d.V_s.ndof),
-                        np.zeros(d.V_s.ndof))
-        u[free_f], eta[free_s], etad[free_s], u_avg, traction_avg = np.split(
-            x, np.cumsum(sizes)[:-1])
-        new = solver.advance(SplitState(
-            t=0.0, u=u, p=np.zeros(d.Q.ndof), eta=eta, etad=etad, u_avg=u_avg,
-            traction_avg=traction_avg))
-        columns.append(np.concatenate([new.u[free_f], new.eta[free_s],
-                                       new.etad[free_s], new.u_avg,
-                                       new.traction_avg]))
-    return np.array(columns).T
+        state = zero_state(disc)
+        parts = np.split(x, np.cumsum(sizes)[:-1])
+        state.u[free_f], state.eta[free_s], state.etad[free_s] = parts[:3]
+        for name, part in zip(names, parts[3:]):
+            setattr(state, name, part)
+        yield state
+
+
+def ledger_forms(solver):
+    """One window of `solver` (a RobinRobinSolver) on the free state x: u,
+    eta and etad off their Dirichlet dofs, then u_avg and traction_avg.
+    Returns its matrix G, one `advance` per unit vector, and the ledger's
+    terms as forms in x on the package's matrices: the energy E, the stock
+    S0 = dt iS of x's u_avg and traction_avg, and the window's T and S."""
+    d, p, grid = solver.disc, solver.params, solver.grid
+    lam, k = p.lambda_robin, d.ifd_f.size
+    columns, samples = [], []
+    for state in _unit_states(d, ("u_avg", "traction_avg")):
+        new = solver.advance(state)
+        columns.append(free_state(d, new, new.u_avg, new.traction_avg))
+        samples.append([(s.u, s.etad[d.ifd_s], s.traction) for s in new.samples])
+    G = np.array(columns).T
+    u_avg, traction_avg = np.split(np.eye(len(G))[-2 * k:], 2)
+
+    def form(M, X):
+        return X.T @ (M @ X)
+
+    def stock(trace, traction):
+        return 0.5 * lam * form(d.M_c, trace) + form(d._M_c_inv, traction) / (2 * lam)
+
+    free_f, free_s = free_dofs(d)
+    E = 0.5 * block_diag(p.rho_f * d.M_f[free_f][:, free_f].toarray(),
+                         d.stiffness_solid(p.l1, p.l2)[free_s][:, free_s].toarray(),
+                         p.rho_s * d.M_s[free_s][:, free_s].toarray(),
+                         np.zeros((2 * k, 2 * k)))
+    T = S = 0.0
+    for step in zip(*samples):  # one substep of every column
+        u, etad, traction = (np.array(f).T for f in zip(*step))
+        T = T + grid.ddt * (form(d.stiffness_fluid(p.mu), u)
+                            + 0.5 * lam * form(d.M_c, etad - u_avg))
+        S = S + grid.ddt * stock(u[d.ifd_f], traction)
+    return G, E, grid.dt * stock(u_avg, traction_avg), T, S
 
 
 def dn_map(disc, params, dt):
@@ -83,22 +130,11 @@ def dn_map(disc, params, dt):
     traction the solid reads.  Each column is the first state of its own
     `run_dirichlet_neumann` from a unit vector, with the step's fluid flux
     as the new traction; the pressure is an output, not state."""
-    d = disc
-    free_f = np.setdiff1d(np.arange(d.V_f.ndof), d.dir_f)
-    free_s = np.setdiff1d(np.arange(d.V_s.ndof), d.dir_s)
-    sizes = [free_f.size, free_s.size, free_s.size, d.ifd_f.size]
     columns = []
-    for x in np.eye(sum(sizes)):
-        u, eta, etad = (np.zeros(d.V_f.ndof), np.zeros(d.V_s.ndof),
-                        np.zeros(d.V_s.ndof))
-        u[free_f], eta[free_s], etad[free_s], traction = np.split(
-            x, np.cumsum(sizes)[:-1])
-        new = next(run_dirichlet_neumann(d, params, dt, SplitState(
-            t=0.0, u=u, p=np.zeros(d.Q.ndof), eta=eta, etad=etad,
-            u_avg=np.zeros(d.ifd_f.size), traction_avg=traction)))
-        columns.append(np.concatenate([
-            new.u[free_f], new.eta[free_s], new.etad[free_s],
-            _fluid_flux(d, params, dt, new.u, u, new.p)]))
+    for state in _unit_states(disc, ("traction_avg",)):
+        new = next(run_dirichlet_neumann(disc, params, dt, state))
+        columns.append(free_state(
+            disc, new, _fluid_flux(disc, params, dt, new.u, state.u, new.p)))
     return np.array(columns).T
 
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 import oracles
 from fsisplit import (ChannelGeometry, Discretization, PhysicalParams,
-                      RobinRobinSolver, SplitState, TimeGrid)
+                      RobinRobinSolver, TimeGrid)
 from fsisplit.experiments import robin_robin
 from fsisplit.initial_data import random_state
 from fsisplit.splitting import WindowSample
@@ -17,12 +18,6 @@ from fsisplit.splitting import WindowSample
 
 def zero_trace(disc):
     return np.zeros(disc.ifd_f.size)
-
-
-def zero_state(disc):
-    return SplitState(t=0.0, u=np.zeros(disc.V_f.ndof), p=np.zeros(disc.Q.ndof),
-                      eta=np.zeros(disc.V_s.ndof), etad=np.zeros(disc.V_s.ndof),
-                      u_avg=zero_trace(disc), traction_avg=zero_trace(disc))
 
 
 def dual_norm(disc, load):
@@ -52,12 +47,12 @@ def test_time_grid_validation():
 
 
 def test_zero_state_is_fixed_point(run_disc, params):
-    grid = TimeGrid(0.1, 2)
-    *_, state = RobinRobinSolver(run_disc, params, grid).run(zero_state(run_disc))
+    grid, zero = TimeGrid(0.1, 2), oracles.zero_state(run_disc)
+    *_, state = RobinRobinSolver(run_disc, params, grid).run(zero)
     for field in (state.u, state.p, state.eta, state.etad,
                   state.u_avg, state.traction_avg):
         assert np.abs(field).max() == 0.0
-    ledger = robin_robin(run_disc, params, grid, zero_state(run_disc))
+    ledger = robin_robin(run_disc, params, grid, zero)
     assert ledger.residuals().max() == 0.0
 
 
@@ -232,9 +227,57 @@ def test_window_averages(run_disc):
     assert np.allclose(u_avg, np.mean([2.0 * t for t in ts]))
 
 
+def _certificate(solver):
+    """The largest eigenvalue of one window's ledger inequality Q <= 0,
+    Q = E(G.) + T + S - H, relative to H = E + S0 (`oracles.ledger_forms`)."""
+    G, E, S0, T, S = oracles.ledger_forms(solver)
+    return eigh(G.T @ E @ G + T + S - E - S0, E + S0, eigvals_only=True)[-1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lam=oracles.decades(-4, 4), rho_f=oracles.decades(-2, 2),
+       ratio=oracles.decades(-4, 4), t_final=oracles.decades(-5, 3),
+       m=st.integers(1, 4),
+       L=st.floats(0.3, 3.0), H_f=st.floats(0.3, 3.0), H_s=st.floats(0.3, 3.0),
+       nx=st.integers(1, 4), ny_f=st.integers(1, 3), ny_s=st.integers(1, 3))
+def test_stability_bound_property(lam, rho_f, ratio, t_final, m, L, H_f, H_s,
+                                  nx, ny_f, ny_s):
+    """The energy bound holds for any Robin weight, density ratio, step size
+    and substep count, on channels other than the unit square: the window
+    certificate is at most 1e-12."""
+    disc = Discretization(ChannelGeometry(L, H_f, H_s), nx, ny_f, ny_s)
+    p = PhysicalParams(rho_f=rho_f, rho_s=ratio * rho_f, mu=0.1, l1=1.0, l2=1.0,
+                       lambda_robin=lam)
+    assert _certificate(RobinRobinSolver(disc, p, TimeGrid(t_final, 4, m))) <= 1e-12
+
+
+# (rho_s, lambda, N, m) at T = 0.5: a sample of the box rho_s, lambda in
+# {1e-3, 1, 1e3}, N in {2, 16, 1000}, m in {1, 3}, then the three points of
+# the Dirichlet-Neumann contrast
+_SPECTRAL_POINTS = [(1e-3, 1e-3, 2, 1), (1e-3, 1e3, 1000, 3), (1.0, 1.0, 16, 1),
+                    (1.0, 1e-3, 1000, 1), (1.0, 1e3, 2, 3), (1e3, 1e-3, 16, 3),
+                    (1e3, 1e3, 1000, 1), (1e3, 1.0, 2, 1),
+                    (0.01, 1.0, 50, 1), (1.0, 1.0, 50, 1), (1e3, 1.0, 50, 1)]
+
+
+@pytest.mark.parametrize("rho_s,lam,N,m", _SPECTRAL_POINTS)
+def test_window_energy_certificate(run_disc, params, rho_s, lam, N, m):
+    """The stability claim for every initial state: one window's ledger
+    inequality E(Gx) + T(x) + S(x) <= E(x) + dt iS(x) as Q <= 1e-12 H.  With
+    Jensen's inequality for m > 1 it gives the ledger bound over any number
+    of windows, and rho(G) <= 1.  The largest eigenvalue is 0: a fluid at
+    rest under a constant pressure holding the solid displaced keeps energy."""
+    p = replace(params, rho_s=rho_s, lambda_robin=lam)
+    assert _certificate(RobinRobinSolver(run_disc, p, TimeGrid(0.5, N, m))) <= 1e-12
+
+
 def test_per_window_stability_inequality(run_disc, params, rng):
+    """The package's ledger of a run keeps the bound window by window, and
+    it is the ledger of the window's forms on its states: E, T and S of
+    each window, and S0, each to 1e-12 relative."""
+    grid = TimeGrid(0.3, 6, 2)
     state0 = random_state(run_disc, rng)
-    ledger = robin_robin(run_disc, params, TimeGrid(0.3, 6, 2), state0)
+    ledger = robin_robin(run_disc, params, grid, state0)
     scale = ledger.E[0] + ledger.S0
     prev = scale
     for k in range(1, len(ledger.T) + 1):
@@ -242,43 +285,12 @@ def test_per_window_stability_inequality(run_disc, params, rng):
         now = ledger.E[k] + ledger.T[k - 1] + ledger.S[k - 1]
         assert now <= prev + 1e-10 * scale
         prev = ledger.E[k] + ledger.S[k - 1]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(lam=oracles.decades(-4, 4), rho_f=oracles.decades(-2, 2),
-       ratio=oracles.decades(-4, 4), t_final=oracles.decades(-5, 3),
-       m=st.integers(1, 4),
-       L=st.floats(0.3, 3.0), H_f=st.floats(0.3, 3.0), H_s=st.floats(0.3, 3.0),
-       nx=st.integers(1, 4), ny_f=st.integers(1, 3), ny_s=st.integers(1, 3),
-       seed=st.integers(0, 2 ** 16))
-def test_stability_bound_property(lam, rho_f, ratio, t_final, m, L, H_f, H_s,
-                                  nx, ny_f, ny_s, seed):
-    """The energy bound holds for any Robin weight, density ratio, step size
-    and substep count, on channels other than the unit square."""
-    disc = Discretization(ChannelGeometry(L, H_f, H_s), nx, ny_f, ny_s)
-    params = PhysicalParams(rho_f=rho_f, rho_s=ratio * rho_f, mu=0.1, l1=1.0,
-                            l2=1.0, lambda_robin=lam)
-    state0 = random_state(disc, np.random.default_rng(seed))
-    ledger = robin_robin(disc, params, TimeGrid(t_final, 4, m), state0)
-    assert ledger.residuals().max() <= 1e-8 * (ledger.E[0] + ledger.S0)
-
-
-# (rho_s, lambda, N, m) at T = 0.5: a sample of the box rho_s, lambda in
-# {1e-3, 1, 1e3}, N in {2, 16, 1000}, m in {1, 3}
-_SPECTRAL_POINTS = [(1e-3, 1e-3, 2, 1), (1e-3, 1e3, 1000, 3), (1.0, 1.0, 16, 1),
-                    (1.0, 1e-3, 1000, 1), (1.0, 1e3, 2, 3), (1e3, 1e-3, 16, 3),
-                    (1e3, 1e3, 1000, 1), (1e3, 1.0, 2, 1)]
-
-
-@pytest.mark.parametrize("rho_s,lam,N,m", _SPECTRAL_POINTS)
-def test_window_map_spectral_radius(run_disc, params, rho_s, lam, N, m):
-    """The stability claim without initial data: one window is a linear map
-    on the free state, and its spectral radius is at most 1 (1 + 1e-12).
-    It is 1, not below: a fluid at rest under a constant pressure that holds
-    the solid displaced is an equilibrium that keeps its energy."""
-    p = replace(params, rho_s=rho_s, lambda_robin=lam)
-    A = oracles.window_map(RobinRobinSolver(run_disc, p, TimeGrid(0.5, N, m)))
-    assert np.abs(np.linalg.eigvals(A)).max() <= 1.0 + 1e-12
+    G, E, S0, T, S = oracles.ledger_forms(RobinRobinSolver(run_disc, params, grid))
+    x = oracles.free_state(run_disc, state0, state0.u_avg, state0.traction_avg)
+    X = [np.linalg.matrix_power(G, k) @ x for k in range(grid.num_windows + 1)]
+    for form, want in ((E, ledger.E), (T, ledger.T), (S, ledger.S), (S0, [ledger.S0])):
+        got = [y @ form @ y for y in X[:len(want)]]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_robin_robin_holds_one_window(run_disc, params, rng, monkeypatch):

@@ -110,8 +110,8 @@ class Discretization:
         self.V_f = build_space(self.mesh, msh.FLUID, VECTOR_P2, edges=edges)
         self.Q = build_space(self.mesh, msh.FLUID, SCALAR_P1, edges=edges)
         self.V_s = build_space(self.mesh, msh.SOLID, VECTOR_P2, edges=edges)
-        if not np.allclose(self.V_f.node_coords[self.V_f.interface_nodes],
-                           self.V_s.node_coords[self.V_s.interface_nodes]):
+        if not np.array_equal(self.V_f.node_coords[self.V_f.interface_nodes],
+                              self.V_s.node_coords[self.V_s.interface_nodes]):
             raise RuntimeError("interface dof orderings of the two spaces differ")
 
         self.M_f = assemble_vector_mass(self.V_f)

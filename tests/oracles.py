@@ -21,6 +21,9 @@ they pin its scalar-node assembly bit for bit on the unit channel.
 `ledger_forms` is the dense matrix of one Robin-Robin window, column by
 column through the package's own `advance`, and its energy ledger as forms on
 its state; `dn_map` is that of one explicit Dirichlet-Neumann step.
+`window_defects` is the splitting's consistency defect window by window:
+one `advance` from the reference's state, measured in the norm `h_norm`
+of the ledger's E + S0.
 `interpolate` and `decades` are helpers shared by several test modules.
 """
 
@@ -29,6 +32,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from fsisplit.diagnostics import energy_E, initial_S0
 from fsisplit.monolithic import _fluid_flux, run_dirichlet_neumann
 from fsisplit.splitting import SplitState
 
@@ -136,6 +140,41 @@ def dn_map(disc, params, dt):
         columns.append(free_state(
             disc, new, _fluid_flux(disc, params, dt, new.u, state.u, new.p)))
     return np.array(columns).T
+
+
+def reference_split_state(reference, grid, n):
+    """R(t_n): the reference's fields at the n-th window boundary of `grid`,
+    with, as interface data, its trace and flux averaged over window n - 1's
+    substep times (at m = 1 the values at t_n; at t_0 the initial trace and
+    flux[0])."""
+    per, m = round(grid.ddt / reference.ddt), grid.substeps
+    steps = [k * per for k in range(max(n * m - m + 1, 0), n * m + 1)]
+    state, _ = reference.at(n * grid.dt)
+    return SplitState(state.t, state.u, state.p, state.eta, state.etad,
+                      np.mean([reference.traces[k] for k in steps], axis=0),
+                      np.mean([reference.flux[k] for k in steps], axis=0))
+
+
+def h_norm(solver, a, b):
+    """||a - b||_H of two SplitStates: the square root of the energy E of
+    their fields' difference plus the stock S0 = dt iS of their interface
+    data's difference, on `solver`'s discretization, parameters and grid."""
+    u, eta, etad, u_avg, traction_avg = (
+        getattr(a, f) - getattr(b, f)
+        for f in ("u", "eta", "etad", "u_avg", "traction_avg"))
+    d, p = solver.disc, solver.params
+    return np.sqrt(energy_E(d, p, u, etad, eta)
+                   + initial_S0(d, p, solver.grid, u_avg, traction_avg))
+
+
+def window_defects(solver, reference):
+    """||c_n||_H of every window of `solver` (a RobinRobinSolver), with
+    c_n = R(t_{n+1}) - advance(R(t_n)) and R as in `reference_split_state`:
+    the splitting's error from R(t_0) obeys e_{n+1} = G e_n + c_n."""
+    R = [reference_split_state(reference, solver.grid, n)
+         for n in range(solver.grid.num_windows + 1)]
+    return [h_norm(solver, after, solver.advance(before))
+            for before, after in zip(R, R[1:])]
 
 
 def _monomials(k, points):

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the four shipped configs and 13 variants of them twice, into fresh
+# Runs the four shipped configs and 14 variants of them twice, into fresh
 # ci-a/ and ci-b/ at the repository root, and fails unless every run exits
 # 0, writes nothing to stderr, and both runs are identical byte for byte.
 #
@@ -58,6 +58,9 @@ for run in a b; do
     'ny_f = 16|ny_f = 32' 'ny_s = 16|ny_s = 32' 'N = 64|N = 128' 'm = 1|m = 2'
   variant stretched stability stability "${stretched[@]}"
   variant stretched-converge converge converge "${stretched[@]}"
+  # the exact start check of the error norms on coordinates that are not
+  # binary fractions, through every Robin weight of the sweep
+  variant lambda-sweep-stretched lambda-sweep lambda_sweep "${stretched[@]}"
   variant strip stability stability "${strip[@]}"
   variant strip-converge converge converge "${strip[@]}"
   # the added-mass contrast off the unit channel

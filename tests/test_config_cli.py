@@ -1,14 +1,22 @@
 import csv
+import gc
+import io
+import weakref
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fsisplit import initial_data
+from fsisplit import cli, experiments, initial_data, splitting
+from fsisplit.assembly import SingularSystemError
 from fsisplit.cli import main
 from fsisplit.config import ConfigError, dump_config, parse_config
 
@@ -127,17 +135,6 @@ def test_byte_order_mark_is_dropped(tmp_path):
     assert dump_config(parse_config(str(path))) == dump_config(parse_config(str(shipped)))
 
 
-@pytest.mark.parametrize("digits", [4000, 4300, 5000])
-def test_long_value_is_not_echoed(tmp_path, capsys, digits):
-    """A huge nx is named, not written out: at 4000 digits the mesh-size
-    bound rejects it, at 4300 its cell count has more digits than str()
-    writes, and at 5000 int() refuses it."""
-    path = write_config(tmp_path / "long.cfg", nx="9" * digits)
-    assert main(["dump-config", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert len(err.encode()) < 200 and "'nx'" in err
-
-
 def test_dump_round_trips_byte_identically(tmp_path):
     cfg = parse_config(write_config(tmp_path / "a.cfg"))
     text = dump_config(cfg)
@@ -187,43 +184,124 @@ mode = stability
 # -- CLI exit codes and outputs ----------------------------------------------
 
 
-def test_missing_config_exits_2(tmp_path):
-    assert main(["stability", "--config", str(tmp_path / "nope.cfg"),
-                 "--out", str(tmp_path)]) == 2
-    assert not list(tmp_path.glob("*.csv"))
+def _run(tmp_path, command, config, out=None):
+    """Run `command` on `config` written to tmp_path/run.cfg (see _CONTRACT)
+    with --out tmp_path/out (default o): (exit code, stdout, stderr, out)."""
+    path, out_dir = tmp_path / "run.cfg", tmp_path / (out or "o")
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    elif config is not None:
+        write_config(path, **config)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([command, "--config", str(path), "--out", str(out_dir)])
+    return code, stdout.getvalue(), stderr.getvalue(), out_dir
 
 
-def test_invalid_config_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path / "bad.cfg", **{"lambda": "0.0"})
-    assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 2
-    assert "lambda" in capsys.readouterr().err
+def _rows(path):
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
+def _inaccurate_solves(monkeypatch):
+    """Every sparse LU solve returns 1.001 times its solution."""
+    def perturbed(A, splu=spla.splu, **kw):
+        lu = splu(A, **kw)
+        return SimpleNamespace(solve=lambda b, trans="N": 1.001 * lu.solve(b, trans))
+
+    monkeypatch.setattr(spla, "splu", perturbed)
+
+
+def _row(name, command, config, codes, needle="", out=None, patch=None):
+    return pytest.param(command, config, out, patch, codes, needle, id=name)
+
+
+_ONE = {"nx": "1", "ny_f": "1", "ny_s": "1"}  # one cell per subdomain
+_LONG = {"L": "3.0", "H_f": "0.2", "H_s": "0.5"}
+_CONVERGE = dict(line.split(" = ")
+                 for line in (_SHIPPED / "converge.cfg").read_text().splitlines())
+# A command on a config (overrides of BASE, raw bytes, or None for no file),
+# its allowed exit codes, a needle of its stderr, and maybe an --out under
+# tmp_path ("file" is a file, "csvdir/stability.csv" a directory) and a patch.
+_CONTRACT = [
+    _row("missing", "stability", None, {2}, "No such file"),
+    _row("lambda-0", "stability", {"lambda": "0.0"}, {2}, "lambda"),
     # l2 = nan once dropped the div-div term and exited 0
-    path = write_config(tmp_path / "nan.cfg", l2="nan")
-    assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 2
-    assert "'l2'" in capsys.readouterr().err
+    _row("l2-nan", "stability", {"l2": "nan"}, {2}, "'l2'"),
     # bytes that are not UTF-8 once escaped main as a UnicodeDecodeError
-    path = tmp_path / "bytes.cfg"
-    path.write_bytes(b"L = 1.0\xff\n")
-    assert main(["stability", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "not UTF-8" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    _row("not-utf8", "stability", b"L = 1.0\xff\n", {2}, "not UTF-8"),
+    # a huge nx is named, not written out: at 4000 digits the mesh bound rejects
+    # it, at 4300 its cell count outgrows str(), and at 5000 int() refuses it
+    *[_row(f"nx-{d}-digits", "dump-config", {"nx": "9" * d}, {2}, "'nx'")
+      for d in (4000, 4300, 5000)],
+    # the shipped converge config on one cell per subdomain: its smooth mode
+    # is round-off (E0 about 3e-31 on the unit channel, 2e-24 on the long one)
+    # and fails only that verdict, as its errors fit rates of 0.575 and 0.547
+    *[_row(f"roundoff-{name}-{command}", command, {**_CONVERGE, **_ONE, **geom},
+           {4}, "round-off")
+      for name, geom in (("unit", {}), ("long", _LONG))
+      for command in ("converge", "lambda-sweep")],
+    # lambda M_if swamps rho_f / ddt M_f (from lambda = 10^16.9 at ddt = 0.125):
+    # the Robin-Robin fluid saddle point loses its pressure constant
+    *[_row(f"lambda-{lam}", "converge",
+           {**_ONE, "N": "2", "T": "0.25", "mode": "converge", "dt_levels": "2",
+            "seed": "1", "lambda": lam}, {3}, "solver failure")
+      for lam in ("1e18", "1e40", "1e158")],
+    # heavy solid: no added-mass blow-up, so the contrast threshold fails
+    _row("dn-heavy", "dn-compare", {"mode": "dn-compare", "rho_s": "1000.0", "N": "40"},
+         {4}, "threshold"),
+    # at T = 1e-300 the scale of the first solve's backward-error check passes
+    # the largest double: a silent inf, with no overflow warning
+    *[_row(f"tiny-step-{command}", command,
+           {**_ONE, "mode": command, "N": "2", "T": "1e-300"}, codes)
+      for command, codes in (("stability", {0}), ("dn-compare", {0, 3}))],
+    # m = 3 does not divide the 8 reference steps per finest window
+    *[_row(f"m3-{command}", command,
+           {"mode": command, "N": "2", "m": "3", "dt_levels": "2", "seed": "0"}, {0, 4})
+      for command in ("converge", "lambda-sweep")],
+    _row("singular", "stability", {}, {3}, "solver failure: pivot",
+         patch=lambda mp: mp.setitem(cli.COMMANDS, "stability",
+                                     Mock(side_effect=SingularSystemError("pivot")))),
+    _row("out-of-memory", "stability", {}, {3}, "solver failure: Unable to allocate",
+         patch=lambda mp: mp.setattr(cli, "Discretization", Mock(
+             side_effect=MemoryError("Unable to allocate 8.00 EiB")))),
+    _row("inaccurate-solve", "stability", {}, {3}, "solver failure: solve backward error",
+         patch=_inaccurate_solves),
+    # an --out that is a file or lies under one, and a CSV that cannot be
+    # written inside the command
+    *[_row(f"out-{name}", "stability", {"N": "2"}, {2}, "output error: ", out=out)
+      for name, out in (("is-file", "file"), ("under-file", "file/sub"),
+                        ("csv-is-dir", "csvdir"))],
+]
 
 
-def test_dump_config_command(tmp_path, capsys):
-    path = write_config(tmp_path / "a.cfg")
-    assert main(["dump-config", "--config", path]) == 0
-    out = capsys.readouterr().out
-    assert "lambda = 1.0" in out and "mode = stability" in out
+@pytest.mark.parametrize("command,config,out,patch,codes,needle", _CONTRACT)
+def test_exit_code_contract(tmp_path, monkeypatch, command, config, out, patch,
+                            codes, needle):
+    """Each row exits with one of its codes, with its needle on stderr and no
+    traceback.  A config or output error (2) writes no CSV, and its stderr
+    is one line of under 200 bytes besides the temporary directory's path."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "csvdir" / "stability.csv").mkdir(parents=True)
+    if patch:
+        patch(monkeypatch)
+    code, _, err, _ = _run(tmp_path, command, config, out)
+    assert code in codes and needle in err and "Traceback" not in err, err
+    if code == 2:
+        assert not [p for p in tmp_path.rglob("*.csv") if p.is_file()]
+        assert err.count("\n") == 1 and len(err.replace(str(tmp_path), "").encode()) < 200
 
 
-def test_stability_command_writes_csv(tmp_path, capsys):
-    path = write_config(tmp_path / "a.cfg")
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["stability", "--config", path, "--out", str(out1)]) == 0
-    assert main(["stability", "--config", path, "--out", str(out2)]) == 0
-    csv1 = (out1 / "stability.csv").read_bytes()
-    assert csv1 == (out2 / "stability.csv").read_bytes()  # bitwise rerun
-    rows = list(csv.DictReader((out1 / "stability.csv").read_text().splitlines()))
+def test_dump_config_command(tmp_path):
+    code, out, _, _ = _run(tmp_path, "dump-config", {})
+    assert code == 0 and "lambda = 1.0" in out and "mode = stability" in out
+
+
+def test_stability_command_writes_csv(tmp_path):
+    runs = [_run(tmp_path, "stability", {}, out) for out in ("r1", "r2")]
+    assert [code for code, *_ in runs] == [0, 0]
+    csv1, csv2 = (out / "stability.csv" for *_, out in runs)
+    assert csv1.read_bytes() == csv2.read_bytes()  # bitwise rerun
+    rows = _rows(csv1)
     assert len(rows) == 8 + 1
     resid = np.array([float(r["stability_residual"]) for r in rows])
     scale = float(rows[0]["E"]) + float(rows[0]["S"])
@@ -231,13 +309,10 @@ def test_stability_command_writes_csv(tmp_path, capsys):
 
 
 def test_converge_command(tmp_path):
-    path = write_config(tmp_path / "c.cfg", mode="converge", N="4", seed="0")
-    out = tmp_path / "out"
-    assert main(["converge", "--config", path, "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "converge.csv").read_text().splitlines()))
-    assert len(rows) == 3  # dt_levels
-    dts = [float(r["dt"]) for r in rows]
-    assert dts == sorted(dts, reverse=True)
+    code, _, _, out = _run(tmp_path, "converge", {"mode": "converge", "N": "4", "seed": "0"})
+    assert code == 0
+    dts = [float(r["dt"]) for r in _rows(out / "converge.csv")]
+    assert len(dts) == 3 and dts == sorted(dts, reverse=True)  # dt_levels, halved
     assert (out / "consistency.csv").exists()
 
 
@@ -269,38 +344,6 @@ def test_converge_zero_error_exits_4(tmp_path, capsys, monkeypatch):
     rows = list(csv.DictReader((out / "converge.csv").read_text().splitlines()))
     assert [r["total"] for r in rows] == ["0", "0"]
     assert [r["rate_pairwise"] for r in rows] == ["nan", "nan"]
-
-
-# The shipped converge config on one cell per subdomain.  That mesh holds no
-# divergence-free velocity of the stream function's shape: the smooth mode is
-# round-off, E0 about 3e-31 on the unit channel and 2e-24 on the long one.
-# Their errors fit rates of 0.575 and 0.547, which would pass the rate
-# threshold: only the round-off verdict makes the run exit 4.
-@pytest.mark.parametrize("command", ["converge", "lambda-sweep"])
-@pytest.mark.parametrize("geometry", [{}, {"L": "3.0", "H_f": "0.2", "H_s": "0.5"}],
-                         ids=["unit", "long"])
-def test_roundoff_smooth_mode_exits_4(tmp_path, capsys, command, geometry):
-    shipped = Path(__file__).resolve().parent.parent / "configs" / "converge.cfg"
-    keys = dict(line.split(" = ") for line in shipped.read_text().splitlines())
-    keys.update(nx="1", ny_f="1", ny_s="1", **geometry)
-    path = tmp_path / "r.cfg"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
-    assert "round-off" in capsys.readouterr().err
-
-
-# One cell per subdomain, T = 0.25, N = 2 (ddt = 0.125 and 0.0625): once
-# lambda M_if swamps rho_f / ddt M_f, the Robin-Robin fluid saddle point loses
-# its pressure constant and is singular, for every lambda from 10^16.9
-# (ddt = 0.125) or 10^17.3 (ddt = 0.0625) up to the largest double.
-@pytest.mark.parametrize("lam", ["1e18", "1e40", "1e158"])
-def test_extreme_lambda_converge_exits_3(tmp_path, capsys, lam):
-    path = write_config(tmp_path / "x.cfg", nx="1", ny_f="1", ny_s="1", N="2",
-                        T="0.25", mode="converge", dt_levels="2", seed="1",
-                        **{"lambda": lam})
-    assert main(["converge", "--config", path, "--out", str(tmp_path / "o")]) == 3
-    err = capsys.readouterr().err
-    assert "solver failure" in err and "Traceback" not in err
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -413,45 +456,22 @@ def test_mutated_shipped_config_keeps_exit_code_contract(tmp_path_factory, comma
     assert main([command, "--config", str(path), "--out", str(tmp / "o")]) in (0, 2, 3, 4)
 
 
-def test_dn_compare_without_blowup_exits_4(tmp_path, capsys):
-    # heavy solid: no added-mass blow-up, so the contrast threshold fails
-    path = write_config(tmp_path / "d.cfg", mode="dn-compare",
-                        rho_s="1000.0", N="40")
-    assert main(["dn-compare", "--config", path,
-                 "--out", str(tmp_path / "o")]) == 4
-    assert "threshold" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command,codes", [("stability", (0,)), ("dn-compare", (0, 3))])
-def test_tiny_step_scale_overflows_silently(tmp_path, command, codes):
-    """At T = 1e-300 on the one-cell channel the scale of the first solve's
-    backward-error check passes the largest double: it is a silent inf, and
-    no overflow warning leaves main."""
-    path = write_config(tmp_path / "t.cfg", mode=command, nx="1", ny_f="1",
-                        ny_s="1", N="2", T="1e-300")
-    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) in codes
-
-
 def test_dn_compare_blowup_exits_0(tmp_path):
-    path = write_config(tmp_path / "d.cfg", mode="dn-compare", N="120")
-    out = tmp_path / "o"
-    assert main(["dn-compare", "--config", path, "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "dn_compare.csv").read_text().splitlines()))
+    code, _, _, out = _run(tmp_path, "dn-compare", {"mode": "dn-compare", "N": "120"})
+    assert code == 0
+    rows = _rows(out / "dn_compare.csv")
     e0 = float(rows[0]["energy_dn"])
     assert max(float(r["energy_dn"]) for r in rows) >= 1e6 * e0
 
 
-def test_dn_compare_takes_one_substep_per_window(tmp_path, capsys):
+def test_dn_compare_takes_one_substep_per_window(tmp_path):
     """Both schemes of dn-compare step T / N whatever m is: m = 3 writes the
     CSV and stdout of m = 1 byte for byte, with the same exit code."""
-    runs = []
-    for m in ("1", "3"):
-        path = write_config(tmp_path / f"m{m}.cfg", mode="dn-compare", N="40", m=m)
-        out = tmp_path / f"m{m}"
-        code = main(["dn-compare", "--config", path, "--out", str(out)])
-        runs.append((code, (out / "dn_compare.csv").read_bytes(),
-                     capsys.readouterr().out))
-    assert runs[0] == runs[1]
+    runs = [_run(tmp_path, "dn-compare", {"mode": "dn-compare", "N": "40", "m": m}, f"m{m}")
+            for m in ("1", "3")]
+    (code1, out1, _, dir1), (code2, out2, _, dir2) = runs
+    assert (code1, out1) == (code2, out2)
+    assert (dir1 / "dn_compare.csv").read_bytes() == (dir2 / "dn_compare.csv").read_bytes()
 
 
 @pytest.mark.parametrize("energies,code,growth", [
@@ -465,8 +485,6 @@ def test_dn_compare_takes_one_substep_per_window(tmp_path, capsys):
 def test_dn_compare_verdict(tmp_path, monkeypatch, capsys, energies, code, growth):
     """dn-compare's exit code and printed growth for given DN energies, one
     per step."""
-    from fsisplit import experiments
-
     values = iter(energies)
     monkeypatch.setattr(experiments, "energy_E", lambda *args: next(values))
     path = write_config(tmp_path / "d.cfg", mode="dn-compare",
@@ -480,8 +498,6 @@ def test_dn_compare_verdict(tmp_path, monkeypatch, capsys, energies, code, growt
 def test_nan_result_fails_threshold(tmp_path, monkeypatch, command):
     """A NaN residual or fitted rate fails the verdict (exit 4), although
     every comparison with NaN is False."""
-    from fsisplit import experiments
-
     robin_robin, convergence = experiments.robin_robin, experiments.convergence
 
     def nan_energy(*args):
@@ -507,8 +523,6 @@ def test_unstable_level_fails_convergence_verdict(tmp_path, monkeypatch, capsys,
                                                   command):
     """A level whose stability residual exceeds 1e-8 (E0 + S0) fails both
     convergence commands, though the rate passes; the message names it."""
-    from fsisplit import experiments
-
     convergence, named = experiments.convergence, []
 
     def unstable(*args):
@@ -526,21 +540,13 @@ def test_unstable_level_fails_convergence_verdict(tmp_path, monkeypatch, capsys,
     assert named and all(n in err for n in named)
 
 
-@pytest.mark.parametrize("command", ["converge", "lambda-sweep"])
-def test_substeps_not_dividing_reference_refinement(tmp_path, command):
-    # m = 3 does not divide the 8 reference steps per finest window
-    path = write_config(tmp_path / "m3.cfg", mode=command, N="2", m="3",
-                        dt_levels="2", seed="0")
-    assert main([command, "--config", path,
-                 "--out", str(tmp_path / "o")]) in (0, 4)
+_SWEEP = {"mode": "lambda-sweep", "dt_levels": "2", "seed": "0"}
 
 
 def test_lambda_sweep_assembles_each_stiffness_once(tmp_path, monkeypatch):
     """Every solver and diagnostic of all Robin weights and dt levels shares
     one fluid and two solid stiffness matrices: (l1, l2), and (1, 0) for the
     solid extension of the initial data."""
-    from fsisplit import splitting
-
     calls = Counter()
 
     def counting(name):
@@ -553,10 +559,7 @@ def test_lambda_sweep_assembles_each_stiffness_once(tmp_path, monkeypatch):
 
     for name in ("assemble_symgrad", "assemble_elasticity"):
         monkeypatch.setattr(splitting, name, counting(name))
-    path = write_config(tmp_path / "l.cfg", mode="lambda-sweep", dt_levels="2",
-                        seed="0", mu="0.1", l1="1.0", l2="1.0")
-    assert main(["lambda-sweep", "--config", path,
-                 "--out", str(tmp_path / "o")]) == 0
+    assert _run(tmp_path, "lambda-sweep", _SWEEP)[0] == 0  # mu = 0.1, l1 = l2 = 1
     assert calls == {("assemble_symgrad", 0.1): 1,
                      ("assemble_elasticity", 1.0, 1.0): 1,
                      ("assemble_elasticity", 1.0, 0.0): 1}
@@ -565,11 +568,6 @@ def test_lambda_sweep_assembles_each_stiffness_once(tmp_path, monkeypatch):
 def test_lambda_sweep_holds_one_reference(tmp_path, monkeypatch):
     """Each Robin weight's monolithic reference is freed before the next
     weight's study starts."""
-    import gc
-    import weakref
-
-    from fsisplit import experiments
-
     convergence, refs = experiments.convergence, []
 
     def tracking(*args):
@@ -580,70 +578,13 @@ def test_lambda_sweep_holds_one_reference(tmp_path, monkeypatch):
         return result
 
     monkeypatch.setattr(experiments, "convergence", tracking)
-    path = write_config(tmp_path / "l.cfg", mode="lambda-sweep", dt_levels="2",
-                        seed="0")
-    assert main(["lambda-sweep", "--config", path,
-                 "--out", str(tmp_path / "o")]) == 0
+    assert _run(tmp_path, "lambda-sweep", _SWEEP)[0] == 0
     assert len(refs) == 3
 
 
-def test_solver_failure_exits_3(tmp_path, monkeypatch):
-    from fsisplit import cli
-    from fsisplit.assembly import SingularSystemError
-
-    def boom(cfg, disc, out_dir):
-        raise SingularSystemError("pivot")
-
-    monkeypatch.setitem(cli.COMMANDS, "stability", boom)
-    path = write_config(tmp_path / "a.cfg")
-    assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 3
-
-
-def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
-    import fsisplit.cli as cli
-
-    def no_memory(*args):
-        raise MemoryError("Unable to allocate 8.00 EiB")
-
-    monkeypatch.setattr(cli, "Discretization", no_memory)
-    path = write_config(tmp_path / "a.cfg")
-    assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 3
-    assert "solver failure: Unable to allocate" in capsys.readouterr().err
-
-
-def test_unusable_out_exits_2(tmp_path, capsys):
-    """An --out that is a file or lies under one, and a CSV that cannot be
-    written inside the command, exit 2 with no traceback."""
-    path = write_config(tmp_path / "a.cfg", N="2")
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    (tmp_path / "o" / "stability.csv").mkdir(parents=True)  # not a file
-    for out in (blocker, blocker / "sub", tmp_path / "o"):
-        assert main(["stability", "--config", path, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("output error: ")
-
-
-def test_inaccurate_solve_exits_3(tmp_path, monkeypatch):
-    import scipy.sparse.linalg as spla
-    splu = spla.splu
-
-    class Perturbed:
-        def __init__(self, lu):
-            self._lu = lu
-
-        def solve(self, b, trans="N"):
-            return 1.001 * self._lu.solve(b, trans)
-
-    monkeypatch.setattr(spla, "splu", lambda A, **kw: Perturbed(splu(A, **kw)))
-    path = write_config(tmp_path / "a.cfg")
-    assert main(["stability", "--config", path, "--out", str(tmp_path)]) == 3
-
-
 def test_csv_floats_full_precision(tmp_path):
-    path = write_config(tmp_path / "a.cfg", N="2")
-    out = tmp_path / "p"
-    assert main(["stability", "--config", path, "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "stability.csv").read_text().splitlines()))
-    val = rows[1]["E"]
+    code, _, _, out = _run(tmp_path, "stability", {"N": "2"})
+    assert code == 0
+    val = _rows(out / "stability.csv")[1]["E"]
     # 17 significant digits survive a float round-trip exactly
     assert f"{float(val):.17g}" == val

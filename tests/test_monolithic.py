@@ -138,9 +138,14 @@ def test_reference_trajectory_structure(run_disc, params):
     for t in (0.013, traj.times[1], traj.times[3], -traj.times[4], 0.15):
         with pytest.raises(ValueError):
             traj.at(t)
-    # zero data gives the zero trajectory
-    ztraj = run_reference(run_disc, params, oracles.zero_state(run_disc), 0.1, 4, 1)
+    # zero data gives the zero trajectory; at T = 1e-12, too, a time half a
+    # step off a stored one is off the grid
+    ztraj = run_reference(run_disc, params, oracles.zero_state(run_disc), 1e-12, 8, 2)
     assert max(np.abs(u).max() for u in ztraj.u) == 0.0
+    assert ztraj.at(2 * ztraj.ddt)[0].t == ztraj.times[2]
+    for t in (0.5 * ztraj.ddt, 2.5 * ztraj.ddt):
+        with pytest.raises(ValueError):
+            ztraj.at(t)
 
 
 def test_reference_self_convergence(run_disc, params):

@@ -128,22 +128,24 @@ def error_norms(disc: Discretization, params: PhysicalParams, grid: TimeGrid,
     every substep time: final E and S, and T summed with interface weight
     1/4 against the previous window's error average.
 
-    Both trajectories must start from the same state (so the initial error
-    and interface-error stock vanish) and the reference must store its
-    fields at every splitting substep time.
+    Both trajectories must start from the same state, interface data
+    included (so the initial error and interface-error stock vanish), and
+    sample j = 1 .. m of window n = 0, 1, ... is compared with the
+    reference's step (n m + j) steps_per(ddt), which it must store.
     """
-    ref0, _ = reference.at(0.0)
-    if not (np.array_equal(ref0.u, state0.u) and np.array_equal(ref0.eta, state0.eta)
-            and np.array_equal(ref0.etad, state0.etad)):
+    ref0, flux0 = reference.step(0)
+    if not all(map(np.array_equal, (ref0.u, ref0.eta, ref0.etad, reference.traces[0], flux0),
+                   (state0.u, state0.eta, state0.etad, state0.u_avg, state0.traction_avg))):
         raise ValueError("reference and splitting runs start from different states")
 
+    per = reference.steps_per(grid.ddt)
     # the first window's interface data are exact, so their error vanishes
     u_avg = np.zeros(disc.ifd_f.size)
     T_windows = []
-    for state in states:
+    for n, state in enumerate(states):
         samples = []
-        for s in state.samples:
-            ref, flux = reference.at(s.t)
+        for k, s in enumerate(state.samples, n * grid.substeps + 1):
+            ref, flux = reference.step(k * per)
             samples.append(WindowSample(  # pressure enters no ledger term
                 t=s.t, u=ref.u - s.u, p=None, eta=ref.eta - s.eta,
                 etad=ref.etad - s.etad, traction=flux - s.traction))
@@ -165,13 +167,8 @@ def consistency_terms(disc: Discretization, reference, dt: float, lam: float):
     one entry per window of size dt, the windows tiling the reference's
     steps; the sums scale like dt for smooth reference trajectories.
     """
-    ref_dt = reference.ddt
-    per = int(round(dt / ref_dt))
-    steps = len(reference.times) - 1
-    if per < 1 or abs(per * ref_dt - dt) > 1e-9 * dt or steps % per:
-        raise ValueError("windows of size dt do not tile the reference steps")
-
-    g3 = np.zeros(steps // per)
+    per, ref_dt = reference.steps_per(dt), reference.ddt
+    g3 = np.zeros((len(reference.times) - 1) // per)
     g2 = np.zeros_like(g3)
     u_tr, flux = reference.traces, reference.flux
     u_avg, f_avg = u_tr[0], flux[0]  # the first window's interface data

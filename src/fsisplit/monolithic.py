@@ -35,15 +35,17 @@ class ReferenceTrajectory:
     traces: list         # u[ifd_f], traces[k] at times[k]
     flux: list           # canonical interface load, flux[k] for step ending at times[k]
 
-    def at(self, t: float):
-        """(CoupledState, flux) at time t, which must be a stored step: within
-        a thousandth of a step of it, which leaves room for the drift of a
-        splitting's summed substep times (about 1.5e-5 of a step over 2^17
-        windows) at any T."""
-        k = int(round(t / self.ddt))
-        if (not 0 <= k < len(self.times) or k % self.stride
-                or abs(k * self.ddt - t) > 1e-3 * self.ddt):
-            raise ValueError(f"time {t} is not a stored reference step")
+    def steps_per(self, dt: float) -> int:
+        """How many steps one step of size dt spans, if a whole number tiling the run."""
+        per = round(dt / self.ddt)
+        if per < 1 or abs(per * self.ddt - dt) > 1e-9 * dt or (len(self.times) - 1) % per:
+            raise ValueError(f"steps of size {dt} do not tile the reference steps")
+        return per
+
+    def step(self, k: int):
+        """(CoupledState, flux) at stored step k."""
+        if not 0 <= k < len(self.times) or k % self.stride:
+            raise ValueError(f"step {k} is not a stored reference step")
         j = k // self.stride
         return (CoupledState(self.times[k], self.u[j], self.p[j], self.eta[j],
                              self.etad[j]), self.flux[k])

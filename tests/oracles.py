@@ -147,9 +147,9 @@ def reference_split_state(reference, grid, n):
     with, as interface data, its trace and flux averaged over window n - 1's
     substep times (at m = 1 the values at t_n; at t_0 the initial trace and
     flux[0])."""
-    per, m = round(grid.ddt / reference.ddt), grid.substeps
+    per, m = reference.steps_per(grid.ddt), grid.substeps
     steps = [k * per for k in range(max(n * m - m + 1, 0), n * m + 1)]
-    state, _ = reference.at(n * grid.dt)
+    state, _ = reference.step(n * m * per)
     return SplitState(state.t, state.u, state.p, state.eta, state.etad,
                       np.mean([reference.traces[k] for k in steps], axis=0),
                       np.mean([reference.flux[k] for k in steps], axis=0))

@@ -128,19 +128,17 @@ def _reference_as_windows(traj):
     """Wrap a reference trajectory as the states of one-substep splitting
     windows."""
     states = []
-    for t in traj.times[1:]:
-        ref, flux = traj.at(t)
-        s = WindowSample(t=t, u=ref.u, p=ref.p, eta=ref.eta, etad=ref.etad,
-                         traction=flux)
-        states.append(SplitState(t=t, u=ref.u, p=ref.p, eta=ref.eta,
-                                 etad=ref.etad, u_avg=None, traction_avg=None,
-                                 samples=[s]))
+    for k in range(1, len(traj.times)):
+        ref, flux = traj.step(k)
+        fields = (ref.t, ref.u, ref.p, ref.eta, ref.etad)
+        states.append(SplitState(*fields, None, None, [WindowSample(*fields, flux)]))
     return states
 
 
 def test_error_norms_reference_vs_itself(run_disc, params):
     state0 = smooth_coupled_mode(run_disc, params)
     traj = run_reference(run_disc, params, state0, 0.2, 8, 1)
+    state0.traction_avg = traj.flux[0]
     grid = TimeGrid(0.2, 8, 1)
     rep = error_norms(run_disc, params, grid,
                       _reference_as_windows(traj), traj, state0)
@@ -149,16 +147,24 @@ def test_error_norms_reference_vs_itself(run_disc, params):
 
 
 def test_error_norms_rejects_mismatched_start(run_disc, params):
-    """The starts are compared bit for bit, whatever their scale: on the
-    0.02-wide channel the smooth mode's largest |u| is 6e-10, within
-    np.allclose's absolute 1e-8 of a zero start."""
+    """The starts, interface data included, are compared bit for bit at any
+    scale (the 0.02-wide channel's smooth mode has |u| <= 6e-10, within
+    np.allclose's absolute 1e-8 of zero); a run that outlasts the reference,
+    or whose substeps do not tile its steps, is rejected too."""
     for disc in (run_disc, Discretization(ChannelGeometry(0.02, 0.02, 0.02), 2, 2, 2)):
         state0 = smooth_coupled_mode(disc, params)
         traj = run_reference(disc, params, state0, 0.2, 8, 1)
-        for other in (replace(state0, u=state0.u + 1.0), oracles.zero_state(disc)):
+        state0.traction_avg = traj.flux[0]
+        for other in (replace(state0, u=state0.u + 1.0), oracles.zero_state(disc),
+                      replace(state0, traction_avg=0 * traj.flux[0]),
+                      replace(state0, u_avg=state0.u_avg + 1.0)):
             with pytest.raises(ValueError, match="different states"):
                 error_norms(disc, params, TimeGrid(0.2, 8, 1),
                             _reference_as_windows(traj), traj, other)
+        for grid in (TimeGrid(0.4, 16, 1), TimeGrid(0.2, 3, 1)):
+            with pytest.raises(ValueError, match="reference step"):
+                error_norms(disc, params, grid,
+                            RobinRobinSolver(disc, params, grid).run(state0), traj, state0)
 
 
 def test_two_level_error_ratio(run_disc, params):
@@ -317,7 +323,7 @@ def test_consistency_rejects_incompatible_window(run_disc, params):
     for steps, dt in ((30, 0.25), (10, 0.4), (14, 4.0 / 14)):
         traj = _synthetic_trajectory(1.0, steps, lambda t: np.zeros(d.ifd_f.size),
                                      lambda t: np.zeros(d.ifd_f.size))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="do not tile the reference steps"):
             consistency_terms(d, traj, dt, params.lambda_robin)
 
 

@@ -123,29 +123,22 @@ def test_reference_trajectory_structure(run_disc, params):
     assert np.array_equal(traj.flux[0], traj.flux[1])
     # the kept steps and every step's trace and flux are those of the
     # unstrided run, bit for bit
-    for t in traj.times[::4]:
-        (got, got_flux), (want, want_flux) = traj.at(t), full.at(t)
+    for k in (0, 4, 8):
+        (got, got_flux), (want, want_flux) = traj.step(k), full.step(k)
         for a, b in zip((got.u, got.p, got.eta, got.etad, got_flux),
                         (want.u, want.p, want.eta, want.etad, want_flux)):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    for t, trace, flux in zip(traj.times, traj.traces, traj.flux):
-        state, want_flux = full.at(t)
+    for k, (trace, flux) in enumerate(zip(traj.traces, traj.flux)):
+        state, want_flux = full.step(k)
         assert np.array_equal(trace, state.u[run_disc.ifd_f])
         assert np.array_equal(flux, want_flux)
-    assert full.at(0.1)[0].t == traj.at(0.1)[0].t == traj.times[-1]
-    # off the grid, and on the grid but not stored: never a neighbouring step
-    # before 0 and past T, even at a multiple of the stride
-    for t in (0.013, traj.times[1], traj.times[3], -traj.times[4], 0.15):
+    # unstored, negative and past-the-end steps, even at multiples of the stride
+    for k in (1, 3, -4, 12):
         with pytest.raises(ValueError):
-            traj.at(t)
-    # zero data gives the zero trajectory; at T = 1e-12, too, a time half a
-    # step off a stored one is off the grid
-    ztraj = run_reference(run_disc, params, oracles.zero_state(run_disc), 1e-12, 8, 2)
+            traj.step(k)
+    # zero data gives the zero trajectory
+    ztraj = run_reference(run_disc, params, oracles.zero_state(run_disc), 0.1, 8, 2)
     assert max(np.abs(u).max() for u in ztraj.u) == 0.0
-    assert ztraj.at(2 * ztraj.ddt)[0].t == ztraj.times[2]
-    for t in (0.5 * ztraj.ddt, 2.5 * ztraj.ddt):
-        with pytest.raises(ValueError):
-            ztraj.at(t)
 
 
 def test_reference_self_convergence(run_disc, params):
